@@ -11,17 +11,13 @@ from .fem import (
     AssembledSystem,
     DiffusivityField,
     DispersionParams,
-    PointwisePhysics,
     ReducedSystem,
     apply_dirichlet,
     assemble,
-    assemble_residual,
     dispersion_tensor,
     element_load,
     element_mass,
     element_stiffness,
-    steady_diffusion_physics,
-    transient_diffusion_physics,
 )
 from .mesh import (
     BoundarySpec,
@@ -36,7 +32,6 @@ from .mesh_io import read_gmsh, write_gmsh, write_vtk
 from .perf import PerfEnvelope, PerfReport, arithmetic_intensity, efficiency
 from .qp import (
     QpProblem,
-    QpReport,
     brute_force_qp,
     gradient,
     kkt_check,
@@ -78,9 +73,7 @@ __all__ = [
     "OpLedger",
     "PerfEnvelope",
     "PerfReport",
-    "PointwisePhysics",
     "QpProblem",
-    "QpReport",
     "ReducedSystem",
     "SolveReport",
     "TransientConfig",
@@ -88,7 +81,6 @@ __all__ = [
     "apply_dirichlet",
     "arithmetic_intensity",
     "assemble",
-    "assemble_residual",
     "brute_force_qp",
     "build_transient_operator",
     "build_transient_rhs",
@@ -115,8 +107,6 @@ __all__ = [
     "solve_blmvm",
     "solve_tron",
     "spmv",
-    "steady_diffusion_physics",
-    "transient_diffusion_physics",
     "with_boundary_markers",
     "write_gmsh",
     "write_matrix_market",

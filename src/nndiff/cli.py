@@ -36,7 +36,6 @@ from .errors import (
     SolverBreakdownError,
     SolverFailure,
 )
-from .fem import steady_diffusion_physics, transient_diffusion_physics
 from .mesh import generate_box, generate_cube_with_hole
 from .mesh_io import write_gmsh, write_vtk
 from .perf import arithmetic_intensity, efficiency, report_as_dict
@@ -65,13 +64,6 @@ def _setup_logging() -> None:
         logger.warning("NND_LOG=%r not in {error, info, debug}; using warning", level_name)
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    if threads > 1:
-        logger.info("assembly is vectorized single-threaded; --threads=%d ignored", threads)
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -86,12 +78,6 @@ def _build_problem(args):
     return run_cfg, mesh, diffusivity, bc, source
 
 
-def _physics_for(tcfg, diffusivity, source):
-    if tcfg.steady:
-        return steady_diffusion_physics(diffusivity, source)
-    return transient_diffusion_physics(diffusivity, source, tcfg.dt)
-
-
 def _snapshot_writer(mesh, path_pattern, cadence):
     def on_step(step, t, c_full, report):
         if cadence > 0 and step % cadence == 0:
@@ -103,18 +89,21 @@ def _snapshot_writer(mesh, path_pattern, cadence):
     return on_step
 
 
-def _iterations_of(report) -> tuple[int, int]:
-    outer = getattr(report, "iterations", None)
-    if outer is not None:
-        return outer, 0
-    return report.outer_iterations, report.inner_iterations
+def _summarize(result, tcfg, envelope):
+    """(dmp report, outer and inner iteration sums, AI or None, efficiency or None)."""
+    dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
+    outer = sum(report.iterations for report in result.reports)
+    inner = sum(report.inner_iterations for report in result.reports)
+    ai = arithmetic_intensity(result.ledger) if result.ledger.bytes > 0 else None
+    perf = None
+    if envelope is not None and result.solver_wall_time > 0:
+        perf = efficiency(result.ledger, result.solver_wall_time, envelope)
+    return dmp, outer, inner, ai, perf
 
 
 def cmd_solve(args) -> int:
     run_cfg, mesh, diffusivity, bc, source = _build_problem(args)
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
-    _check_threads(args.threads)
-    physics = _physics_for(tcfg, diffusivity, source)
 
     vtk_path = args.vtk or run_cfg.output.get("vtk")
     cadence = int(run_cfg.output.get("cadence", 0))
@@ -122,20 +111,13 @@ def cmd_solve(args) -> int:
     if vtk_path and cadence > 0 and not tcfg.steady:
         on_step = _snapshot_writer(mesh, Path(vtk_path), cadence)
 
-    result = run_transient(mesh, physics, bc, tcfg, on_step=on_step)
-    dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
-
-    outer = inner = 0
-    for report in result.reports:
-        o, i = _iterations_of(report)
-        outer += o
-        inner += i
-
+    result = run_transient(mesh, bc, diffusivity, source, tcfg, on_step=on_step)
     if vtk_path:
         write_vtk(mesh, {"c": result.final}, vtk_path)
     csv_path = run_cfg.output.get("csv")
     if csv_path:
         write_step_csv(result, csv_path, tcfg.c_min, tcfg.c_max)
+    dmp, outer, inner, ai, perf = _summarize(result, tcfg, build_envelope(run_cfg))
 
     payload = {
         "solver": tcfg.solver,
@@ -155,11 +137,9 @@ def cmd_solve(args) -> int:
         "bytes": result.ledger.bytes,
         "solver_wall_time_s": result.solver_wall_time,
     }
-    if result.ledger.bytes > 0:
-        payload["ai"] = arithmetic_intensity(result.ledger)
-    envelope = build_envelope(run_cfg)
-    if envelope is not None and result.solver_wall_time > 0:
-        perf = efficiency(result.ledger, result.solver_wall_time, envelope)
+    if ai is not None:
+        payload["ai"] = ai
+    if perf is not None:
         payload["perf"] = report_as_dict(perf)
     report_path = args.report or run_cfg.output.get("report")
     if report_path:
@@ -190,7 +170,6 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     run_cfg, mesh, diffusivity, bc, source = _build_problem(args)
-    _check_threads(args.threads)
     solvers = (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
@@ -201,26 +180,15 @@ def cmd_compare(args) -> int:
     any_failed = False
     for spec in solvers:
         tcfg = build_transient_config(run_cfg, str(spec), args.rtol, args.inner_rtol)
-        physics = _physics_for(tcfg, diffusivity, source)
         try:
-            result = run_transient(mesh, physics, bc, tcfg)
+            result = run_transient(mesh, bc, diffusivity, source, tcfg)
         except (NndiffError, ValueError) as exc:
             logger.error("solver %s failed: %s", spec, exc)
             columns.append({"name": str(spec), "failed": True})
             any_failed = True
             continue
-        dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
-        outer = inner = 0
-        for report in result.reports:
-            o, i = _iterations_of(report)
-            outer += o
-            inner += i
-        ai = (
-            arithmetic_intensity(result.ledger) if result.ledger.bytes > 0 else float("nan")
-        )
-        eff = None
-        if envelope is not None and result.solver_wall_time > 0:
-            eff = efficiency(result.ledger, result.solver_wall_time, envelope)
+        dmp, outer, inner, ai, eff = _summarize(result, tcfg, envelope)
+        ai = float("nan") if ai is None else ai
         ai_by_name[str(spec)] = ai
         columns.append(
             {
@@ -334,9 +302,9 @@ def cmd_qp(args) -> int:
     tol_abs = args.rtol * float(np.linalg.norm(g0)) + 1e-12
     cert = kkt_check(problem, c, tol_abs)
 
-    print(f"status: {report.status} after {report.outer_iterations} outer iterations")
+    print(f"status: {report.status} after {report.iterations} outer iterations")
     print(f"objective: {report.objective:.12g}")
-    print(f"projected gradient norm: {report.pg_norm:.6e}")
+    print(f"projected gradient norm: {report.residual_norm:.6e}")
     print(
         f"kkt certificate: {'PASS' if cert.ok else 'FAIL'} "
         f"(violation {cert.max_violation:.3e}, tol {cert.tol:.3e})"
@@ -406,8 +374,15 @@ def cmd_perf_report(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 1 like other input errors."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nndiff",
         description="Maximum-principle-preserving anisotropic diffusion solvers",
     )
@@ -426,14 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
-    common.add_argument("--solver", help="override [solver] choice")
     common.add_argument("--rtol", type=float, help="override solver rtol")
     common.add_argument("--inner-rtol", type=float, help="override inner CG rtol")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--report", help="override report output path")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
     p_solve = sub.add_parser("solve", parents=[common], help="run one configured solve")
+    p_solve.add_argument("--solver", help="override [solver] choice")
     p_solve.add_argument("--vtk", help="override VTK output path")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -465,9 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -39,26 +39,3 @@ def dmp_check(c, c_min: float, c_max: float, tol: float = 0.0) -> DmpReport:
         n_total=len(c),
     )
 
-
-def violation_table_markdown(rows) -> str:
-    """Rows of (label, DmpReport) in the min/max/percent-violated layout."""
-    lines = [
-        "| Case | Min. value | Max. value | Nodes violated | % |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for label, rep in rows:
-        lines.append(
-            f"| {label} | {rep.min_value:.7g} | {rep.max_value:.7g} "
-            f"| {rep.n_violated}/{rep.n_total} | {rep.percent_violated:.1f}% |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def violation_table_csv(rows) -> str:
-    lines = ["case,min_value,max_value,n_below,n_above,n_total,percent_violated"]
-    for label, rep in rows:
-        lines.append(
-            f"{label},{rep.min_value:.17g},{rep.max_value:.17g},"
-            f"{rep.n_below},{rep.n_above},{rep.n_total},{rep.percent_violated:.6g}"
-        )
-    return "\n".join(lines) + "\n"

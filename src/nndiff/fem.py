@@ -13,7 +13,6 @@ are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -191,9 +190,9 @@ def _check_tensor_batch(d: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def scalar_field(value) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Normalize a constant or callable into ``fn(points, t) -> (m,)``.
+    """Normalize a constant or a callable ``fn(points, t)`` into ``fn(points, t) -> (m,)``.
 
-    Callables may take (points) or (points, t); points is an (m, 3) array.
+    ``points`` is an (m, 3) array; a callable may return a scalar.
     """
     if value is None:
         value = 0.0
@@ -205,17 +204,8 @@ def scalar_field(value) -> Callable[[np.ndarray, float], np.ndarray]:
 
         return const_fn
 
-    n_args = len(
-        [
-            p
-            for p in inspect.signature(value).parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-    )
-
     def fn(points, t=0.0):
-        raw = value(points) if n_args == 1 else value(points, t)
-        out = np.asarray(raw, dtype=np.float64)
+        out = np.asarray(value(points, t), dtype=np.float64)
         if out.ndim == 0:
             return np.full(len(points), float(out))
         if out.shape != (len(points),):
@@ -225,80 +215,6 @@ def scalar_field(value) -> Callable[[np.ndarray, float], np.ndarray]:
         return out
 
     return fn
-
-
-# ---------------------------------------------------------------------------
-# Pointwise physics (residual/Jacobian building blocks)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PointwisePhysics:
-    """Pointwise residual terms and their derivative blocks.
-
-    The residual density is  w * F0(c, grad c) + grad w . F1(c, grad c);
-    derivative blocks are the partials of F0/F1 with respect to c and
-    grad c, used for Jacobian consistency checks.  All callables are
-    vectorized over an (m,) batch of evaluation points.
-    """
-
-    F0: Callable
-    F1: Callable
-    F0_c: Callable
-    F0_gradc: Callable
-    F1_c: Callable
-    F1_gradc: Callable
-    diffusivity: DiffusivityField | None = None
-    source: object = None
-    dt: float | None = None
-
-
-def steady_diffusion_physics(diffusivity: DiffusivityField, source=None) -> PointwisePhysics:
-    """F0 = -f(x), F1 = D(x) grad c."""
-    src = scalar_field(source)
-
-    def f0(c, grad_c, x, t, dt):
-        return -src(x, t)
-
-    def f1(c, grad_c, x, t):
-        d = diffusivity.evaluate(x)
-        return np.einsum("mab,mb->ma", d, grad_c)
-
-    def f0_c(c, grad_c, x, t, dt):
-        return np.zeros(len(np.atleast_1d(c)))
-
-    def f0_gradc(c, grad_c, x, t, dt):
-        return np.zeros((len(np.atleast_1d(c)), 3))
-
-    def f1_c(c, grad_c, x, t):
-        return np.zeros((len(np.atleast_1d(c)), 3))
-
-    def f1_gradc(c, grad_c, x, t):
-        return diffusivity.evaluate(x)
-
-    return PointwisePhysics(f0, f1, f0_c, f0_gradc, f1_c, f1_gradc,
-                            diffusivity=diffusivity, source=source)
-
-
-def transient_diffusion_physics(
-    diffusivity: DiffusivityField, source=None, dt: float = 1.0, c_prev=None
-) -> PointwisePhysics:
-    """Backward-Euler form: F0 = (c - c_prev(x)) / dt - f(x, t)."""
-    if dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    src = scalar_field(source)
-    prev = scalar_field(c_prev)
-    base = steady_diffusion_physics(diffusivity, source)
-
-    def f0(c, grad_c, x, t, dt_):
-        return (np.atleast_1d(c) - prev(x, t)) / dt_ - src(x, t)
-
-    def f0_c(c, grad_c, x, t, dt_):
-        return np.full(len(np.atleast_1d(c)), 1.0 / dt_)
-
-    return PointwisePhysics(
-        f0, base.F1, f0_c, base.F0_gradc, base.F1_c, base.F1_gradc,
-        diffusivity=diffusivity, source=source, dt=dt,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +333,13 @@ class AssembledSystem:
     def n(self) -> int:
         return self.stiffness.n
 
+    @property
+    def free(self) -> np.ndarray:
+        """Sorted indices of the dofs without Dirichlet data."""
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.dirichlet_idx] = False
+        return np.flatnonzero(mask)
+
 
 def _scatter_matrix(n, cells, ke) -> CsrMatrix:
     m, k = cells.shape
@@ -523,7 +446,7 @@ def assemble_load(mesh: Mesh, source, bc: BoundarySpec, t: float = 0.0) -> np.nd
 
 def assemble(
     mesh: Mesh,
-    physics: PointwisePhysics | None,
+    _unused,
     bc: BoundarySpec,
     diffusivity: DiffusivityField,
     source=None,
@@ -531,13 +454,10 @@ def assemble(
 ) -> AssembledSystem:
     """Build the global stiffness, capacity, and load objects.
 
-    ``physics`` is carried for residual evaluation and may be None, in
-    which case a steady-diffusion instance is derived from ``diffusivity``
-    and ``source``.
+    The second parameter is ignored; it keeps the positional signature
+    ``assemble(mesh, None, bc, diffusivity, source)`` that callers use.
     """
     _check_markers(mesh, bc)
-    if physics is None:
-        physics = steady_diffusion_physics(diffusivity, source)
     n = mesh.n_vertices
     if mesh.kind == TET4:
         det, grads, qpts = _tet_batch(mesh.vertices, mesh.cells)
@@ -554,46 +474,6 @@ def assemble(
     load = assemble_load(mesh, source, bc, t)
     idx, vals = dirichlet_values(mesh, bc, t)
     return AssembledSystem(stiffness, mass, load, idx, vals)
-
-
-def assemble_residual(
-    mesh: Mesh, physics: PointwisePhysics, bc: BoundarySpec, c, t: float = 0.0
-) -> np.ndarray:
-    """r(c) from the pointwise functions; Neumann data enters with -f."""
-    c = np.asarray(c, dtype=np.float64)
-    if mesh.kind == TET4:
-        det, grads, qpts = _tet_batch(mesh.vertices, mesh.cells)
-        c_cell = c[mesh.cells]
-        cq = np.einsum("qi,mi->mq", TET_QUAD_BARY, c_cell)
-        grad = np.einsum("mia,mi->ma", grads, c_cell)
-        nq = 4
-        grad_q = np.repeat(grad[:, None, :], nq, axis=1)
-        x_flat = qpts.reshape(-1, 3)
-        f0 = physics.F0(cq.ravel(), grad_q.reshape(-1, 3), x_flat, t, physics.dt)
-        f1 = physics.F1(cq.ravel(), grad_q.reshape(-1, 3), x_flat, t)
-        f0 = f0.reshape(-1, nq)
-        f1 = f1.reshape(-1, nq, 3)
-        re = det[:, None] * _TET_W * (
-            np.einsum("mq,qi->mi", f0, TET_QUAD_BARY)
-            + np.einsum("ma,mia->mi", f1.sum(axis=1), grads)
-        )
-    else:
-        det, b, qpts = _hex_batch(mesh.vertices, mesh.cells)
-        c_cell = c[mesh.cells]
-        cq = np.einsum("qi,mi->mq", _HEX_N, c_cell)
-        grad_q = np.einsum("mqia,mi->mqa", b, c_cell)
-        nq = len(_HEX_N)
-        x_flat = qpts.reshape(-1, 3)
-        f0 = physics.F0(cq.ravel(), grad_q.reshape(-1, 3), x_flat, t, physics.dt)
-        f1 = physics.F1(cq.ravel(), grad_q.reshape(-1, 3), x_flat, t)
-        f0 = f0.reshape(-1, nq)
-        f1 = f1.reshape(-1, nq, 3)
-        re = np.einsum("mq,qi->mi", det * f0, _HEX_N) + np.einsum(
-            "mq,mqa,mqia->mi", det, f1, b
-        )
-    r = _scatter_vector(mesh.n_vertices, mesh.cells, re)
-    r -= neumann_load(mesh, bc, t)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +510,7 @@ def reduce_rhs(matrix: CsrMatrix, rhs, free, lift) -> np.ndarray:
 
 def apply_dirichlet(system: AssembledSystem) -> ReducedSystem:
     n = system.n
-    mask = np.ones(n, dtype=bool)
-    mask[system.dirichlet_idx] = False
-    free = np.flatnonzero(mask)
+    free = system.free
     reduced = system.stiffness.submatrix(free)
     lift = np.zeros(n)
     lift[system.dirichlet_idx] = system.dirichlet_values

@@ -13,7 +13,6 @@ possible when real cache reuse beats it; such reports carry an
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -106,15 +105,3 @@ def report_as_dict(report: PerfReport) -> dict:
         "kernels": list(report.kernels),
     }
 
-
-def write_json(report: PerfReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_as_dict(report), fh, indent=2)
-        fh.write("\n")
-
-
-def write_kernel_csv(report: PerfReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("kernel,calls,flops,bytes\n")
-        for k in report.kernels:
-            fh.write(f"{k['name']},{k['calls']},{k['flops']},{k['bytes']}\n")

@@ -4,9 +4,9 @@ minimize  1/2 c'Hc + c'q   subject to  lower <= c <= upper
 
 Three routes: a projected limited-memory quasi-Newton solver (two-loop
 recursion on projected-gradient pairs with Armijo backtracking along the
-projected path), a trust-region active-set Newton solver (reduced system
-solved by truncated preconditioned CG), and an exhaustive active-set
-oracle for small dimensions.  Feasibility is maintained by exact
+projected path), a trust-region active-set Newton solver (free-block
+system solved by preconditioned CG truncated at the trust radius), and
+an exhaustive active-set oracle for small dimensions.  Feasibility is maintained by exact
 componentwise clamping, so every iterate satisfies the bounds.
 
 All linear algebra runs through the instrumented kernels in
@@ -15,7 +15,6 @@ All linear algebra runs through the instrumented kernels in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,16 @@ from .sparse import (
     CsrMatrix,
     FLOAT_BYTES,
     OpLedger,
+    SolveReport,
     axpy,
-    aypx,
+    aypx,  # unused here; bench/tracer.py rebinds qp.aypx with the other kernels
+    cg_solve,
     dot,
     make_preconditioner,
     norm2,
     scale,
     spmv,
+    start_report,
     vec_copy,
 )
 
@@ -108,23 +110,6 @@ def projected_gradient(g, c, lower, upper, ledger: OpLedger | None = None) -> np
     return pg
 
 
-@dataclass
-class QpReport:
-    outer_iterations: int
-    inner_iterations: int
-    pg_norm: float
-    objective: float
-    status: str  # converged | max-iter | breakdown
-    flops: int = 0
-    bytes: int = 0
-    wall_time: float = 0.0
-    ledger: OpLedger | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-
 def _start_point(problem, x0, ledger):
     if x0 is None:
         x0 = np.zeros(problem.n)
@@ -165,7 +150,7 @@ def solve_blmvm(
     atol: float = 0.0,
     ledger: OpLedger | None = None,
     monitor=None,
-) -> tuple[np.ndarray, QpReport]:
+) -> tuple[np.ndarray, SolveReport]:
     """Quasi-Newton descent on the projected path.
 
     Curvature pairs are built from projected gradients; pairs with
@@ -176,13 +161,12 @@ def solve_blmvm(
     """
     if ledger is None:
         ledger = OpLedger()
-    t_start = time.perf_counter()
-    f_before, b_before = ledger.totals()
+    finish = start_report(ledger)
     lo, hi = problem.lower, problem.upper
 
     c = _start_point(problem, x0, ledger)
     if problem.n == 0:
-        return c, QpReport(0, 0, 0.0, 0.0, "converged", 0, 0, 0.0, ledger.copy())
+        return c, finish("converged", 0)
     g = gradient(problem, c, ledger)
     pg = projected_gradient(g, c, lo, hi, ledger)
     pg_norm = norm2(pg, ledger)
@@ -245,65 +229,12 @@ def solve_blmvm(
         if monitor is not None:
             monitor(outer, fc, pg_norm)
 
-    f_after, b_after = ledger.totals()
-    report = QpReport(
-        outer, 0, pg_norm, fc, status,
-        f_after - f_before, b_after - b_before,
-        time.perf_counter() - t_start, ledger.copy(),
-    )
-    return c, report
+    return c, finish(status, outer, residual_norm=pg_norm, objective=fc)
 
 
 # ---------------------------------------------------------------------------
 # Trust-region active-set Newton (TRON-style)
 # ---------------------------------------------------------------------------
-
-def _truncated_cg(h, rhs, delta, rtol, precond_name, ledger, maxit):
-    """Preconditioned CG from 0, truncated at the trust-region boundary.
-
-    Returns (step, iterations, hit_boundary).
-    """
-    n = h.n
-    d = np.zeros(n)
-    r = vec_copy(rhs, ledger)
-    rhs_norm = norm2(r, ledger)
-    if rhs_norm == 0.0:
-        return d, 0, False
-    precond = make_preconditioner(h, precond_name, ledger)
-    z = precond.apply(r, ledger)
-    p = vec_copy(z, ledger)
-    rz = dot(r, z, ledger)
-    d_sq = 0.0
-    iterations = 0
-    rnorm = rhs_norm
-    while rnorm > rtol * rhs_norm and iterations < maxit:
-        hp = spmv(h, p, ledger)
-        php = dot(p, hp, ledger)
-        if php <= 0.0:
-            raise SolverBreakdownError(
-                f"non-positive curvature in reduced system (p'Hp = {php:g})"
-            )
-        alpha = rz / php
-        dp = dot(d, p, ledger)
-        pp = dot(p, p, ledger)
-        if d_sq + 2.0 * alpha * dp + alpha * alpha * pp >= delta * delta:
-            # step to the boundary and stop
-            tau = (-dp + np.sqrt(dp * dp + pp * (delta * delta - d_sq))) / pp
-            axpy(d, tau, p, ledger)
-            return d, iterations + 1, True
-        axpy(d, alpha, p, ledger)
-        d_sq += 2.0 * alpha * dp + alpha * alpha * pp
-        axpy(r, -alpha, hp, ledger)
-        rnorm = norm2(r, ledger)
-        iterations += 1
-        if rnorm <= rtol * rhs_norm:
-            break
-        z = precond.apply(r, ledger)
-        rz_new = dot(r, z, ledger)
-        aypx(p, rz_new / rz, z, ledger)
-        rz = rz_new
-    return d, iterations, False
-
 
 def solve_tron(
     problem: QpProblem,
@@ -318,7 +249,7 @@ def solve_tron(
     atol: float = 0.0,
     ledger: OpLedger | None = None,
     monitor=None,
-) -> tuple[np.ndarray, QpReport]:
+) -> tuple[np.ndarray, SolveReport]:
     """Active-set Newton with a trust region on the free variables.
 
     Per outer iteration: freeze the bound-touching variables whose
@@ -331,15 +262,14 @@ def solve_tron(
         raise ValueError("inner_rtol must lie in (0, 1)")
     if ledger is None:
         ledger = OpLedger()
-    t_start = time.perf_counter()
-    f_before, b_before = ledger.totals()
-    h, q = problem.hessian, problem.linear
+    finish = start_report(ledger)
+    h = problem.hessian
     lo, hi = problem.lower, problem.upper
     n = problem.n
 
     c = _start_point(problem, x0, ledger)
     if n == 0:
-        return c, QpReport(0, 0, 0.0, 0.0, "converged", 0, 0, 0.0, ledger.copy())
+        return c, finish("converged", 0)
     g = gradient(problem, c, ledger)
     pg = projected_gradient(g, c, lo, hi, ledger)
     pg_norm = norm2(pg, ledger)
@@ -365,14 +295,15 @@ def solve_tron(
             break
         h_ff = h.submatrix(free)
         try:
-            d_f, inner_iters, hit = _truncated_cg(
-                h_ff, -g[free], delta, inner_rtol, precond, ledger,
-                maxit=max(100, 10 * len(free)),
+            d_f, inner = cg_solve(
+                h_ff, -g[free], make_preconditioner(h_ff, precond, ledger),
+                rtol=inner_rtol, ledger=ledger, radius=delta,
             )
         except SolverBreakdownError:
             status = "breakdown"
             break
-        inner_total += inner_iters
+        inner_total += inner.iterations
+        hit = inner.status == "boundary"
 
         d = np.zeros(n)
         d[free] = d_f
@@ -410,13 +341,9 @@ def solve_tron(
                 monitor(outer + 1, fc, pg_norm)
         outer += 1
 
-    f_after, b_after = ledger.totals()
-    report = QpReport(
-        outer, inner_total, pg_norm, fc, status,
-        f_after - f_before, b_after - b_before,
-        time.perf_counter() - t_start, ledger.copy(),
+    return c, finish(
+        status, outer, inner_iterations=inner_total, residual_norm=pg_norm, objective=fc
     )
-    return c, report
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ independent solves may run concurrently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr
@@ -89,11 +89,6 @@ class OpLedger:
 
     def totals(self) -> tuple[int, int]:
         return self.flops, self.bytes
-
-    def copy(self) -> "OpLedger":
-        out = OpLedger()
-        out._tally = self.breakdown()
-        return out
 
     def __repr__(self) -> str:
         return f"OpLedger(flops={self.flops}, bytes={self.bytes}, kernels={len(self._tally)})"
@@ -251,15 +246,11 @@ class CsrMatrix:
         return cls(n, offsets, cc, summed, validate=False)
 
     @classmethod
-    def from_dense(cls, a, keep_zeros: bool = False) -> "CsrMatrix":
+    def from_dense(cls, a) -> "CsrMatrix":
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError("dense input must be square")
-        if keep_zeros:
-            rows, cols = np.indices(a.shape)
-            rows, cols = rows.ravel(), cols.ravel()
-        else:
-            rows, cols = np.nonzero(a)
+        rows, cols = np.nonzero(a)
         return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
 
     @classmethod
@@ -460,12 +451,48 @@ def make_preconditioner(a: CsrMatrix, name: str, ledger: OpLedger | None = None)
 
 @dataclass
 class SolveReport:
+    """Outcome of one CG, tron or blmvm solve.
+
+    ``iterations`` counts CG iterations or QP outer iterations;
+    ``inner_iterations`` counts tron's inner CG iterations (0 elsewhere).
+    ``residual_norm`` is the final residual norm of CG or the final
+    projected-gradient norm of a QP solve; ``objective`` is 0 for CG.
+    ``flops``, ``bytes`` and ``wall_time`` cover this solve only.
+    """
+
+    status: str  # converged | max-iter | boundary | breakdown
     iterations: int
-    converged: bool
-    residuals: list = field(default_factory=list)
+    inner_iterations: int = 0
+    residual_norm: float = 0.0
+    objective: float = 0.0
     flops: int = 0
     bytes: int = 0
     wall_time: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+    @property
+    def outer_iterations(self) -> int:
+        """Read-only alias of ``iterations`` for QP reports (bench/tracer.py reads it)."""
+        return self.iterations
+
+
+def start_report(ledger: OpLedger):
+    """Begin a solve; the returned ``finish(status, iterations, **fields)``
+    builds its :class:`SolveReport` with the work and time since now."""
+    t_start = time.perf_counter()
+    f_start, b_start = ledger.totals()
+
+    def finish(status: str, iterations: int, **fields) -> SolveReport:
+        flops, nbytes = ledger.totals()
+        return SolveReport(
+            status, iterations, flops=flops - f_start, bytes=nbytes - b_start,
+            wall_time=time.perf_counter() - t_start, **fields,
+        )
+
+    return finish
 
 
 def cg_solve(
@@ -476,46 +503,48 @@ def cg_solve(
     maxit: int | None = None,
     x0=None,
     ledger: OpLedger | None = None,
+    radius: float | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned CG on an SPD matrix.
 
     Terminates when ||b - A x||_2 <= rtol * ||b||_2 (true residual norm,
-    updated recursively).  Exceeding ``maxit`` returns a non-converged
-    report; an indefinite direction (p'Ap <= 0) raises
-    :class:`SolverBreakdownError`.
+    updated recursively).  Exceeding ``maxit`` returns status "max-iter";
+    an indefinite direction (p'Ap <= 0) raises
+    :class:`SolverBreakdownError`.  With a trust ``radius`` the iterate
+    starts at 0 and, when a step would leave the ball ||x|| <= radius,
+    stops on its boundary with status "boundary" (Steihaug truncation);
+    the reported residual norm is then the one before that last step.
     """
     b = np.asarray(b, dtype=np.float64)
     if a.n != len(b):
         raise DimensionError("cg_solve dimension mismatch")
+    if radius is not None and x0 is not None:
+        raise ValueError("a trust radius needs the cold start x0=None")
     if maxit is None:
         maxit = max(100, 10 * a.n)
     if ledger is None:
         ledger = OpLedger()
     if precond is None:
         precond = IdentityPreconditioner()
-    f0, b0 = ledger.totals()
-    t_start = time.perf_counter()
+    finish = start_report(ledger)
 
-    bnorm = norm2(b, ledger)
-    if bnorm == 0.0:
-        x = np.zeros(a.n)
-        vec_set(x, 0.0, ledger)
-        fl, by = ledger.totals()
-        return x, SolveReport(0, True, [0.0], fl - f0, by - b0,
-                              time.perf_counter() - t_start)
-
+    x = np.zeros(a.n)
     if x0 is None:
-        x = np.zeros(a.n)
-        vec_set(x, 0.0, ledger)
         r = vec_copy(b, ledger)
+        bnorm = rnorm = norm2(r, ledger)
     else:
+        bnorm = norm2(b, ledger)
+    if bnorm == 0.0:
+        return x, finish("converged", 0)
+    if x0 is not None:
         x = vec_copy(x0, ledger)
         r = spmv(a, x, ledger)
         aypx(r, -1.0, b, ledger)  # r = b - A x
+        rnorm = norm2(r, ledger)
 
-    rnorm = norm2(r, ledger)
-    residuals = [rnorm]
     iterations = 0
+    x_sq = 0.0  # ||x||^2, tracked only under a trust radius
+    status = "max-iter"
     z = precond.apply(r, ledger)
     p = vec_copy(z, ledger)
     rz = dot(r, z, ledger)
@@ -528,10 +557,22 @@ def cg_solve(
                 f"non-positive curvature p'Ap = {pap:g} at iteration {iterations}"
             )
         alpha = rz / pap
+        if radius is not None:
+            xp = dot(x, p, ledger)
+            pp = dot(p, p, ledger)
+            # the test and the update below round differently on purpose:
+            # tron's iterates depend on both forms bit for bit
+            if x_sq + 2.0 * alpha * xp + alpha * alpha * pp >= radius * radius:
+                # step to the boundary and stop
+                tau = (-xp + np.sqrt(xp * xp + pp * (radius * radius - x_sq))) / pp
+                axpy(x, tau, p, ledger)
+                iterations += 1
+                status = "boundary"
+                break
+            x_sq += 2.0 * alpha * xp + alpha * alpha * pp
         axpy(x, alpha, p, ledger)
         axpy(r, -alpha, ap, ledger)
         rnorm = norm2(r, ledger)
-        residuals.append(rnorm)
         iterations += 1
         if rnorm <= rtol * bnorm:
             break
@@ -540,15 +581,9 @@ def cg_solve(
         aypx(p, rz_new / rz, z, ledger)  # p = z + beta p
         rz = rz_new
 
-    fl, by = ledger.totals()
-    return x, SolveReport(
-        iterations,
-        rnorm <= rtol * bnorm,
-        residuals,
-        fl - f0,
-        by - b0,
-        time.perf_counter() - t_start,
-    )
+    if status == "max-iter" and rnorm <= rtol * bnorm:
+        status = "converged"
+    return x, finish(status, iterations, residual_norm=rnorm)
 
 
 # ---------------------------------------------------------------------------

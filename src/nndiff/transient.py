@@ -10,8 +10,6 @@ operator constant, so it is assembled and reduced once.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from .diagnostics import dmp_check
 from .errors import ConfigError, SolverFailure
 from .fem import (
-    PointwisePhysics,
+    DiffusivityField,
     apply_dirichlet,
     assemble,
     assemble_load,
@@ -29,8 +27,6 @@ from .fem import (
 from .mesh import BoundarySpec, Mesh
 from .qp import QpProblem, project, solve_blmvm, solve_tron
 from .sparse import CsrMatrix, OpLedger, add_scaled, cg_solve, make_preconditioner, spmv
-
-logger = logging.getLogger(__name__)
 
 SOLVER_CHOICES = ("galerkin", "tron", "blmvm")
 
@@ -153,84 +149,64 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
 
 def run(
     mesh: Mesh,
-    physics: PointwisePhysics,
     bc: BoundarySpec,
+    diffusivity: DiffusivityField,
+    source,
     config: TransientConfig,
     on_step=None,
 ) -> TransientResult:
     """Drive the time loop (or a single steady solve).
 
-    The initial field is ``config.initial_value`` everywhere with the
-    Dirichlet data inserted.  ``on_step(step, t, c_full, report)`` fires
-    after every solved level.  The result ledger covers solver work only;
-    assembly and rhs construction are not logged.
+    ``source`` is a constant or ``fn(points, t)``.  The initial field is
+    ``config.initial_value`` everywhere with the Dirichlet data inserted.
+    ``on_step(step, t, c_full, report)`` fires after every solved level.
+    The result ledger covers solver work only; assembly and rhs
+    construction are not logged.
     """
-    if physics.diffusivity is None:
-        raise ConfigError("physics must carry a diffusivity field")
-    system = assemble(mesh, physics, bc, physics.diffusivity, physics.source)
-    reduced = apply_dirichlet(system)
-    free = reduced.free
-    n = system.n
-
+    system = assemble(mesh, None, bc, diffusivity, source)
+    n, free = system.n, system.free
     result = TransientResult()
-    dir_idx, dir_vals = system.dirichlet_idx, system.dirichlet_values
-    _check_bounds(dir_vals, config)
+    _check_bounds(system.dirichlet_values, config)
 
     c_full = np.full(n, config.initial_value)
-    c_full[dir_idx] = dir_vals
-    result.times.append(0.0)
-    result.fields.append(c_full.copy())
-
+    c_full[system.dirichlet_idx] = system.dirichlet_values
     if config.steady:
-        precond_name = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
-        precond = (
-            make_preconditioner(reduced.matrix, precond_name, result.ledger)
-            if config.solver == "galerkin"
-            else precond_name
-        )
-        x, report = _solve_level(
-            reduced.matrix, reduced.rhs, config, c_full[free], precond,
-            result.ledger, step=0,
-        )
-        c_full = reduced.expand(x)
-        result.times[-1] = 0.0
-        result.fields[-1] = c_full
-        result.reports.append(report)
-        result.solver_wall_time += report.wall_time
-        if on_step is not None:
-            on_step(0, 0.0, c_full, report)
-        return result
+        reduced = apply_dirichlet(system)
+        operator, levels = reduced.matrix, [(0, 0.0)]
+    else:
+        full_operator = build_transient_operator(system.stiffness, system.mass, config.dt)
+        operator = full_operator.submatrix(free)
+        levels = [(k, k * config.dt) for k in range(1, config.n_steps + 1)]
+        result.times.append(0.0)
+        result.fields.append(c_full.copy())
 
-    operator = build_transient_operator(system.stiffness, system.mass, config.dt)
-    op_red = operator.submatrix(free)
-    precond_name = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
-    precond = (
-        make_preconditioner(op_red, precond_name, result.ledger)
-        if config.solver == "galerkin"
-        else precond_name
-    )
+    precond = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
+    if config.solver == "galerkin":
+        precond = make_preconditioner(operator, precond, result.ledger)
 
-    for step in range(1, config.n_steps + 1):
-        t_next = step * config.dt
-        f_full = assemble_load(mesh, physics.source, bc, t_next)
-        ftilde = build_transient_rhs(f_full, system.mass, c_full, config.dt)
-        idx, vals = dirichlet_values(mesh, bc, t_next)
-        _check_bounds(vals, config)
-        lift = np.zeros(n)
-        lift[idx] = vals
-        rhs = reduce_rhs(operator, ftilde, free, lift)
+    for step, t in levels:
+        if config.steady:
+            rhs, idx, vals = reduced.rhs, reduced.dirichlet_idx, reduced.dirichlet_values
+        else:
+            f_full = assemble_load(mesh, source, bc, t)
+            ftilde = build_transient_rhs(f_full, system.mass, c_full, config.dt)
+            idx, vals = dirichlet_values(mesh, bc, t)
+            _check_bounds(vals, config)
+            lift = np.zeros(n)
+            lift[idx] = vals
+            rhs = reduce_rhs(full_operator, ftilde, free, lift)
         x, report = _solve_level(
-            op_red, rhs, config, c_full[free], precond, result.ledger, step,
+            operator, rhs, config, c_full[free], precond, result.ledger, step,
         )
         c_full = np.zeros(n)
         c_full[free] = x
         c_full[idx] = vals
-        result.times.append(t_next)
+        result.times.append(t)
         result.fields.append(c_full)
         result.reports.append(report)
         result.solver_wall_time += report.wall_time
         if on_step is not None:
-            on_step(step, t_next, c_full, report)
+            on_step(step, t, c_full, report)
     return result
 
 
@@ -238,13 +214,10 @@ def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) ->
     """One row per solved level: iterations, extrema, violations, traffic."""
     with open(path, "w") as fh:
         fh.write("step,iterations,min_c,max_c,violations,flops,bytes\n")
-        for k, report in enumerate(result.reports):
-            c = result.fields[k + 1] if len(result.fields) > len(result.reports) else result.fields[k]
+        solved = result.fields[-len(result.reports):]
+        for k, (report, c) in enumerate(zip(result.reports, solved)):
             dmp = dmp_check(c, c_min, c_max)
-            iters = getattr(report, "iterations", None)
-            if iters is None:
-                iters = report.outer_iterations
             fh.write(
-                f"{k},{iters},{dmp.min_value:.17g},{dmp.max_value:.17g},"
+                f"{k},{report.iterations},{dmp.min_value:.17g},{dmp.max_value:.17g},"
                 f"{dmp.n_violated},{report.flops},{report.bytes}\n"
             )

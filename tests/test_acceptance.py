@@ -37,8 +37,6 @@ from nndiff import (
     solve_blmvm,
     solve_tron,
     spmv,
-    steady_diffusion_physics,
-    transient_diffusion_physics,
 )
 from nndiff.sparse import axpy, dot, norm2
 
@@ -61,12 +59,11 @@ def cube_hole_runs():
         np.array([1.0, 1.0, 1.0]),
     )
     bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
-    physics = steady_diffusion_physics(diffusivity, source=0.0)
     results = {}
     for solver in ("galerkin", "tron", "blmvm"):
         cfg = TransientConfig(steady=True, solver=solver, rtol=1e-6,
                               c_min=0.0, c_max=1.0)
-        results[solver] = run_transient(mesh, physics, bc, cfg)
+        results[solver] = run_transient(mesh, bc, diffusivity, 0.0, cfg)
     elapsed = time.perf_counter() - t_start
     return results, elapsed
 
@@ -248,9 +245,8 @@ def test_criterion_07_backward_euler_oracle():
     iso = DiffusivityField.constant(np.eye(3))
     bc = BoundarySpec(dirichlet={1: 0.0})
     dt, steps = 0.02, 10
-    physics = transient_diffusion_physics(iso, source=0.0, dt=dt)
     result = run_transient(
-        mesh, physics, bc,
+        mesh, bc, iso, 0.0,
         TransientConfig(dt=dt, n_steps=steps, initial_value=1.0, rtol=1e-13),
     )
 
@@ -275,9 +271,8 @@ def test_criterion_07_backward_euler_oracle():
     rtol = 1e-9
     base = dict(dt=0.1, n_steps=5, initial_value=0.5, rtol=rtol)
     bc2 = BoundarySpec(dirichlet={1: 0.5})
-    physics2 = transient_diffusion_physics(iso, source=0.0, dt=0.1)
-    res_g = run_transient(mesh, physics2, bc2, TransientConfig(**base, solver="galerkin"))
-    res_q = run_transient(mesh, physics2, bc2, TransientConfig(**base, solver="tron"))
+    res_g = run_transient(mesh, bc2, iso, 0.0, TransientConfig(**base, solver="galerkin"))
+    res_q = run_transient(mesh, bc2, iso, 0.0, TransientConfig(**base, solver="tron"))
     gap = max(
         np.max(np.abs(a - b)) for a, b in zip(res_g.fields, res_q.fields)
     )

@@ -229,6 +229,39 @@ class TestQp:
         assert main(["qp"]) == 1
 
 
+class TestUsageErrors:
+    """Parser errors are input errors: exit 1 with the ``error:`` prefix."""
+
+    def test_unknown_flag_exit_1(self, hole_config, capsys):
+        assert main(["solve", "--config", str(hole_config), "--bogus"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_required_config_exit_1(self, capsys):
+        assert main(["solve"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_malformed_number_exit_1(self, capsys):
+        assert main(["qp", "--rtol", "abc"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--solver", "tron"],
+        ["compare", "--seed", "1"],
+        ["compare", "--threads", "2"],
+        ["solve", "--seed", "1"],
+        ["solve", "--threads", "2"],
+    ])
+    def test_removed_flags_exit_1(self, hole_config, argv):
+        assert main([*argv, "--config", str(hole_config)]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "nndiff" in capsys.readouterr().out
+
+
 class TestPerfReport:
     def test_from_solve_report(self, hole_config, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from nndiff.diagnostics import (
-    dmp_check,
-    violation_table_csv,
-    violation_table_markdown,
-)
+from nndiff.diagnostics import dmp_check
+from nndiff.sparse import SolveReport
+from nndiff.transient import TransientResult, write_step_csv
 
 
 class TestDmpCheck:
@@ -52,18 +50,19 @@ class TestDmpCheck:
 
 
 class TestTables:
-    def test_markdown_layout(self):
-        rows = [("galerkin", dmp_check(np.array([-0.02, 0.4, 1.0]), 0.0, 1.0))]
-        text = violation_table_markdown(rows)
-        assert "| galerkin | -0.02 | 1 | 1/3 | 33.3% |" in text
-
-    def test_csv_layout(self):
-        rows = [
-            ("a", dmp_check(np.array([0.5]), 0.0, 1.0)),
-            ("b", dmp_check(np.array([-1.0, 2.0]), 0.0, 1.0)),
-        ]
-        text = violation_table_csv(rows)
-        lines = text.splitlines()
-        assert lines[0].startswith("case,min_value")
-        assert lines[1].startswith("a,0.5")
-        assert lines[2].endswith(",1,1,2,100")
+    def test_csv_layout(self, tmp_path):
+        # the per-level violation table: the initial field is not a row,
+        # and each row counts the nodes outside [c_min, c_max]
+        result = TransientResult(
+            times=[0.0, 0.1, 0.2],
+            fields=[np.array([5.0, 5.0]), np.array([0.5]), np.array([-1.0, 2.0])],
+            reports=[
+                SolveReport("converged", 3, flops=10, bytes=80),
+                SolveReport("converged", 4, flops=20, bytes=160),
+            ],
+        )
+        path = tmp_path / "steps.csv"
+        write_step_csv(result, path, 0.0, 1.0)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes"
+        assert lines[1:] == ["0,3,0.5,0.5,0,10,80", "1,4,-1,2,2,20,160"]

@@ -7,15 +7,12 @@ from nndiff.fem import (
     DispersionParams,
     apply_dirichlet,
     assemble,
-    assemble_residual,
     dirichlet_values,
     dispersion_tensor,
     element_load,
     element_mass,
     element_stiffness,
     neumann_load,
-    steady_diffusion_physics,
-    transient_diffusion_physics,
 )
 from nndiff.mesh import BoundarySpec, generate_box, with_boundary_markers
 from nndiff.sparse import cg_solve
@@ -221,38 +218,78 @@ class TestAssemble:
         assert np.max(np.abs(full - mesh.vertices[:, 0])) < 1e-10
 
     def test_residual_equals_matrix_action(self, anisotropic_d):
+        # the Dirichlet-reduced residual is the full residual K c - f on the
+        # free rows, for any c that carries the Dirichlet values
         mesh = generate_box(2, 2, 2, "tet4")
-        bc = BoundarySpec(dirichlet={1: 0.0})
-        physics = steady_diffusion_physics(anisotropic_d, source=1.0)
-        system = assemble(mesh, physics, bc, anisotropic_d, source=1.0)
+
+        def ramp(points, t=0.0):
+            return 0.5 + points[:, 1]
+
+        bc = BoundarySpec(dirichlet={1: ramp})
+        system = assemble(mesh, None, bc, anisotropic_d, source=1.0)
+        red = apply_dirichlet(system)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            c = rng.standard_normal(mesh.n_vertices)
-            r = assemble_residual(mesh, physics, bc, c)
-            expected = system.stiffness.matvec_raw(c) - system.load
-            assert np.max(np.abs(r - expected)) < 1e-12
+            x = rng.standard_normal(len(red.free))
+            c = red.expand(x)
+            full = system.stiffness.matvec_raw(c) - system.load
+            reduced = red.matrix.matvec_raw(x) - red.rhs
+            assert np.max(np.abs(full[red.free] - reduced)) < 1e-12
 
-    def test_jacobian_matches_finite_differences(self, anisotropic_d):
+    def test_jacobian_matches_finite_differences(self):
+        # independent energy E(c) = sum over cells of V (g.D g / 2 - s mean(c)),
+        # g the P1 gradient from the vertex coordinates: its finite-difference
+        # gradient is K c - f and its finite-difference Hessian is K
         mesh = generate_box(2, 2, 2, "tet4")
+        d = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+        s = 0.5
         bc = BoundarySpec(dirichlet={1: 0.0})
-        physics = steady_diffusion_physics(anisotropic_d, source=0.5)
-        system = assemble(mesh, physics, bc, anisotropic_d, source=0.5)
+        system = assemble(mesh, None, bc, DiffusivityField.constant(d), source=s)
         k = system.stiffness.to_dense()
+        a = np.concatenate(
+            [np.ones((mesh.n_cells, 4, 1)), mesh.vertices[mesh.cells]], axis=2
+        )
+        grads = np.linalg.inv(a)[:, 1:, :]  # (cells, 3, 4)
+        vol = np.abs(np.linalg.det(a)) / 6.0
+
+        def energy(c):
+            g = np.einsum("mai,mi->ma", grads, c[mesh.cells])
+            flux = 0.5 * np.einsum("ma,ab,mb->m", g, d, g)
+            return float(np.sum(vol * (flux - s * c[mesh.cells].mean(axis=1))))
+
         rng = np.random.default_rng(42)
-        eps = 1e-6
         n = mesh.n_vertices
-        for _ in range(5):
+        eye = np.eye(n)
+        h = 1e-2
+        for _ in range(3):
             c = rng.standard_normal(n)
-            cols = rng.choice(n, size=6, replace=False)
-            for j in cols:
-                e = np.zeros(n)
-                e[j] = eps
-                fd = (
-                    assemble_residual(mesh, physics, bc, c + e)
-                    - assemble_residual(mesh, physics, bc, c - e)
-                ) / (2 * eps)
+            fd_grad = np.array([
+                (energy(c + h * eye[i]) - energy(c - h * eye[i])) / (2 * h)
+                for i in range(n)
+            ])
+            residual = k @ c - system.load
+            assert np.max(np.abs(fd_grad - residual)) < 1e-8
+            for j in rng.choice(n, size=6, replace=False):
+                fd_col = np.array([
+                    (energy(c + h * (eye[i] + eye[j]))
+                     - energy(c + h * (eye[i] - eye[j]))
+                     - energy(c - h * (eye[i] - eye[j]))
+                     + energy(c - h * (eye[i] + eye[j]))) / (4 * h * h)
+                    for i in range(n)
+                ])
                 denom = max(np.abs(k[:, j]).max(), 1.0)
-                assert np.max(np.abs(fd - k[:, j])) / denom < 1e-6
+                assert np.max(np.abs(fd_col - k[:, j])) / denom < 1e-6
+
+    def test_global_stiffness_matches_summed_element_oracle(self):
+        # independent oracle: sum the hand-integrated P1 element matrices
+        mesh = generate_box(2, 3, 2, "tet4")
+        d = dispersion_tensor([1.0, 1.0, 1.0], DispersionParams(1.0, 0.001, 0.0))
+        bc = BoundarySpec(dirichlet={1: 0.0})
+        system = assemble(mesh, None, bc, DiffusivityField.constant(d))
+        expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        for cell in mesh.cells:
+            expected[np.ix_(cell, cell)] += p1_stiffness_oracle(mesh.vertices[cell], d)
+        assert np.max(np.abs(system.stiffness.to_dense() - expected)) < 1e-12
 
     def test_neumann_linear_profile(self):
         # c(0)=0 Dirichlet at x=0, prescribed flux at x=1; exact c = g*x
@@ -325,43 +362,6 @@ class TestApplyDirichlet:
         bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})  # shared vertices conflict
         with pytest.raises(ConfigError, match="conflicting Dirichlet"):
             dirichlet_values(mesh, bc)
-
-
-class TestPointwisePhysics:
-    def test_derivative_blocks_match_finite_differences(self):
-        d = DiffusivityField.constant(np.array([[2.0, 0.3, 0.0],
-                                                [0.3, 1.0, 0.1],
-                                                [0.0, 0.1, 0.5]]))
-        physics = steady_diffusion_physics(d, source=lambda p: p[:, 0])
-        rng = np.random.default_rng(3)
-        x = rng.random((5, 3))
-        c = rng.standard_normal(5)
-        grad = rng.standard_normal((5, 3))
-        eps = 1e-7
-
-        fd_f0_c = (physics.F0(c + eps, grad, x, 0.0, None)
-                   - physics.F0(c - eps, grad, x, 0.0, None)) / (2 * eps)
-        assert np.max(np.abs(fd_f0_c - physics.F0_c(c, grad, x, 0.0, None))) < 1e-6
-
-        for a in range(3):
-            da = np.zeros((5, 3))
-            da[:, a] = eps
-            fd_f1 = (physics.F1(c, grad + da, x, 0.0)
-                     - physics.F1(c, grad - da, x, 0.0)) / (2 * eps)
-            block = physics.F1_gradc(c, grad, x, 0.0)[:, :, a]
-            assert np.max(np.abs(fd_f1 - block)) < 1e-6
-
-    def test_transient_f0_has_dt_derivative(self):
-        d = DiffusivityField.constant(np.eye(3))
-        physics = transient_diffusion_physics(d, source=0.0, dt=0.2)
-        x = np.zeros((4, 3))
-        c = np.array([0.1, 0.2, 0.3, 0.4])
-        grad = np.zeros((4, 3))
-        eps = 1e-7
-        fd = (physics.F0(c + eps, grad, x, 0.0, 0.2)
-              - physics.F0(c - eps, grad, x, 0.0, 0.2)) / (2 * eps)
-        assert np.allclose(fd, 5.0)
-        assert np.allclose(physics.F0_c(c, grad, x, 0.0, 0.2), 5.0)
 
 
 class TestDiffusivityField:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nndiff.errors import (
     DimensionError,
@@ -17,6 +19,7 @@ from nndiff.sparse import (
     aypx,
     cg_solve,
     dot,
+    make_preconditioner,
     norm2,
     pointwise_mult,
     read_matrix_market,
@@ -291,8 +294,6 @@ class TestCg:
         a, _ = random_sparse_spd(120, rng, density=0.08)
         b = rng.standard_normal(120)
         x_plain, _ = cg_solve(a, b, rtol=1e-12)
-        from nndiff.sparse import make_preconditioner
-
         x_pc, rep = cg_solve(a, b, precond=make_preconditioner(a, precond_name),
                              rtol=1e-12)
         assert rep.converged
@@ -304,7 +305,7 @@ class TestCg:
             a, _ = random_sparse_spd(40, np.random.default_rng(seed))
             b = rng.standard_normal(40)
             _, rep = cg_solve(a, b, rtol=1e-8)
-            assert rep.residuals[-1] < rep.residuals[0]
+            assert rep.residual_norm < np.linalg.norm(b)
 
     def test_maxit_returns_nonconverged_report(self):
         rng = np.random.default_rng(12)
@@ -336,6 +337,48 @@ class TestCg:
         _, rep = cg_solve(a, np.ones(9), ledger=led)
         assert rep.flops == led.flops - before[0]
         assert rep.bytes == led.bytes - before[1]
+
+
+@st.composite
+def spd_systems(draw):
+    """(dense SPD matrix, rhs, exact solution) with n <= 8."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = random_spd(n, rng, shift=draw(st.floats(0.05, 10.0)))
+    b = rng.standard_normal(n)
+    return dense, b, np.linalg.solve(dense, b)
+
+
+class TestTrustRegionCg:
+    """Steihaug truncation: the iterate never leaves the ball ||x|| <= radius."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(spd_systems(), st.floats(0.01, 2.0), st.sampled_from(["none", "jacobi"]))
+    def test_stays_in_ball_and_boundary_is_exact(self, system, fraction, pc):
+        dense, b, x_star = system
+        a = CsrMatrix.from_dense(dense)
+        radius = fraction * np.linalg.norm(x_star)
+        x, rep = cg_solve(a, b, make_preconditioner(a, pc), rtol=1e-10, radius=radius)
+        assert np.linalg.norm(x) <= radius * (1 + 1e-12)
+        if rep.status == "boundary":
+            assert abs(np.linalg.norm(x) - radius) <= 1e-12 * radius
+        else:
+            assert rep.converged
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(spd_systems(), st.sampled_from(["none", "jacobi"]))
+    def test_far_radius_is_plain_cg(self, system, pc):
+        dense, b, x_star = system
+        a = CsrMatrix.from_dense(dense)
+        precond = make_preconditioner(a, pc)
+        x_plain, rep_plain = cg_solve(a, b, precond, rtol=1e-10)
+        x, rep = cg_solve(a, b, precond, rtol=1e-10, radius=1e8 * np.linalg.norm(x_star))
+        assert np.array_equal(x, x_plain)
+        assert (rep.status, rep.iterations) == (rep_plain.status, rep_plain.iterations)
+
+    def test_radius_needs_cold_start(self):
+        with pytest.raises(ValueError, match="cold start"):
+            cg_solve(CsrMatrix.identity(2), np.ones(2), x0=np.zeros(2), radius=1.0)
 
 
 # ---------------------------------------------------------------------------

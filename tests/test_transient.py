@@ -7,8 +7,6 @@ from nndiff.fem import (
     DispersionParams,
     apply_dirichlet,
     assemble,
-    steady_diffusion_physics,
-    transient_diffusion_physics,
 )
 from nndiff.mesh import BoundarySpec, generate_box, generate_cube_with_hole
 from nndiff.qp import QpProblem, solve_tron
@@ -27,8 +25,7 @@ ISO = DiffusivityField.constant(np.eye(3))
 def small_problem(kind="tet4", n=3):
     mesh = generate_box(n, n, n, kind)
     bc = BoundarySpec(dirichlet={1: 0.0})
-    physics = transient_diffusion_physics(ISO, source=0.0, dt=0.05)
-    return mesh, bc, physics
+    return mesh, bc
 
 
 class TestOperators:
@@ -47,7 +44,7 @@ class TestOperators:
         assert np.allclose(x, f + c_n)
 
     def test_large_dt_recovers_steady_operator(self):
-        mesh, bc, _ = small_problem()
+        mesh, bc = small_problem()
         system = assemble(mesh, None, bc, ISO)
         ktilde = build_transient_operator(system.stiffness, system.mass, dt=1e12)
         k = system.stiffness
@@ -87,9 +84,9 @@ class TestConfig:
 
 class TestRun:
     def test_zero_everything_stays_zero(self):
-        mesh, bc, physics = small_problem()
+        mesh, bc = small_problem()
         cfg = TransientConfig(dt=0.1, n_steps=4, initial_value=0.0)
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, ISO, 0.0, cfg)
         assert len(result.fields) == 5
         for field in result.fields:
             assert np.max(np.abs(field)) == 0.0
@@ -97,9 +94,8 @@ class TestRun:
     def test_steady_flag_solves_stationary_problem(self):
         mesh = generate_box(3, 3, 3, "tet4")
         bc = BoundarySpec(dirichlet={1: 0.0})
-        physics = steady_diffusion_physics(ISO, source=1.0)
         cfg = TransientConfig(steady=True, rtol=1e-12)
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, ISO, 1.0, cfg)
         system = assemble(mesh, None, bc, ISO, source=1.0)
         red = apply_dirichlet(system)
         x, _ = cg_solve(red.matrix, red.rhs, rtol=1e-13)
@@ -107,9 +103,9 @@ class TestRun:
         assert np.max(np.abs(result.final - red.expand(x))) < 1e-9
 
     def test_initial_value_default_inserted(self):
-        mesh, bc, physics = small_problem()
+        mesh, bc = small_problem()
         cfg = TransientConfig(dt=0.1, n_steps=1)
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, ISO, 0.0, cfg)
         c0 = result.fields[0]
         boundary = np.unique(mesh.boundary_facets)
         interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
@@ -121,10 +117,9 @@ class TestRun:
         mesh = generate_box(4, 4, 4, "tet4")  # 125 vertices
         bc = BoundarySpec(dirichlet={1: 0.0})
         dt, steps = 0.02, 10
-        physics = transient_diffusion_physics(ISO, source=0.0, dt=dt)
         cfg = TransientConfig(dt=dt, n_steps=steps, initial_value=1.0,
                               rtol=1e-13, solver="galerkin")
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, ISO, 0.0, cfg)
 
         system = assemble(mesh, None, bc, ISO)
         k = system.stiffness.to_dense()
@@ -148,13 +143,12 @@ class TestRun:
     def test_qp_path_with_inactive_bounds_matches_galerkin(self):
         mesh = generate_box(3, 3, 3, "tet4")
         bc = BoundarySpec(dirichlet={1: 0.5})
-        physics = transient_diffusion_physics(ISO, source=0.0, dt=0.1)
         rtol = 1e-9
         base = TransientConfig(dt=0.1, n_steps=3, initial_value=0.5, rtol=rtol)
         cfg_g = TransientConfig(**{**base.__dict__, "solver": "galerkin"})
         cfg_t = TransientConfig(**{**base.__dict__, "solver": "tron"})
-        res_g = run(mesh, physics, bc, cfg_g)
-        res_t = run(mesh, physics, bc, cfg_t)
+        res_g = run(mesh, bc, ISO, 0.0, cfg_g)
+        res_t = run(mesh, bc, ISO, 0.0, cfg_t)
         for fg, ft in zip(res_g.fields, res_t.fields):
             assert np.max(np.abs(fg - ft)) < 10 * rtol * max(np.abs(fg).max(), 1.0)
 
@@ -164,13 +158,12 @@ class TestRun:
             DispersionParams(1.0, 0.001, 0.0), np.array([1.0, 1.0, 1.0])
         )
         bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
-        physics = transient_diffusion_physics(d, source=0.0, dt=0.5)
         steps = 3
-        res_g = run(mesh, physics, bc, TransientConfig(
+        res_g = run(mesh, bc, d, 0.0, TransientConfig(
             dt=0.5, n_steps=steps, solver="galerkin", rtol=1e-8))
-        res_b = run(mesh, physics, bc, TransientConfig(
+        res_b = run(mesh, bc, d, 0.0, TransientConfig(
             dt=0.5, n_steps=steps, solver="blmvm", rtol=1e-6))
-        res_t = run(mesh, physics, bc, TransientConfig(
+        res_t = run(mesh, bc, d, 0.0, TransientConfig(
             dt=0.5, n_steps=steps, solver="tron", rtol=1e-6))
         assert min(f.min() for f in res_g.fields[1:]) < -1e-4
         for res in (res_b, res_t):
@@ -186,12 +179,11 @@ class TestRun:
         )
         bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
         dt = 0.5
-        physics = transient_diffusion_physics(d, source=0.0, dt=dt)
         rtol = 1e-9
         cfg = TransientConfig(dt=dt, n_steps=1, solver="tron", rtol=rtol)
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, d, 0.0, cfg)
 
-        system = assemble(mesh, physics, bc, d)
+        system = assemble(mesh, None, bc, d)
         red = apply_dirichlet(system)
         from nndiff.transient import build_transient_operator, build_transient_rhs
         from nndiff.fem import reduce_rhs
@@ -206,36 +198,36 @@ class TestRun:
         assert np.max(np.abs(cold - warm_free)) < 1e-6
 
     def test_nonconvergence_aborts_with_step(self):
-        mesh, bc, physics = small_problem()
+        mesh, bc = small_problem()
         cfg = TransientConfig(dt=0.1, n_steps=2, initial_value=1.0,
                               max_iter=1, rtol=1e-14)
         with pytest.raises(SolverFailure) as err:
-            run(mesh, physics, bc, cfg)
+            run(mesh, bc, ISO, 0.0, cfg)
         assert err.value.step == 1
         assert err.value.report is not None
 
     def test_time_dependent_dirichlet(self):
-        mesh, bc_unused, physics = small_problem()
+        mesh, _ = small_problem()
         ramp = lambda pts, t: np.full(len(pts), t)
         bc = BoundarySpec(dirichlet={1: ramp})
         cfg = TransientConfig(dt=0.25, n_steps=2, initial_value=0.0, rtol=1e-12)
-        result = run(mesh, physics, bc, cfg)
+        result = run(mesh, bc, ISO, 0.0, cfg)
         boundary = np.unique(mesh.boundary_facets)
         assert np.allclose(result.fields[1][boundary], 0.25)
         assert np.allclose(result.fields[2][boundary], 0.5)
 
     def test_dirichlet_outside_bounds_rejected(self):
-        mesh, _, physics = small_problem()
+        mesh, _ = small_problem()
         bc = BoundarySpec(dirichlet={1: 2.0})
         cfg = TransientConfig(dt=0.1, n_steps=1, solver="tron")
         with pytest.raises(ConfigError, match="outside"):
-            run(mesh, physics, bc, cfg)
+            run(mesh, bc, ISO, 0.0, cfg)
 
     def test_on_step_callback_and_csv(self, tmp_path):
-        mesh, bc, physics = small_problem()
+        mesh, bc = small_problem()
         cfg = TransientConfig(dt=0.1, n_steps=3, initial_value=0.0)
         seen = []
-        result = run(mesh, physics, bc, cfg,
+        result = run(mesh, bc, ISO, 0.0, cfg,
                      on_step=lambda k, t, c, rep: seen.append((k, t)))
         assert seen == [(1, 0.1), (2, pytest.approx(0.2)), (3, pytest.approx(0.3))]
         path = tmp_path / "steps.csv"
