@@ -273,12 +273,17 @@ def _load_bound(text, n):
 
 
 def cmd_qp(args) -> int:
+    if args.inner_rtol is not None and args.solver == "blmvm":
+        raise ConfigError("--inner-rtol sets tron's inner CG; blmvm has none")
+    if args.seed is not None and not args.random_dim:
+        raise ConfigError("--seed applies only to --random-dim instances")
     if args.random_dim:
-        rng = np.random.default_rng(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal((args.random_dim, args.random_dim))
         hessian = CsrMatrix.from_dense(a.T @ a + args.random_dim * np.eye(args.random_dim))
         q = rng.standard_normal(args.random_dim) * 2.0
-        logger.info("random SPD instance: dim=%d seed=%s", args.random_dim, args.seed)
+        logger.info("random SPD instance: dim=%d seed=%s", args.random_dim, seed)
     else:
         if not args.matrix or not args.q:
             raise ConfigError("qp needs --matrix and --q (or --random-dim)")
@@ -294,7 +299,8 @@ def cmd_qp(args) -> int:
     if args.solver == "blmvm":
         c, report = solve_blmvm(problem, rtol=args.rtol)
     else:
-        c, report = solve_tron(problem, rtol=args.rtol, inner_rtol=args.inner_rtol)
+        inner_rtol = 1e-2 if args.inner_rtol is None else args.inner_rtol
+        c, report = solve_tron(problem, rtol=args.rtol, inner_rtol=inner_rtol)
 
     g0 = problem.hessian.matvec_raw(
         np.clip(np.zeros(problem.n), problem.lower, problem.upper)
@@ -421,9 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qp.add_argument("--upper", help="scalar or file")
     p_qp.add_argument("--solver", choices=["tron", "blmvm"], default="tron")
     p_qp.add_argument("--rtol", type=float, default=1e-6)
-    p_qp.add_argument("--inner-rtol", type=float, default=1e-2)
+    p_qp.add_argument("--inner-rtol", type=float,
+                      help="tron inner CG rtol (default 1e-2; not for blmvm)")
     p_qp.add_argument("--random-dim", type=int, help="generate a seeded SPD instance")
-    p_qp.add_argument("--seed", type=int, default=0)
+    p_qp.add_argument("--seed", type=int, help="--random-dim seed (default 0)")
     p_qp.add_argument("--out", help="write the solution vector")
     p_qp.set_defaults(fn=cmd_qp)
 

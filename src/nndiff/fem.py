@@ -26,7 +26,7 @@ from .mesh import (
     BoundarySpec,
     hex_shape_gradients,
 )
-from .sparse import CsrMatrix
+from .sparse import CooPattern, CsrMatrix
 
 # Order-2 tet rule: 4 symmetric points, equal weights 1/24 on the
 # reference tet of volume 1/6.
@@ -250,6 +250,25 @@ def _hex_batch(vertices, cells):
     return det, b, qpts
 
 
+@dataclass(frozen=True)
+class CellGeometry:
+    """Jacobian determinants, shape-function gradients and quadrature points
+    of every cell of one mesh.
+
+    tet4: ``det`` (m,), ``grads`` (m, 4, 3); hex8: ``det`` (m, q),
+    ``grads`` (m, q, 8, 3); both: ``qpts`` (m, q, 3).
+    """
+
+    det: np.ndarray
+    grads: np.ndarray
+    qpts: np.ndarray
+
+
+def cell_geometry(mesh: Mesh) -> CellGeometry:
+    batch = _tet_batch if mesh.kind == TET4 else _hex_batch
+    return CellGeometry(*batch(mesh.vertices, mesh.cells))
+
+
 def _cell_tensors(diffusivity, qpts, n_cells):
     """Per-cell (m,3,3) or per-point (m,q,3,3) tensors, validated."""
     nq = qpts.shape[1]
@@ -341,11 +360,12 @@ class AssembledSystem:
         return np.flatnonzero(mask)
 
 
-def _scatter_matrix(n, cells, ke) -> CsrMatrix:
+def _cell_pattern(n, cells) -> CooPattern:
+    """Pattern of the element matrices of ``cells`` scattered row by row."""
     m, k = cells.shape
     rows = np.broadcast_to(cells[:, :, None], (m, k, k))
     cols = np.broadcast_to(cells[:, None, :], (m, k, k))
-    return CsrMatrix.from_coo(n, rows.ravel(), cols.ravel(), ke.ravel())
+    return CooPattern(n, rows, cols)
 
 
 def _scatter_vector(n, cells, fe) -> np.ndarray:
@@ -429,15 +449,23 @@ def dirichlet_values(mesh: Mesh, bc: BoundarySpec, t: float = 0.0):
     return idx[keep], vals[keep]
 
 
-def assemble_load(mesh: Mesh, source, bc: BoundarySpec, t: float = 0.0) -> np.ndarray:
+def assemble_load(
+    mesh: Mesh, source, bc: BoundarySpec, t: float = 0.0,
+    geometry: CellGeometry | None = None,
+) -> np.ndarray:
+    """Load vector at time ``t``: the source over the cells plus the fluxes.
+
+    ``geometry`` is ``cell_geometry(mesh)``, computed here when omitted;
+    pass it to assemble many loads on one mesh without recomputing it.
+    """
+    if geometry is None:
+        geometry = cell_geometry(mesh)
     src = scalar_field(source)
+    det, qpts = geometry.det, geometry.qpts
+    fvals = src(qpts.reshape(-1, 3), t).reshape(len(mesh.cells), -1)
     if mesh.kind == TET4:
-        det, _, qpts = _tet_batch(mesh.vertices, mesh.cells)
-        fvals = src(qpts.reshape(-1, 3), t).reshape(len(mesh.cells), -1)
         fe = det[:, None] * _TET_W * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)
     else:
-        det, _, qpts = _hex_batch(mesh.vertices, mesh.cells)
-        fvals = src(qpts.reshape(-1, 3), t).reshape(len(mesh.cells), -1)
         fe = np.einsum("mq,qi->mi", det * fvals, _HEX_N)
     f = _scatter_vector(mesh.n_vertices, mesh.cells, fe)
     f += neumann_load(mesh, bc, t)
@@ -451,27 +479,30 @@ def assemble(
     diffusivity: DiffusivityField,
     source=None,
     t: float = 0.0,
+    geometry: CellGeometry | None = None,
 ) -> AssembledSystem:
     """Build the global stiffness, capacity, and load objects.
 
     The second parameter is ignored; it keeps the positional signature
     ``assemble(mesh, None, bc, diffusivity, source)`` that callers use.
+    ``geometry`` is as in :func:`assemble_load`.  Stiffness and capacity
+    share one sorted pattern.
     """
     _check_markers(mesh, bc)
-    n = mesh.n_vertices
+    if geometry is None:
+        geometry = cell_geometry(mesh)
+    det, grads, qpts = geometry.det, geometry.grads, geometry.qpts
+    d = _cell_tensors(diffusivity, qpts, mesh.n_cells)
     if mesh.kind == TET4:
-        det, grads, qpts = _tet_batch(mesh.vertices, mesh.cells)
-        d = _cell_tensors(diffusivity, qpts, mesh.n_cells)
         ke = _tet_stiffness(det, grads, d)
         me = det[:, None, None] * _TET_MASS_REF
     else:
-        det, b, qpts = _hex_batch(mesh.vertices, mesh.cells)
-        d = _cell_tensors(diffusivity, qpts, mesh.n_cells)
-        ke = _hex_stiffness(det, b, d)
+        ke = _hex_stiffness(det, grads, d)
         me = np.einsum("mq,qi,qj->mij", det, _HEX_N, _HEX_N)
-    stiffness = _scatter_matrix(n, mesh.cells, ke)
-    mass = _scatter_matrix(n, mesh.cells, me)
-    load = assemble_load(mesh, source, bc, t)
+    pattern = _cell_pattern(mesh.n_vertices, mesh.cells)
+    stiffness = pattern.matrix(ke)
+    mass = pattern.matrix(me)
+    load = assemble_load(mesh, source, bc, t, geometry)
     idx, vals = dirichlet_values(mesh, bc, t)
     return AssembledSystem(stiffness, mass, load, idx, vals)
 

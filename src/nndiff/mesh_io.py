@@ -153,6 +153,12 @@ def write_gmsh(mesh: Mesh, path) -> None:
         fh.write("$EndElements\n")
 
 
+def _format_rows(fmt: str, array) -> str:
+    """``fmt`` applied to each row of ``array``, as one string."""
+    array = np.asarray(array)
+    return (fmt * len(array)) % tuple(array.ravel().tolist())
+
+
 def write_vtk(mesh: Mesh, nodal_fields, path, title: str = "nndiff output") -> None:
     """Write a legacy ASCII VTK unstructured grid with point scalars.
 
@@ -167,25 +173,23 @@ def write_vtk(mesh: Mesh, nodal_fields, path, title: str = "nndiff output") -> N
                 f"{mesh.n_vertices} vertices"
             )
     width = mesh.cells.shape[1]
+    parts = [
+        "# vtk DataFile Version 3.0\n",
+        f"{title}\n",
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {mesh.n_vertices} double\n",
+        _format_rows("%.17g %.17g %.17g\n", mesh.vertices),
+        f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n",
+        _format_rows(f"{width}" + " %d" * width + "\n", mesh.cells),
+        f"CELL_TYPES {mesh.n_cells}\n",
+        f"{_VTK_CELL_TYPE[mesh.kind]}\n" * mesh.n_cells,
+    ]
+    if nodal_fields:
+        parts.append(f"POINT_DATA {mesh.n_vertices}\n")
+        for name, values in nodal_fields.items():
+            parts.append(f"SCALARS {name} double 1\n")
+            parts.append("LOOKUP_TABLE default\n")
+            parts.append(_format_rows("%.17g\n", np.asarray(values, dtype=np.float64)))
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n")
-        for cell in mesh.cells:
-            fh.write(f"{width} " + " ".join(str(v) for v in cell) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        vtk_type = _VTK_CELL_TYPE[mesh.kind]
-        for _ in range(mesh.n_cells):
-            fh.write(f"{vtk_type}\n")
-        if nodal_fields:
-            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            for name, values in nodal_fields.items():
-                fh.write(f"SCALARS {name} double 1\n")
-                fh.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values, dtype=np.float64):
-                    fh.write(f"{v:.17g}\n")
+        fh.write("".join(parts))

@@ -177,7 +177,7 @@ def pointwise_mult(x, y, ledger: OpLedger | None = None) -> np.ndarray:
 class CsrMatrix:
     """Square sparse matrix in CSR form with sorted, unique column indices."""
 
-    __slots__ = ("n", "row_offsets", "col_indices", "values", "_nz_rows")
+    __slots__ = ("n", "row_offsets", "col_indices", "values", "_nz_rows", "_scipy")
 
     def __init__(self, n, row_offsets, col_indices, values, validate: bool = True):
         self.n = int(n)
@@ -185,6 +185,7 @@ class CsrMatrix:
         self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._nz_rows = None
+        self._scipy = None
         if validate:
             self._validate()
 
@@ -204,7 +205,7 @@ class CsrMatrix:
             d = np.diff(self.col_indices)
             starts = self.row_offsets[1:-1] - 1
             interior = np.ones(len(d), dtype=bool)
-            interior[starts[starts < len(d)]] = False
+            interior[starts[(starts >= 0) & (starts < len(d))]] = False
             if np.any(d[interior] <= 0):
                 raise DimensionError("column indices must be sorted and unique per row")
 
@@ -223,27 +224,7 @@ class CsrMatrix:
         Summation order within a duplicate run follows the input order, so
         a fixed input ordering yields bit-identical matrices.
         """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (len(rows) == len(cols) == len(vals)):
-            raise DimensionError("coo triplet arrays must have equal length")
-        if len(rows) == 0:
-            return cls(n, np.zeros(n + 1, dtype=np.int64), [], [])
-        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-            raise DimensionError("coo index out of range")
-        order = np.lexsort((cols, rows))
-        r, c, v = rows[order], cols[order], vals[order]
-        new_run = np.empty(len(r), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(new_run)
-        summed = np.add.reduceat(v, starts)
-        rr, cc = r[starts], c[starts]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, rr + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return cls(n, offsets, cc, summed, validate=False)
+        return CooPattern(n, rows, cols).matrix(vals)
 
     @classmethod
     def from_dense(cls, a) -> "CsrMatrix":
@@ -287,14 +268,27 @@ class CsrMatrix:
         r = new_id[self._row_index()]
         c = new_id[self.col_indices]
         m = (r >= 0) & (c >= 0)
+        if np.all(keep[1:] > keep[:-1]):
+            # renumbering keeps the order, so the kept entries are already
+            # sorted by row and then column: no sort, no summation
+            offsets = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(r[m], minlength=len(keep)), out=offsets[1:])
+            return CsrMatrix(len(keep), offsets, c[m], self.values[m], validate=False)
         return CsrMatrix.from_coo(len(keep), r[m], c[m], self.values[m])
 
     def matvec_raw(self, x) -> np.ndarray:
-        """Unlogged y = A x; use :func:`spmv` inside instrumented code."""
+        """Unlogged y = A x; use :func:`spmv` inside instrumented code.
+
+        Each row is summed left to right from 0.0 by scipy's CSR product,
+        on a view built once per matrix (values are never reassigned).
+        """
         if len(x) != self.n:
             raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
-        prod = self.values * np.asarray(x, dtype=np.float64)[self.col_indices]
-        return np.bincount(self._row_index(), weights=prod, minlength=self.n)
+        if self._scipy is None:
+            self._scipy = _scipy_csr(
+                (self.values, self.col_indices, self.row_offsets), shape=self.shape
+            )
+        return self._scipy @ np.asarray(x, dtype=np.float64)
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -312,10 +306,52 @@ class CsrMatrix:
         return f"CsrMatrix(n={self.n}, nnz={self.nnz})"
 
 
+class CooPattern:
+    """The CSR pattern of fixed (rows, cols) triplets, sorted once.
+
+    :meth:`matrix` sums duplicate entries in input order, exactly as
+    :meth:`CsrMatrix.from_coo` does, so matrices built from one pattern
+    (the stiffness and capacity of one mesh) pay for one sort and share
+    their index arrays.
+    """
+
+    def __init__(self, n, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        if len(rows) != len(cols):
+            raise DimensionError("coo triplet arrays must have equal length")
+        if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0
+                          or cols.max() >= n):
+            raise DimensionError("coo index out of range")
+        self.n = int(n)
+        self._order = np.lexsort((cols, rows))
+        r, c = rows[self._order], cols[self._order]
+        new_run = np.empty(len(r), dtype=bool)
+        new_run[:1] = True
+        new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self._starts = np.flatnonzero(new_run)
+        self.row_offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r[self._starts], minlength=self.n), out=self.row_offsets[1:])
+        self.col_indices = c[self._starts]
+
+    def matrix(self, vals) -> CsrMatrix:
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if len(vals) != len(self._order):
+            raise DimensionError("coo triplet arrays must have equal length")
+        summed = np.add.reduceat(vals[self._order], self._starts)
+        return CsrMatrix(self.n, self.row_offsets, self.col_indices, summed, validate=False)
+
+
 def add_scaled(alpha: float, a: CsrMatrix, beta: float, b: CsrMatrix) -> CsrMatrix:
     """alpha*A + beta*B; the result pattern is the union of both patterns."""
     if a.n != b.n:
         raise DimensionError("matrix dimension mismatch in add_scaled")
+    if np.array_equal(a.row_offsets, b.row_offsets) and np.array_equal(
+        a.col_indices, b.col_indices
+    ):
+        # each union entry would sum alpha*a_ij then beta*b_ij: the same sum
+        values = alpha * a.values + beta * b.values
+        return CsrMatrix(a.n, a.row_offsets, a.col_indices, values, validate=False)
     rows = np.concatenate([a._row_index(), b._row_index()])
     cols = np.concatenate([a.col_indices, b.col_indices])
     vals = np.concatenate([alpha * a.values, beta * b.values])

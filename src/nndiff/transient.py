@@ -5,7 +5,8 @@ free dofs.  The Galerkin path uses preconditioned CG; the constrained
 paths minimize the equivalent quadratic subject to c_min <= c <= c_max,
 warm-started from the previous level (the minimizer is unique, so the
 warm start changes work, not the answer).  A fixed time step keeps the
-operator constant, so it is assembled and reduced once.
+operator constant, so it is assembled and reduced once, and the cell
+geometry is computed once per run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .fem import (
     apply_dirichlet,
     assemble,
     assemble_load,
+    cell_geometry,
     dirichlet_values,
     reduce_rhs,
 )
@@ -161,9 +163,12 @@ def run(
     ``config.initial_value`` everywhere with the Dirichlet data inserted.
     ``on_step(step, t, c_full, report)`` fires after every solved level.
     The result ledger covers solver work only; assembly and rhs
-    construction are not logged.
+    construction are not logged.  The cell geometry is computed once and
+    reused by every load; only the source and fluxes are evaluated at t.
     """
-    system = assemble(mesh, None, bc, diffusivity, source)
+    # one steady load needs no geometry kept for later levels
+    geometry = None if config.steady else cell_geometry(mesh)
+    system = assemble(mesh, None, bc, diffusivity, source, geometry=geometry)
     n, free = system.n, system.free
     result = TransientResult()
     _check_bounds(system.dirichlet_values, config)
@@ -188,7 +193,7 @@ def run(
         if config.steady:
             rhs, idx, vals = reduced.rhs, reduced.dirichlet_idx, reduced.dirichlet_values
         else:
-            f_full = assemble_load(mesh, source, bc, t)
+            f_full = assemble_load(mesh, source, bc, t, geometry)
             ftilde = build_transient_rhs(f_full, system.mass, c_full, config.dt)
             idx, vals = dirichlet_values(mesh, bc, t)
             _check_bounds(vals, config)

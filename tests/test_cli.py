@@ -41,6 +41,31 @@ streams_bw = 5.65e9
 """
 
 
+QP_STDOUT_DIM10 = """\
+status: converged after 3 outer iterations
+objective: -1.35410483712
+projected gradient norm: 5.822670e-07
+kkt certificate: PASS (violation 2.815e-07, tol 6.610e-06)
+solution[:8]: [-0.0274338, -0.100258, 0.0156291, 0.106245, -0.0725902, 0.215203, \
+0.0682428, -0.129356, ...]
+"""
+QP_STDOUT_DIM20_INNER = """\
+status: converged after 5 outer iterations
+objective: -0.20882321133
+projected gradient norm: 9.693608e-07
+kkt certificate: PASS (violation 7.385e-07, tol 8.422e-06)
+solution[:8]: [0, 0.0151299, 0.0992882, 0, 0, 0, 0, 0.0116649, ...]
+"""
+QP_STDOUT_DIM25_BLMVM = """\
+status: converged after 19 outer iterations
+objective: -1.26130401068
+projected gradient norm: 1.701463e-06
+kkt certificate: PASS (violation 1.107e-06, tol 9.010e-06)
+solution[:8]: [-0.0174284, -0.0348297, -0.1, -0.0220508, -0.0340798, 0.00148055, \
+-0.0764914, 0.0296081, ...]
+"""
+
+
 @pytest.fixture
 def hole_config(tmp_path):
     path = tmp_path / "hole.toml"
@@ -227,6 +252,32 @@ class TestQp:
 
     def test_missing_inputs_exit_1(self):
         assert main(["qp"]) == 1
+
+    def test_inner_rtol_with_blmvm_exit_1(self, capsys):
+        argv = ["qp", "--random-dim", "10", "--solver", "blmvm", "--inner-rtol", "0.5"]
+        assert main(argv) == 1
+        assert "--inner-rtol" in capsys.readouterr().err
+
+    def test_seed_without_random_dim_exit_1(self, tmp_path, capsys):
+        write_matrix_market(CsrMatrix.identity(3), tmp_path / "h.mtx")
+        np.savetxt(tmp_path / "q.txt", [-1.0, -2.0, -3.0])
+        code = main(["qp", "--matrix", str(tmp_path / "h.mtx"),
+                     "--q", str(tmp_path / "q.txt"), "--seed", "4"])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+
+    # standard output recorded before --inner-rtol and --seed lost their defaults
+    @pytest.mark.parametrize("argv, expected", [
+        (["--random-dim", "10"], QP_STDOUT_DIM10),
+        (["--random-dim", "10", "--seed", "0"], QP_STDOUT_DIM10),
+        (["--random-dim", "20", "--seed", "5", "--lower", "0", "--inner-rtol", "0.1"],
+         QP_STDOUT_DIM20_INNER),
+        (["--random-dim", "25", "--solver", "blmvm", "--seed", "7", "--lower", "-0.1"],
+         QP_STDOUT_DIM25_BLMVM),
+    ])
+    def test_valid_stdout_unchanged(self, argv, expected, capsys):
+        assert main(["qp", *argv]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestUsageErrors:

@@ -1,4 +1,4 @@
-"""Golden run: ledger tallies, report fields and final fields on cube-with-hole n = 9.
+"""Golden runs: ledger tallies, report fields, operators, loads and fields.
 
 ``data/golden_cube_hole_n9.json`` was recorded before the CG/tron inner
 solve and the solver reports were merged into one code path.  Each case
@@ -6,6 +6,11 @@ must reproduce, exactly, every per-kernel tally (calls, FLOPs, bytes),
 every per-level report field, and the final field (SHA-256 of its
 little-endian float64 bytes; extrema and sum are kept for reading a
 failure).
+
+``data/golden_transient_loads.json`` was recorded by ``record_golden.py``
+before the cell geometry and the sparsity pattern were shared across
+loads and operators: time-dependent sources and Neumann fluxes on tet4
+and hex8, with every operator, load and solved field hashed.
 """
 
 import hashlib
@@ -23,6 +28,9 @@ from nndiff import (
     generate_cube_with_hole,
     run_transient,
 )
+from record_golden import CASES as LOAD_CASES
+from record_golden import DATA as LOAD_DATA
+from record_golden import compute
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cube_hole_n9.json").read_text())
 CASES = {
@@ -61,3 +69,11 @@ def test_golden_ledger_and_fields(problem, case):
         golden["final_min"], golden["final_max"], golden["final_sum"]
     )
     assert hashlib.sha256(final.tobytes()).hexdigest() == golden["final_sha256"]
+
+
+LOAD_GOLDEN = json.loads(LOAD_DATA.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_golden_operators_loads_and_fields(case):
+    assert compute(case) == LOAD_GOLDEN[case]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nndiff.errors import ParseError
-from nndiff.mesh import cell_volumes, generate_box, generate_cube_with_hole
+from nndiff.mesh import Mesh, cell_volumes, generate_box, generate_cube_with_hole
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
 
 SINGLE_TET_MSH = """$MeshFormat
@@ -131,7 +131,52 @@ $EndElements
             read_gmsh(path)
 
 
+def reference_write_vtk(mesh, nodal_fields, path, title="nndiff output"):
+    """The line-by-line VTK writer that ``write_vtk`` must match byte for byte."""
+    width = mesh.cells.shape[1]
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y, z in mesh.vertices:
+            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n")
+        for cell in mesh.cells:
+            fh.write(f"{width} " + " ".join(str(v) for v in cell) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        vtk_type = {"tet4": 10, "hex8": 12}[mesh.kind]
+        for _ in range(mesh.n_cells):
+            fh.write(f"{vtk_type}\n")
+        if nodal_fields:
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+            for name, values in nodal_fields.items():
+                fh.write(f"SCALARS {name} double 1\n")
+                fh.write("LOOKUP_TABLE default\n")
+                for v in np.asarray(values, dtype=np.float64):
+                    fh.write(f"{v:.17g}\n")
+
+
 class TestWriteVtk:
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    @pytest.mark.parametrize("with_fields", [False, True])
+    def test_bytes_match_reference_writer(self, kind, with_fields, tmp_path):
+        box = generate_box(3, 2, 2, kind)
+        rng = np.random.default_rng(7)
+        # irrational-looking coordinates need all 17 digits
+        mesh = Mesh(box.vertices + 1e-3 * rng.standard_normal(box.vertices.shape),
+                    box.cells, kind, box.boundary_facets, box.boundary_markers)
+        fields = {}
+        if with_fields:
+            special = [0.0, -0.0, 1.0, -1e-300, 5e-324, 1.0 / 3.0, 1e300, -2.5]
+            c = rng.standard_normal(mesh.n_vertices)
+            c[: len(special)] = special
+            fields = {"c": c, "violation": np.arange(mesh.n_vertices) % 3}
+        write_vtk(mesh, fields, tmp_path / "new.vtk", title="t")
+        reference_write_vtk(mesh, fields, tmp_path / "ref.vtk", title="t")
+        assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
     def test_hex_cell_type_12(self, tmp_path):
         m = generate_box(1, 1, 1, "hex8")
         path = tmp_path / "hex.vtk"

@@ -199,6 +199,12 @@ class TestCsrMatrix:
         with pytest.raises(DimensionError):
             CsrMatrix(2, [0, 1], [0], [1.0])
 
+    def test_validation_accepts_leading_empty_rows(self):
+        a = CsrMatrix(3, [0, 0, 1, 3], [2, 0, 1], [1.0, 2.0, 3.0])
+        assert np.array_equal(a.to_dense(), [[0, 0, 0], [0, 0, 1], [2, 3, 0]])
+        with pytest.raises(DimensionError, match="sorted"):
+            CsrMatrix(3, [0, 0, 1, 3], [2, 1, 1], [1.0, 2.0, 3.0])
+
 
 # ---------------------------------------------------------------------------
 # Preconditioners
@@ -379,6 +385,135 @@ class TestTrustRegionCg:
     def test_radius_needs_cold_start(self):
         with pytest.raises(ValueError, match="cold start"):
             cg_solve(CsrMatrix.identity(2), np.ones(2), x0=np.zeros(2), radius=1.0)
+
+
+# ---------------------------------------------------------------------------
+# CSR operations against dense oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def coo_triplets(draw, dyadic=True):
+    """(n, rows, cols, vals) with duplicates likely.  Dyadic values (k/8,
+    |k| <= 2^10) make every sum exact, so the dense oracle is exact too."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 60))
+    index = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    rows, cols = draw(index), draw(index)
+    if dyadic:
+        vals = [k / 8.0 for k in draw(st.lists(st.integers(-1024, 1024), min_size=m,
+                                               max_size=m))]
+    else:
+        vals = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    return n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+
+
+def dense_of(n, rows, cols, vals):
+    d = np.zeros((n, n))
+    np.add.at(d, (rows, cols), vals)
+    return d
+
+
+def same_csr(a, b):
+    return (a.n == b.n and np.array_equal(a.row_offsets, b.row_offsets)
+            and np.array_equal(a.col_indices, b.col_indices)
+            and np.array_equal(a.values, b.values))
+
+
+def bincount_matvec(a, x):
+    """The scatter product ``matvec_raw`` used before scipy's CSR product."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_offsets))
+    return np.bincount(rows, weights=a.values * x[a.col_indices], minlength=a.n)
+
+
+class TestCsrOracle:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets())
+    def test_from_coo_sums_duplicates_exactly(self, coo):
+        n, rows, cols, vals = coo
+        a = CsrMatrix.from_coo(n, rows, cols, vals)
+        a._validate()  # sorted, unique columns per row
+        assert a.nnz == len(set(zip(rows.tolist(), cols.tolist())))
+        assert np.array_equal(a.to_dense(), dense_of(n, rows, cols, vals))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets(), st.data())
+    def test_submatrix_sorted_and_unsorted_keep(self, coo, data):
+        n, rows, cols, vals = coo
+        a = CsrMatrix.from_coo(n, rows, cols, vals)
+        keep = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True)),
+                        dtype=np.int64)
+        if data.draw(st.booleans()):
+            keep.sort()
+        sub = a.submatrix(keep)
+        sub._validate()
+        assert np.array_equal(sub.to_dense(), a.to_dense()[np.ix_(keep, keep)])
+        # the sorting path, applied to the kept entries, builds the same arrays
+        new_id = np.full(n, -1)
+        new_id[keep] = np.arange(len(keep))
+        r, c = new_id[a._row_index()], new_id[a.col_indices]
+        m = (r >= 0) & (c >= 0)
+        assert same_csr(sub, CsrMatrix.from_coo(len(keep), r[m], c[m], a.values[m]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets(dyadic=False), st.data())
+    def test_add_scaled_equal_patterns_matches_union_sum(self, coo, data):
+        n, rows, cols, vals = coo
+        a = CsrMatrix.from_coo(n, rows, cols, vals)
+        other = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=a.nnz,
+                                             max_size=a.nnz)))
+        b = CsrMatrix(n, a.row_offsets.copy(), a.col_indices.copy(), other)
+        alpha, beta = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3))
+        union = CsrMatrix.from_coo(
+            n, np.concatenate([a._row_index(), b._row_index()]),
+            np.concatenate([a.col_indices, b.col_indices]),
+            np.concatenate([alpha * a.values, beta * b.values]),
+        )
+        assert same_csr(add_scaled(alpha, a, beta, b), union)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets(), coo_triplets(), st.integers(-8, 8), st.integers(-8, 8))
+    def test_add_scaled_differing_patterns_matches_dense(self, coo_a, coo_b, ka, kb):
+        n = min(coo_a[0], coo_b[0])
+        a = CsrMatrix.from_coo(n, *(v[(coo_a[1] < n) & (coo_a[2] < n)] for v in coo_a[1:]))
+        b = CsrMatrix.from_coo(n, *(v[(coo_b[1] < n) & (coo_b[2] < n)] for v in coo_b[1:]))
+        c = add_scaled(ka / 4.0, a, kb / 4.0, b)
+        c._validate()
+        assert np.array_equal(c.to_dense(), ka / 4.0 * a.to_dense() + kb / 4.0 * b.to_dense())
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets(dyadic=False))
+    def test_transpose_matches_dense(self, coo):
+        a = CsrMatrix.from_coo(*coo)
+        t = a.transpose()
+        t._validate()
+        assert np.array_equal(t.to_dense(), a.to_dense().T)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(coo_triplets(dyadic=False), st.data())
+    def test_matvec_matches_dense_and_old_scatter_bit_for_bit(self, coo, data):
+        a = CsrMatrix.from_coo(*coo)
+        x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=a.n,
+                                         max_size=a.n)))
+        y = a.matvec_raw(x)
+        assert y.tobytes() == bincount_matvec(a, x).tobytes()
+        dense = a.to_dense()
+        bound = 1e-12 * (np.abs(dense) @ np.abs(x) + 1e-300)
+        assert np.all(np.abs(y - dense @ x) <= bound)
+
+    def test_matvec_on_assembled_operator_matches_old_scatter(self):
+        from nndiff import generate_cube_with_hole
+        from nndiff.fem import DiffusivityField, DispersionParams, assemble
+        from nndiff.mesh import BoundarySpec
+
+        mesh = generate_cube_with_hole(9, "tet4")
+        diffusivity = DiffusivityField.dispersion(DispersionParams(1.0, 0.001, 0.0),
+                                                  np.ones(3))
+        system = assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0, 2: 1.0}),
+                          diffusivity)
+        x = np.random.default_rng(0).standard_normal(system.n)
+        for m in (system.stiffness, system.mass, add_scaled(50.0, system.mass, 1.0,
+                                                             system.stiffness)):
+            assert m.matvec_raw(x).tobytes() == bincount_matvec(m, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
