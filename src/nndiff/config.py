@@ -1,19 +1,17 @@
-"""Experiment configuration: a small TOML-style grammar plus builders.
+"""Experiment configuration: TOML files, a schema check, and builders.
 
-Grammar (documented here and in the README):
-
-* ``[section]`` / ``[section.sub]`` headers; one level of nesting.
-* ``key = value`` pairs; keys are bare identifiers or bare integers
-  (integer keys name boundary markers).
-* values: double-quoted strings, integers, floats (scientific notation
-  allowed), ``true``/``false``, and flat arrays ``[v1, v2, ...]``.
-* ``#`` starts a comment; blank lines ignored.
-
-Unknown sections or keys are rejected before any computation runs.
+Configs are TOML, read by :mod:`tomllib`.  Sections are the keys of
+``_SCHEMA``; ``[bc.dirichlet]`` and ``[bc.neumann]`` map integer boundary
+markers (bare keys such as ``1 = 0.0``) to numbers.  Every value must be a
+string, a number or a flat array of them: booleans, dates and inline
+tables are rejected, as are unknown sections and keys, before any
+computation runs.
 """
 
 from __future__ import annotations
 
+import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,81 +28,16 @@ from .transient import SOLVER_CHOICES, TransientConfig
 # Parser
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(token: str, path: str, ln: int):
-    token = token.strip()
-    if not token:
-        raise ParseError("empty value", path, ln)
-    if token.startswith('"'):
-        if not (token.endswith('"') and len(token) >= 2):
-            raise ParseError(f"unterminated string {token!r}", path, ln)
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"cannot parse value {token!r}", path, ln)
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
 def parse_config_text(text: str, path: str = "<config>") -> dict:
-    """Parse the grammar above into nested dicts."""
-    root: dict = {}
-    current = root
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(f"malformed section header {line!r}", path, ln)
-            name = line[1:-1].strip()
-            if not name:
-                raise ParseError("empty section name", path, ln)
-            current = root
-            for part in name.split("."):
-                if not part:
-                    raise ParseError(f"malformed section name {name!r}", path, ln)
-                nxt = current.setdefault(part, {})
-                if not isinstance(nxt, dict):
-                    raise ParseError(f"section {name!r} collides with a key", path, ln)
-                current = nxt
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", path, ln)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or " " in key:
-            raise ParseError(f"malformed key {key!r}", path, ln)
-        if key in current:
-            raise ParseError(f"duplicate key {key!r}", path, ln)
-        if value.startswith("["):
-            if not value.endswith("]"):
-                raise ParseError("arrays must close on the same line", path, ln)
-            body = value[1:-1].strip()
-            items = [s for s in (part.strip() for part in body.split(",")) if s]
-            current[key] = [_parse_scalar(s, path, ln) for s in items]
-        else:
-            current[key] = _parse_scalar(value, path, ln)
-    return root
+    """Parse TOML text into nested dicts; syntax errors name their line."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        msg = str(exc)
+        # tomllib puts the position only in the message: "(at line N, column M)"
+        at = re.search(r"\(at line (\d+),", msg)
+        line = int(at.group(1)) if at else len(text.splitlines())
+        raise ParseError(msg, path, line) from None
 
 
 def load_config_file(path) -> dict:
@@ -132,6 +65,22 @@ _SCHEMA = {
 }
 
 
+# counts, which float() or int() would otherwise round or truncate silently
+_INTEGER_KEYS = {"n_steps", "refine", "cadence", "max_iter"}
+
+
+def _check_value(section: str, key: str, value) -> None:
+    items = value if isinstance(value, list) else [value]
+    # bool is an int subclass, but no schema key is boolean
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+        raise ConfigError(
+            f"[{section}] {key} must be a string, a number or a flat array of them, "
+            f"not {value!r}"
+        )
+    if key in _INTEGER_KEYS and type(value) is not int:
+        raise ConfigError(f"[{section}] {key} must be an integer, not {value!r}")
+
+
 def _check_schema(raw: dict) -> None:
     for section, content in raw.items():
         if section not in _SCHEMA:
@@ -144,10 +93,13 @@ def _check_schema(raw: dict) -> None:
                     raise ConfigError(f"unknown config section [bc.{sub}]")
                 if not isinstance(table, dict):
                     raise ConfigError(f"[bc.{sub}] must be a marker table")
+                for key, value in table.items():
+                    _check_value(f"bc.{sub}", key, value)
             continue
-        for key in content:
+        for key, value in content.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            _check_value(section, key, value)
 
 
 @dataclass
@@ -170,17 +122,7 @@ class RunConfig:
         for required in ("mesh", "physics", "bc"):
             if required not in raw:
                 raise ConfigError(f"missing required config section [{required}]")
-        return cls(
-            mesh=raw["mesh"],
-            physics=raw["physics"],
-            bc=raw["bc"],
-            solver=raw.get("solver", {}),
-            transient=raw.get("transient"),
-            bounds=raw.get("bounds", {}),
-            perf=raw.get("perf"),
-            output=raw.get("output", {}),
-            compare=raw.get("compare"),
-        )
+        return cls(**raw)  # the schema's sections are the fields
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -209,6 +151,8 @@ def build_mesh(cfg: dict, base_dir: Path | None = None) -> Mesh:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         mesh = read_gmsh(path)
+        # a file may mark interior faces; generated meshes are correct by construction
+        mesh.validate()
     else:
         raise ConfigError(f"unknown mesh generator {generator!r}")
     for _ in range(int(cfg.get("refine", 0))):

@@ -18,12 +18,12 @@ class MeshError(NndiffError):
 
 
 class ParseError(NndiffError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file; carries the offending line number (0 if unknown)."""
 
     def __init__(self, message: str, path: str = "", line: int = 0):
         self.path = path
         self.line = line
-        where = f"{path}:{line}: " if path or line else ""
+        where = f"{path}:{line}: " if line else f"{path}: " if path else ""
         super().__init__(f"{where}{message}")
 
 

@@ -112,8 +112,8 @@ class Mesh:
 class BoundarySpec:
     """Marker-indexed Dirichlet values and Neumann fluxes.
 
-    Values may be scalars, callables ``f(points)``, or callables
-    ``f(points, t)`` taking an (m, 3) coordinate array.
+    Values may be scalars or callables ``f(points, t)`` taking an (m, 3)
+    coordinate array and the time, returning m values or a scalar.
     """
 
     dirichlet: Mapping[int, object] = field(default_factory=dict)

@@ -33,10 +33,12 @@ independent solves may run concurrently.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import io as _scipy_io
 from scipy.sparse import csr_matrix as _scipy_csr
 from scipy.sparse.linalg import spsolve_triangular as _spsolve_triangular
 
@@ -627,63 +629,25 @@ def cg_solve(
 # ---------------------------------------------------------------------------
 
 def write_matrix_market(a: CsrMatrix, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{a.n} {a.n} {a.nnz}\n")
-        rows = a._row_index()
-        for i, j, v in zip(rows, a.col_indices, a.values):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+    """Write every stored entry as ``coordinate real general``; values round-trip exactly."""
+    csr = _scipy_csr((a.values, a.col_indices, a.row_offsets), shape=a.shape)
+    _scipy_io.mmwrite(path, csr, symmetry="general")
 
 
 def read_matrix_market(path) -> CsrMatrix:
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", str(path), 1)
-    header = lines[0].split()
-    if len(header) < 5 or header[0] != "%%MatrixMarket":
-        raise ParseError("missing MatrixMarket header", str(path), 1)
-    if header[1:4] != ["matrix", "coordinate", "real"]:
-        raise ParseError(f"unsupported format {' '.join(header[1:4])!r}", str(path), 1)
-    symmetry = header[4]
-    if symmetry not in ("general", "symmetric"):
-        raise ParseError(f"unsupported symmetry {symmetry!r}", str(path), 1)
-
-    ln = 1
-    while ln < len(lines) and (lines[ln].startswith("%") or not lines[ln].strip()):
-        ln += 1
-    if ln >= len(lines):
-        raise ParseError("missing size line", str(path), ln)
-    sizes = lines[ln].split()
-    if len(sizes) != 3:
-        raise ParseError("size line must be 'nrows ncols nnz'", str(path), ln + 1)
-    nrows, ncols, nnz = (int(s) for s in sizes)
-    if nrows != ncols:
-        raise ParseError("only square matrices are supported", str(path), ln + 1)
-
-    rows, cols, vals = [], [], []
-    count = 0
-    for k in range(ln + 1, len(lines)):
-        s = lines[k].strip()
-        if not s or s.startswith("%"):
-            continue
-        parts = s.split()
-        if len(parts) != 3:
-            raise ParseError("entry must be 'i j value'", str(path), k + 1)
-        try:
-            i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-        except ValueError:
-            raise ParseError(f"malformed entry {s!r}", str(path), k + 1)
-        if not (0 <= i < nrows and 0 <= j < ncols):
-            raise ParseError(f"index out of range in entry {s!r}", str(path), k + 1)
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if symmetry == "symmetric" and i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(v)
-        count += 1
-    if count != nnz:
-        raise ParseError(f"expected {nnz} entries, found {count}", str(path), len(lines))
-    return CsrMatrix.from_coo(nrows, rows, cols, vals)
+    """Read a square ``coordinate real general|symmetric`` file; duplicates are summed."""
+    try:
+        nrows, ncols, _, layout, field, symmetry = _scipy_io.mminfo(path)
+        kind = f"{layout} {field} {symmetry}"
+        if kind not in ("coordinate real general", "coordinate real symmetric") or nrows != ncols:
+            raise ParseError(
+                f"need a square 'coordinate real general|symmetric' matrix, got "
+                f"{nrows}x{ncols} '{kind}'", str(path), 1
+            )
+        # a symmetric file comes back with its off-diagonal entries mirrored
+        coo = _scipy_io.mmread(path)
+    except ValueError as exc:
+        # scipy names the line, if at all, only in the message: "Line N: ..."
+        at = re.match(r"Line (\d+): ", str(exc))
+        raise ParseError(str(exc), str(path), int(at.group(1)) if at else 0) from None
+    return CsrMatrix.from_coo(nrows, coo.row, coo.col, coo.data)

@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from nndiff.cli import main
-from nndiff.mesh_io import read_gmsh
+from nndiff.mesh import boundary_faces, generate_box
+from nndiff.mesh_io import read_gmsh, write_gmsh
 from nndiff.qp import QpProblem, brute_force_qp
 from nndiff.sparse import CsrMatrix, write_matrix_market
 
@@ -64,6 +67,19 @@ kkt certificate: PASS (violation 1.107e-06, tol 9.010e-06)
 solution[:8]: [-0.0174284, -0.0348297, -0.1, -0.0220508, -0.0340798, 0.00148055, \
 -0.0764914, 0.0296081, ...]
 """
+
+
+def box_with_interior_facet():
+    """A 2x2x2 tet box plus one marked facet that two cells share."""
+    mesh = generate_box(2, 2, 2, "tet4")
+    boundary = {frozenset(f) for f in boundary_faces(mesh.cells, mesh.kind)[0]}
+    interior = next(f for f in itertools.combinations(mesh.cells[0], 3)
+                    if frozenset(f) not in boundary)
+    return dataclasses.replace(
+        mesh,
+        boundary_facets=np.vstack([mesh.boundary_facets, interior]),
+        boundary_markers=np.append(mesh.boundary_markers, 2),
+    )
 
 
 @pytest.fixture
@@ -150,11 +166,32 @@ class TestSolve:
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.toml"
-        cfg.write_text(HOLE_CONFIG + "\n[solver]\nbogus = 1\n")
+        cfg.write_text(HOLE_CONFIG.replace("[solver]\n", "[solver]\nbogus = 1\n"))
         assert main(["solve", "--config", str(cfg)]) in (1,)
-        # duplicate [solver] section headers merge, so the failure is the key
         err = capsys.readouterr().err
         assert "bogus" in err or "duplicate" in err
+
+    # each value used to be coerced or truncated, or to crash, instead of rejected
+    @pytest.mark.parametrize("old, new, named", [
+        ("[bounds]", "[transient]\ndt = true\n\n[bounds]", "[transient] dt"),
+        ("[bounds]", "[transient]\ndt = 2020-01-01\n\n[bounds]", "[transient] dt"),
+        ("[bounds]", "[transient]\ndt = {a = 1}\n\n[bounds]", "[transient] dt"),
+        ("[bounds]", "[transient]\nn_steps = 2.5\n\n[bounds]", "[transient] n_steps"),
+        ("1 = 0.0", "1 = true", "[bc.dirichlet] 1"),
+    ])
+    def test_bad_value_type_exit_1(self, old, new, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace(old, new))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_mesh_file_with_interior_facet_exit_1(self, tmp_path, capsys):
+        write_gmsh(box_with_interior_facet(), tmp_path / "m.msh")
+        cfg = tmp_path / "file.toml"
+        cfg.write_text(HOLE_CONFIG.replace(
+            'generator = "cube_with_hole"\nn = 9\nkind = "tet4"', 'path = "m.msh"'))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "not a boundary face" in capsys.readouterr().err
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.toml")]) == 1

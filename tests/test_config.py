@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,16 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_config_text("[a\nx = 1\n")
 
+    def test_repeated_header_names_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_config_text("[a]\nx = 1\n\n[a]\ny = 2\n")
+        assert err.value.line == 4
+
+    def test_error_at_end_of_document_names_last_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_config_text("[a]\nx = [1,\n2")
+        assert err.value.line == 3
+
 
 MINIMAL = """
 [mesh]
@@ -89,6 +101,29 @@ class TestSchema:
     def test_missing_required_section(self):
         with pytest.raises(ConfigError, match="missing required"):
             RunConfig.from_raw(parse_config_text("[mesh]\ngenerator = \"box\"\n"))
+
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "rtol = false"),
+        ("compare", 'solvers = ["tron", true]'),
+        ("bc.neumann", "2 = true"),
+        ("compare", 'solvers = [["tron"], ["blmvm"]]'),
+    ])
+    def test_non_scalar_value_names_key(self, section, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be")):
+            RunConfig.from_raw(parse_config_text(f"{MINIMAL}\n[{section}]\n{line}\n"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("transient", "n_steps"), ("mesh", "refine"), ("output", "cadence"),
+        ("solver", "max_iter"),
+    ])
+    def test_count_must_be_integer(self, section, key):
+        raw = parse_config_text(MINIMAL)
+        raw.setdefault(section, {})[key] = 2.5
+        with pytest.raises(ConfigError, match=f"\\[{section}\\] {key} must be an integer"):
+            RunConfig.from_raw(raw)
+        raw[section][key] = 2
+        RunConfig.from_raw(raw)
 
 
 class TestBuilders:

@@ -531,12 +531,13 @@ class TestMatrixMarket:
 
     def test_symmetric_storage(self, tmp_path):
         path = tmp_path / "s.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real symmetric\n"
-            "2 2 2\n1 1 2.0\n2 1 -1.0\n"
-        )
-        a = read_matrix_market(path)
-        assert np.array_equal(a.to_dense(), [[2.0, -1.0], [-1.0, 0.0]])
+        for off_diagonal in ("2 1 -1.0", "1 2 -1.0"):  # lower or upper triangle
+            path.write_text(
+                "%%MatrixMarket matrix coordinate real symmetric\n"
+                f"2 2 2\n1 1 2.0\n{off_diagonal}\n"
+            )
+            a = read_matrix_market(path)
+            assert np.array_equal(a.to_dense(), [[2.0, -1.0], [-1.0, 0.0]])
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -552,3 +553,48 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 0\n")
         with pytest.raises(ParseError):
             read_matrix_market(path)
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 0.0\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1\n",
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n",
+        "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+    ])
+    def test_rejects_unsupported_header(self, text, tmp_path):
+        path = tmp_path / "h.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("body", [
+        "2 2 1\n1 1 3.0\n2 2 4.0\n",  # too many entries
+        "2 2 3\n1 1 3.0\n2 2 4.0\n",  # too few entries
+    ])
+    def test_rejects_wrong_entry_count(self, body, tmp_path):
+        path = tmp_path / "n.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        with pytest.raises(ParseError):
+            read_matrix_market(path)
+
+    def test_comment_in_data_names_line(self, tmp_path):
+        # the format allows comments only between the header and the size line
+        path = tmp_path / "c.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n% header comment\n"
+            "2 2 2\n1 1 3.0\n% data comment\n2 2 4.0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 5
+
+    def test_duplicates_summed_as_from_coo_in_file_order(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 4\n1 1 0.1\n1 1 0.2\n2 2 1.0\n1 1 0.3\n"
+        )
+        a = read_matrix_market(path)
+        b = CsrMatrix.from_coo(2, [0, 0, 1, 0], [0, 0, 1, 0], [0.1, 0.2, 1.0, 0.3])
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.col_indices.tolist() == [0, 1]
