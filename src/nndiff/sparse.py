@@ -33,6 +33,7 @@ independent solves may run concurrently.
 
 from __future__ import annotations
 
+import io
 import re
 import time
 from dataclasses import dataclass
@@ -223,8 +224,9 @@ class CsrMatrix:
     def from_coo(cls, n, rows, cols, vals) -> "CsrMatrix":
         """Build from triplets; duplicate (i, j) entries are summed.
 
-        Summation order within a duplicate run follows the input order, so
-        a fixed input ordering yields bit-identical matrices.
+        Each duplicate run is summed by ``np.add.reduceat`` in numpy's own
+        order (not always left to right), so a fixed input ordering yields
+        bit-identical matrices.
         """
         return CooPattern(n, rows, cols).matrix(vals)
 
@@ -278,19 +280,22 @@ class CsrMatrix:
             return CsrMatrix(len(keep), offsets, c[m], self.values[m], validate=False)
         return CsrMatrix.from_coo(len(keep), r[m], c[m], self.values[m])
 
-    def matvec_raw(self, x) -> np.ndarray:
-        """Unlogged y = A x; use :func:`spmv` inside instrumented code.
-
-        Each row is summed left to right from 0.0 by scipy's CSR product,
-        on a view built once per matrix (values are never reassigned).
-        """
-        if len(x) != self.n:
-            raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
+    def as_scipy(self):
+        """scipy CSR view sharing these arrays, built once (values are never reassigned)."""
         if self._scipy is None:
             self._scipy = _scipy_csr(
                 (self.values, self.col_indices, self.row_offsets), shape=self.shape
             )
-        return self._scipy @ np.asarray(x, dtype=np.float64)
+        return self._scipy
+
+    def matvec_raw(self, x) -> np.ndarray:
+        """Unlogged y = A x; use :func:`spmv` inside instrumented code.
+
+        Each row is summed left to right from 0.0 by scipy's CSR product.
+        """
+        if len(x) != self.n:
+            raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
+        return self.as_scipy() @ np.asarray(x, dtype=np.float64)
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -311,7 +316,7 @@ class CsrMatrix:
 class CooPattern:
     """The CSR pattern of fixed (rows, cols) triplets, sorted once.
 
-    :meth:`matrix` sums duplicate entries in input order, exactly as
+    :meth:`matrix` sums duplicate entries exactly as
     :meth:`CsrMatrix.from_coo` does, so matrices built from one pattern
     (the stiffness and capacity of one mesh) pay for one sort and share
     their index arrays.
@@ -630,14 +635,35 @@ def cg_solve(
 
 def write_matrix_market(a: CsrMatrix, path) -> None:
     """Write every stored entry as ``coordinate real general``; values round-trip exactly."""
-    csr = _scipy_csr((a.values, a.col_indices, a.row_offsets), shape=a.shape)
-    _scipy_io.mmwrite(path, csr, symmetry="general")
+    with open(path, "wb") as fh:  # given a name, scipy would add ".mtx" to it
+        _scipy_io.mmwrite(fh, a.as_scipy(), symmetry="general")
+
+
+_BLANK = np.frombuffer(b" \t\r\n\v\f", dtype=np.uint8)
+
+
+def _first_wide_entry_line(raw: bytes, nnz: int) -> int:
+    """1-based number of the first entry line not holding exactly 3 tokens, else 0.
+
+    For a file scipy has read: its entries are then its last ``nnz`` non-blank
+    lines, each with at least 3 tokens, and scipy ignores any further ones.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    blank = np.isin(b, _BLANK)
+    token_starts = np.flatnonzero(~blank & np.concatenate(([True], blank[:-1])))
+    line_of_token = np.searchsorted(np.flatnonzero(b == ord("\n")), token_starts)
+    lines, width = np.unique(line_of_token, return_counts=True)
+    lines, width = lines[len(lines) - nnz:], width[len(width) - nnz:]
+    wide = np.flatnonzero(width != 3)
+    return int(lines[wide[0]]) + 1 if len(wide) else 0
 
 
 def read_matrix_market(path) -> CsrMatrix:
     """Read a square ``coordinate real general|symmetric`` file; duplicates are summed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        nrows, ncols, _, layout, field, symmetry = _scipy_io.mminfo(path)
+        nrows, ncols, nnz, layout, field, symmetry = _scipy_io.mminfo(io.BytesIO(raw))
         kind = f"{layout} {field} {symmetry}"
         if kind not in ("coordinate real general", "coordinate real symmetric") or nrows != ncols:
             raise ParseError(
@@ -645,9 +671,12 @@ def read_matrix_market(path) -> CsrMatrix:
                 f"{nrows}x{ncols} '{kind}'", str(path), 1
             )
         # a symmetric file comes back with its off-diagonal entries mirrored
-        coo = _scipy_io.mmread(path)
+        coo = _scipy_io.mmread(io.BytesIO(raw))
     except ValueError as exc:
         # scipy names the line, if at all, only in the message: "Line N: ..."
         at = re.match(r"Line (\d+): ", str(exc))
         raise ParseError(str(exc), str(path), int(at.group(1)) if at else 0) from None
+    line = _first_wide_entry_line(raw, nnz)
+    if line:
+        raise ParseError("entry must be 'i j value'", str(path), line)
     return CsrMatrix.from_coo(nrows, coo.row, coo.col, coo.data)

@@ -529,6 +529,16 @@ class TestMatrixMarket:
         b = read_matrix_market(path)
         assert np.array_equal(a.to_dense(), b.to_dense())
 
+    def test_roundtrip_writes_exactly_the_given_path(self, tmp_path):
+        a = CsrMatrix.from_dense([[2.0, 0.0], [1.0 / 3.0, 5e-324]])
+        path = tmp_path / "h.txt"
+        path.write_text("stale")
+        write_matrix_market(a, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.txt"]
+        b = read_matrix_market(path)
+        assert b.values.tobytes() == a.values.tobytes()
+        assert b.col_indices.tolist() == a.col_indices.tolist()
+
     def test_symmetric_storage(self, tmp_path):
         path = tmp_path / "s.mtx"
         for off_diagonal in ("2 1 -1.0", "1 2 -1.0"):  # lower or upper triangle
@@ -547,6 +557,27 @@ class TestMatrixMarket:
         with pytest.raises(ParseError) as err:
             read_matrix_market(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    @pytest.mark.parametrize("body, line", [
+        ("2 2 1\n1 1 2 5\n", 3),  # an extra value
+        ("2 2 1\n1 1 2 % note\n", 3),  # a trailing comment
+        ("% c\n\n2 2 3\n1 1 2\n\n2 2 3\n2 1 4 4\n\n", 8),  # after blank lines
+    ])
+    def test_entry_with_extra_tokens_names_line(self, symmetry, body, line, tmp_path):
+        path = tmp_path / "w.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n" + body)
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == line
+
+    def test_blank_lines_and_crlf_accepted(self, tmp_path):
+        path = tmp_path / "b.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real general\r\n% c\r\n2 2 2\r\n"
+            b"\r\n 1\t1  2.5 \r\n\r\n2 2 3\r\n\r\n"
+        )
+        assert read_matrix_market(path).to_dense().tolist() == [[2.5, 0.0], [0.0, 3.0]]
 
     def test_rejects_rectangular(self, tmp_path):
         path = tmp_path / "rect.mtx"
