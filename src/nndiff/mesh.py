@@ -4,6 +4,13 @@ Vertex orderings follow the VTK conventions for tet4 (id 10) and hex8
 (id 12).  Structured generators subdivide every hex the same way, so a
 given resolution always produces the same mesh bit for bit.  Meshes are
 immutable after construction and safe for concurrent reads.
+
+Every lookup of "the same entity" (a face in ``boundary_faces`` and the
+facet census of :meth:`Mesh.validate`, a new point shared by neighbours
+in :func:`refine_uniform`) keys it by its sorted vertex ids and groups
+equal keys with :func:`nndiff.sparse.sorted_runs`, the routine behind
+``CooPattern``.  Refinement is written as tables: the parents of every
+new point and the children of every cell and facet.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, MeshError
+from .sparse import sorted_runs
 
 TET4 = "tet4"
 HEX8 = "hex8"
@@ -101,11 +109,17 @@ class Mesh:
         if vols.size and vols.min() <= 0.0:
             bad = int(np.argmin(vols))
             raise MeshError(f"non-positive volume in cell {bad}")
+        if not len(self.boundary_facets):
+            return
         boundary, _ = boundary_faces(self.cells, self.kind)
-        census = {frozenset(f) for f in boundary}
-        for k, f in enumerate(self.boundary_facets):
-            if frozenset(f) not in census:
-                raise MeshError(f"facet {k} is not a boundary face of any cell")
+        facets = np.sort(self.boundary_facets, axis=1)
+        if facets.shape[1] != boundary.shape[1]:
+            raise MeshError("facet 0 is not a boundary face of any cell")
+        # a facet is a boundary face when its run starts with a boundary row
+        inverse, first = _groups(np.vstack([np.sort(boundary, axis=1), facets]))
+        stray = np.flatnonzero(first[inverse[len(boundary):]] >= len(boundary))
+        if stray.size:
+            raise MeshError(f"facet {stray[0]} is not a boundary face of any cell")
 
 
 @dataclass
@@ -166,18 +180,27 @@ def hex_shape_gradients(points) -> tuple[np.ndarray, np.ndarray]:
     return n, dn
 
 
-def hex_jacobians(vertices, cells, points=HEX_QUAD_POINTS):
-    """Jacobians dx/dxi at the given reference points, shape (m, q, 3, 3)."""
-    _, dn = hex_shape_gradients(points)
-    x = vertices[cells]  # (m, 8, 3)
-    return np.einsum("mia,qib->mqab", x, dn)
-
-
 def cell_volumes(mesh: Mesh) -> np.ndarray:
     if mesh.kind == TET4:
         return tet_signed_volumes(mesh.vertices, mesh.cells)
-    det = np.linalg.det(hex_jacobians(mesh.vertices, mesh.cells))
-    return det.sum(axis=1)  # unit Gauss weights
+    _, dn = hex_shape_gradients(HEX_QUAD_POINTS)
+    jacobians = np.einsum("mia,qib->mqab", mesh.vertices[mesh.cells], dn)
+    return np.linalg.det(jacobians).sum(axis=1)  # unit Gauss weights
+
+
+def _groups(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Run index of every row of ``keys`` and the first row of every run.
+
+    Runs are numbered in lexicographic order of their rows, as
+    ``np.unique(keys, axis=0, return_inverse=True, return_index=True)``
+    numbers them.
+    """
+    order, starts = sorted_runs(keys.T)
+    run_of_sorted = np.zeros(len(order), dtype=np.int64)
+    run_of_sorted[starts[1:]] = 1
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(run_of_sorted)
+    return inverse, order[starts]
 
 
 def boundary_faces(cells, kind) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +209,9 @@ def boundary_faces(cells, kind) -> tuple[np.ndarray, np.ndarray]:
     faces = cells[:, np.asarray(local)]  # (m, nf, k)
     m, nf, k = faces.shape
     flat = faces.reshape(m * nf, k)
-    key = np.sort(flat, axis=1)
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-    once = counts[inverse] == 1
-    owners = np.repeat(np.arange(m, dtype=np.int64), nf)[once]
-    return flat[once], owners
+    inverse, _ = _groups(np.sort(flat, axis=1))
+    once = np.bincount(inverse)[inverse] == 1
+    return flat[once], np.flatnonzero(once) // nf
 
 
 # ---------------------------------------------------------------------------
@@ -299,144 +320,90 @@ def _orient_tets(vertices, tets):
     return tets
 
 
-def _refine_tet(mesh: Mesh) -> Mesh:
-    cells = mesh.cells
-    nv = mesh.n_vertices
-    pairs = cells[:, np.asarray(TET_EDGES)].reshape(-1, 2)
-    key = np.sort(pairs, axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-    m = (nv + inverse).reshape(len(cells), 6)  # midpoint id per TET_EDGES slot
-
-    v0, v1, v2, v3 = (cells[:, i] for i in range(4))
-    m01, m02, m03, m12, m13, m23 = (m[:, e] for e in range(6))
-    children = np.stack(
-        [
-            np.column_stack([v0, m01, m02, m03]),
-            np.column_stack([m01, v1, m12, m13]),
-            np.column_stack([m02, m12, v2, m23]),
-            np.column_stack([m03, m13, m23, v3]),
-            # octahedron split along the m02-m13 diagonal
-            np.column_stack([m02, m13, m01, m03]),
-            np.column_stack([m02, m13, m03, m23]),
-            np.column_stack([m02, m13, m23, m12]),
-            np.column_stack([m02, m13, m12, m01]),
-        ],
-        axis=1,
-    ).reshape(-1, 4)
-    children = _orient_tets(vertices, children)
-
-    # facet edges are cell edges; look their midpoints up via packed keys
-    # (uniq is lexicographically sorted, so packing preserves the order)
-    facets = mesh.boundary_facets
-    packed_uniq = uniq[:, 0] * nv + uniq[:, 1]
-    fpairs = facets[:, [(0, 1), (0, 2), (1, 2)]].reshape(-1, 2)
-    fkey = np.sort(fpairs, axis=1)
-    pos = np.searchsorted(packed_uniq, fkey[:, 0] * nv + fkey[:, 1])
-    fmid = (nv + pos).reshape(len(facets), 3)
-    a, b, c = facets[:, 0], facets[:, 1], facets[:, 2]
-    mab, mac, mbc = fmid[:, 0], fmid[:, 1], fmid[:, 2]
-    child_facets = np.stack(
-        [
-            np.column_stack([a, mab, mac]),
-            np.column_stack([mab, b, mbc]),
-            np.column_stack([mac, mbc, c]),
-            np.column_stack([mab, mbc, mac]),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
-    child_markers = np.repeat(mesh.boundary_markers, 4)
-    return Mesh(vertices, children, TET4, child_facets, child_markers)
+# A split lists the new points of one cell or facet, each the mean of the
+# local corners in its row, and the children by point number: the corners
+# first, then the new points in row order.
+_TET_SPLIT = (
+    TET_EDGES,  # midpoints m01, m02, m03, m12, m13, m23 are points 4 to 9
+    (
+        (0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+        # octahedron split along the m02-m13 diagonal
+        (5, 8, 4, 6), (5, 8, 6, 9), (5, 8, 9, 7), (5, 8, 7, 4),
+    ),
+)
+_TRI_SPLIT = (((0, 1), (0, 2), (1, 2)), ((0, 3, 4), (3, 1, 5), (4, 5, 2), (3, 5, 4)))
+_QUAD_SPLIT = (
+    ((0, 1), (1, 2), (2, 3), (3, 0), (0, 1, 2, 3)),  # edge midpoints, then the center
+    ((0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)),
+)
 
 
-_HEX_LOCAL_GRID = {
-    (0, 0, 0): 0, (2, 0, 0): 1, (2, 2, 0): 2, (0, 2, 0): 3,
-    (0, 0, 2): 4, (2, 0, 2): 5, (2, 2, 2): 6, (0, 2, 2): 7,
-}
+def _hex_split():
+    """The 19 new points of the 3x3x3 reference lattice and the 8 child hexes."""
+    r = (-1.0, 0.0, 1.0)
+    gz, gy, gx = np.meshgrid(r, r, r, indexing="ij")
+    lattice = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])  # x fastest
+    # a lattice point is the mean of the corners that match it on its nonzero axes
+    spans = np.all((lattice[:, None] == 0) | (lattice[:, None] == _HEX_CORNERS), axis=2)
+    corner = spans.sum(axis=1) == 1
+    point = np.empty(27, dtype=np.int64)  # lattice index -> point number
+    point[corner] = np.argmax(spans[corner], axis=1)
+    point[~corner] = 8 + np.arange(19)
+    new_points = tuple(tuple(np.flatnonzero(s)) for s in spans[~corner])
+    # child (a, b, c), c fastest, holds the lattice cube at offset (a, b, c)
+    origins = np.array(list(np.ndindex(2, 2, 2)))
+    steps = ((_HEX_CORNERS + 1) // 2).astype(np.int64)
+    return new_points, point[(origins[:, None] + steps) @ (1, 3, 9)]
 
 
-def _refine_hex(mesh: Mesh) -> Mesh:
-    cells = mesh.cells
-    nv = mesh.n_vertices
-
-    # 27 sub-lattice points per cell; each is the mean of 1, 2, 4, or 8
-    # hex corners (corner, edge midpoint, face center, cell center)
-    lattice = [(i, j, k) for k in (0, 1, 2) for j in (0, 1, 2) for i in (0, 1, 2)]
-
-    def corners_of(point):
-        spans = [(0, 2) if c == 1 else (c,) for c in point]
-        return tuple(
-            sorted(
-                _HEX_LOCAL_GRID[(i, j, k)]
-                for i in spans[0] for j in spans[1] for k in spans[2]
-            )
-        )
-
-    key_tables = {p: corners_of(p) for p in lattice}
-
-    # assign global ids: corners keep theirs; edge/face/center points are
-    # deduplicated by their sorted global corner tuple
-    new_coords = []
-    new_index: dict[tuple, int] = {}
-    point_ids = np.empty((len(cells), 27), dtype=np.int64)
-    verts = mesh.vertices
-    for c_idx, cell in enumerate(cells):
-        for p_idx, p in enumerate(lattice):
-            group = key_tables[p]
-            if len(group) == 1:
-                point_ids[c_idx, p_idx] = cell[group[0]]
-                continue
-            key = tuple(sorted(int(cell[g]) for g in group))
-            pid = new_index.get(key)
-            if pid is None:
-                pid = nv + len(new_coords)
-                new_index[key] = pid
-                new_coords.append(verts[list(key)].mean(axis=0))
-            point_ids[c_idx, p_idx] = pid
-    vertices = np.vstack([verts, np.array(new_coords)]) if new_coords else verts.copy()
-
-    def lidx(i, j, k):
-        return i + 3 * j + 9 * k
-
-    children = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                children.append(
-                    [
-                        lidx(a, b, c), lidx(a + 1, b, c), lidx(a + 1, b + 1, c),
-                        lidx(a, b + 1, c), lidx(a, b, c + 1), lidx(a + 1, b, c + 1),
-                        lidx(a + 1, b + 1, c + 1), lidx(a, b + 1, c + 1),
-                    ]
-                )
-    child_cells = point_ids[:, np.asarray(children)].reshape(-1, 8)
-
-    # quad facets: 4 edge midpoints + face center, all resolvable by key
-    facets = mesh.boundary_facets
-
-    def resolve(key):
-        return new_index[key]
-
-    child_facets = np.empty((len(facets) * 4, 4), dtype=np.int64)
-    for f_idx, quad in enumerate(facets):
-        q = [int(v) for v in quad]
-        e01 = resolve(tuple(sorted((q[0], q[1]))))
-        e12 = resolve(tuple(sorted((q[1], q[2]))))
-        e23 = resolve(tuple(sorted((q[2], q[3]))))
-        e30 = resolve(tuple(sorted((q[3], q[0]))))
-        fc = resolve(tuple(sorted(q)))
-        child_facets[4 * f_idx + 0] = (q[0], e01, fc, e30)
-        child_facets[4 * f_idx + 1] = (e01, q[1], e12, fc)
-        child_facets[4 * f_idx + 2] = (fc, e12, q[2], e23)
-        child_facets[4 * f_idx + 3] = (e30, fc, e23, q[3])
-    child_markers = np.repeat(mesh.boundary_markers, 4)
-    return Mesh(vertices, child_cells, HEX8, child_facets, child_markers)
+_HEX_SPLIT = _hex_split()
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every cell into 8 children; boundary markers are inherited."""
-    if mesh.kind == TET4:
-        return _refine_tet(mesh)
-    return _refine_hex(mesh)
+    """Split every cell into 8 children; boundary markers are inherited.
+
+    Neighbours share a new point when its parent vertices agree; all new
+    points of cells and facets are grouped by one sort.  Tet meshes number
+    their edge midpoints in lexicographic order of the edges, hex meshes
+    number new points by first appearance, by cell and then lattice point.
+    """
+    tet = mesh.kind == TET4
+    cell_split, facet_split = (_TET_SPLIT, _TRI_SPLIT) if tet else (_HEX_SPLIT, _QUAD_SPLIT)
+    width = max(map(len, cell_split[0]))
+
+    def parent_keys(elems, new_points):
+        # sorted global parents of every new point, padded in front with -1
+        table = np.array([(-1,) * (width - len(p)) + tuple(p) for p in new_points])
+        ids = np.where(table >= 0, elems[:, table], -1)
+        return np.sort(ids, axis=2).reshape(-1, width)
+
+    cells, facets = mesh.cells, mesh.boundary_facets
+    n_cell_keys = len(cells) * len(cell_split[0])
+    keys = np.vstack([parent_keys(cells, cell_split[0]), parent_keys(facets, facet_split[0])])
+    inverse, first = _groups(keys)
+    stray = first[first >= n_cell_keys]
+    if stray.size:
+        k = (stray.min() - n_cell_keys) // len(facet_split[0])
+        raise MeshError(f"facet {k} is not a face of any cell")
+    if not tet:
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        inverse, first = rank[inverse], np.sort(first)
+    parents = keys[first]
+    size = (parents >= 0).sum(axis=1)
+    new_vertices = np.empty((len(first), 3))
+    for s in np.unique(size):
+        new_vertices[size == s] = mesh.vertices[parents[size == s, width - s:]].mean(axis=1)
+    vertices = np.vstack([mesh.vertices, new_vertices])
+
+    def split(elems, new_ids, children):
+        points = np.hstack([elems, new_ids.reshape(len(elems), -1)])
+        return points[:, np.asarray(children)].reshape(-1, elems.shape[1])
+
+    new_ids = mesh.n_vertices + inverse
+    child_cells = split(cells, new_ids[:n_cell_keys], cell_split[1])
+    if tet:
+        child_cells = _orient_tets(vertices, child_cells)
+    child_facets = split(facets, new_ids[n_cell_keys:], facet_split[1])
+    markers = np.repeat(mesh.boundary_markers, 4)
+    return Mesh(vertices, child_cells, mesh.kind, child_facets, markers)

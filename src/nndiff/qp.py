@@ -39,6 +39,19 @@ from .sparse import (
 
 ABS_FLOOR = 1e-50  # convergence floor when the initial projected gradient is 0
 
+# blmvm: curvature pairs kept, Armijo constant, step cut per backtrack, and
+# the backtracks tried before the memory is dropped
+BLMVM_MEMORY = 5
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+
+# tron: trust-radius growth and cut, and the smallest accepted
+# actual/predicted reduction ratio
+TRON_EXPAND = 2.0
+TRON_SHRINK = 0.25
+TRON_ACCEPT_RATIO = 1e-4
+
 
 @dataclass
 class QpProblem:
@@ -143,10 +156,6 @@ def solve_blmvm(
     rtol: float = 1e-6,
     max_outer: int = 5000,
     x0=None,
-    memory: int = 5,
-    armijo: float = 1e-4,
-    backtrack: float = 0.5,
-    max_backtracks: int = 40,
     atol: float = 0.0,
     ledger: OpLedger | None = None,
     monitor=None,
@@ -195,7 +204,7 @@ def solve_blmvm(
         # reductions near convergence fall below the resolution of f itself;
         # the eps-scaled allowance keeps rounding noise from failing the test
         noise = 4.0 * np.finfo(float).eps * abs(fc)
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             c_new = vec_copy(c, ledger)
             axpy(c_new, alpha, d, ledger)
             c_new = project(c_new, lo, hi, ledger)
@@ -203,10 +212,10 @@ def solve_blmvm(
             axpy(step, -1.0, c, ledger)
             g_step = dot(g, step, ledger)
             f_new = objective(problem, c_new, ledger)
-            if g_step < 0.0 and f_new <= fc + armijo * g_step + noise:
+            if g_step < 0.0 and f_new <= fc + ARMIJO * g_step + noise:
                 accepted = True
                 break
-            alpha *= backtrack
+            alpha *= BACKTRACK
         if not accepted:
             if pairs:
                 pairs.clear()
@@ -221,7 +230,7 @@ def solve_blmvm(
         sy = dot(step, y, ledger)
         if sy > 0.0:
             pairs.append((step, y, 1.0 / sy))
-            if len(pairs) > memory:
+            if len(pairs) > BLMVM_MEMORY:
                 pairs.pop(0)
         c, g, pg, fc = c_new, g_new, pg_new, f_new
         pg_norm = norm2(pg, ledger)
@@ -243,9 +252,6 @@ def solve_tron(
     max_outer: int = 200,
     x0=None,
     precond: str = "jacobi",
-    expand: float = 2.0,
-    shrink: float = 0.25,
-    accept_ratio: float = 1e-4,
     atol: float = 0.0,
     ledger: OpLedger | None = None,
     monitor=None,
@@ -318,7 +324,7 @@ def solve_tron(
         f_trial = objective(problem, c_trial, ledger)
         actual = fc - f_trial
         if predicted <= 0.0:
-            delta *= shrink
+            delta *= TRON_SHRINK
             outer += 1
             continue
         # below the resolution of f(c) - f(c_trial) the measured reduction is
@@ -328,10 +334,10 @@ def solve_tron(
         else:
             ratio = actual / predicted
         if ratio < 0.25:
-            delta *= shrink
+            delta *= TRON_SHRINK
         elif ratio > 0.75 and hit:
-            delta *= expand
-        if ratio > accept_ratio:
+            delta *= TRON_EXPAND
+        if ratio > TRON_ACCEPT_RATIO:
             c = c_trial
             fc = f_trial
             g = gradient(problem, c, ledger)

@@ -10,11 +10,9 @@ an :class:`OpLedger`.  Byte counts follow a perfect-cache streaming model
     norm             2N        8(N + 1)
     dot              2N        8(2N + 1)
     copy             0         8(2N)
-    set              0         8(2N)
     scale            N         8(2N)
     axpy             2N        8(3N)
     aypx             2N        8(3N)
-    pointwise_mult   N         8(3N)
     spmv             2 nz      4(N + nz) + 8(2N + nz)
     jacobi_apply     N         8(3N)
     ilu0_apply       2 nz      4(N + nz) + 8(2N + nz)
@@ -130,14 +128,6 @@ def vec_copy(x, ledger: OpLedger | None = None) -> np.ndarray:
     return np.array(x, dtype=np.float64)
 
 
-def vec_set(y, a: float, ledger: OpLedger | None = None) -> np.ndarray:
-    n = len(y)
-    if ledger is not None:
-        ledger.record("set", 0, FLOAT_BYTES * 2 * n)
-    y[...] = a
-    return y
-
-
 def scale(y, a: float, ledger: OpLedger | None = None) -> np.ndarray:
     n = len(y)
     if ledger is not None:
@@ -163,14 +153,6 @@ def aypx(y, a: float, x, ledger: OpLedger | None = None) -> np.ndarray:
     y *= a
     y += x
     return y
-
-
-def pointwise_mult(x, y, ledger: OpLedger | None = None) -> np.ndarray:
-    """z_i = x_i * y_i."""
-    n = _check_same_length(x, y)
-    if ledger is not None:
-        ledger.record("pointwise_mult", n, FLOAT_BYTES * 3 * n)
-    return x * y
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +279,26 @@ class CsrMatrix:
             raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
         return self.as_scipy() @ np.asarray(x, dtype=np.float64)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max()) if self.nnz else 0.0
-
-    def is_symmetric(self, rtol: float = 1e-12) -> bool:
-        t = self.transpose()
-        if not np.array_equal(t.row_offsets, self.row_offsets):
-            return False
-        if not np.array_equal(t.col_indices, self.col_indices):
-            return False
-        scale_ref = max(self.max_abs(), 1e-300)
-        return float(np.abs(t.values - self.values).max(initial=0.0)) <= rtol * scale_ref
-
     def __repr__(self) -> str:
         return f"CsrMatrix(n={self.n}, nnz={self.nnz})"
+
+
+def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of integer key columns with one stable lexicographic sort.
+
+    ``columns`` holds equal-length integer arrays, the most significant
+    first.  Returns ``order``, the stable sort of the rows, and ``starts``,
+    the positions in ``order`` where each run of equal rows begins: run
+    ``j`` is ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
+    ``order[starts]`` are the first occurrences.
+    """
+    order = np.lexsort(tuple(columns)[::-1])
+    new_run = np.zeros(len(order), dtype=bool)
+    new_run[:1] = True
+    for col in columns:
+        c = col[order]
+        new_run[1:] |= c[1:] != c[:-1]
+    return order, np.flatnonzero(new_run)
 
 
 class CooPattern:
@@ -331,15 +319,11 @@ class CooPattern:
                           or cols.max() >= n):
             raise DimensionError("coo index out of range")
         self.n = int(n)
-        self._order = np.lexsort((cols, rows))
-        r, c = rows[self._order], cols[self._order]
-        new_run = np.empty(len(r), dtype=bool)
-        new_run[:1] = True
-        new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self._starts = np.flatnonzero(new_run)
+        self._order, self._starts = sorted_runs((rows, cols))
+        first = self._order[self._starts]
         self.row_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r[self._starts], minlength=self.n), out=self.row_offsets[1:])
-        self.col_indices = c[self._starts]
+        np.cumsum(np.bincount(rows[first], minlength=self.n), out=self.row_offsets[1:])
+        self.col_indices = cols[first]
 
     def matrix(self, vals) -> CsrMatrix:
         vals = np.asarray(vals, dtype=np.float64).ravel()

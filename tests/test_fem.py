@@ -164,7 +164,7 @@ class TestAssemble:
         k = system.stiffness
         kt = k.transpose()
         assert np.array_equal(k.col_indices, kt.col_indices)
-        assert np.abs(k.values - kt.values).max() <= 1e-12 * k.max_abs()
+        assert np.abs(k.values - kt.values).max() <= 1e-12 * np.abs(k.values).max()
 
     def test_load_integral_of_unit_source(self):
         mesh = generate_box(3, 3, 3, "tet4")

@@ -172,6 +172,49 @@ class TestMeshTypes:
         with pytest.raises(MeshError):
             bad.validate()
 
+    def test_validate_detects_stray_quad_on_hex_mesh(self):
+        m = generate_box(2, 1, 1, "hex8")
+        interior = m.cells[0, [1, 2, 6, 5]]  # the face cell 0 shares with cell 1
+        facets = np.vstack([m.boundary_facets, interior])
+        bad = Mesh(m.vertices, m.cells, m.kind, facets, np.ones(len(facets)))
+        with pytest.raises(MeshError, match=f"facet {len(facets) - 1} "):
+            bad.validate()
+
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    def test_validate_accepts_rotated_and_reversed_facets(self, kind):
+        m = generate_box(2, 2, 1, kind)
+        for facets in (np.roll(m.boundary_facets, 1, axis=1), m.boundary_facets[:, ::-1]):
+            Mesh(m.vertices, m.cells, kind, facets, m.boundary_markers).validate()
+
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    def test_validate_names_first_of_two_bad_facets(self, kind):
+        m = generate_box(2, 2, 1, kind)
+        facets = m.boundary_facets.copy()
+        facets[7] = facets[7, ::-1]  # still valid
+        facets[9, 0] = facets[9, 1]  # a repeated vertex
+        # vertices (0, 0, 0) and (1, 1, 1) share no cell
+        facets[4] = (0, m.n_vertices - 1, 1, 2)[: facets.shape[1]]
+        bad = Mesh(m.vertices, m.cells, kind, facets, m.boundary_markers)
+        with pytest.raises(MeshError, match="facet 4 "):
+            bad.validate()
+
+    def test_validate_rejects_facets_of_the_wrong_width(self):
+        m = generate_box(1, 1, 1, "hex8")
+        bad = Mesh(m.vertices, m.cells, m.kind, m.boundary_facets[:, :3],
+                   m.boundary_markers)
+        with pytest.raises(MeshError, match="facet 0 "):
+            bad.validate()
+
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    def test_refine_rejects_facet_off_the_cells(self, kind):
+        m = generate_box(2, 1, 1, kind)
+        facets = m.boundary_facets.copy()
+        facets[2] = facets[2][::-1]  # fine: the same face
+        facets[5, 1] = facets[5, 0]  # its edges are no cell's edges
+        bad = Mesh(m.vertices, m.cells, kind, facets, m.boundary_markers)
+        with pytest.raises(MeshError, match="facet 5 "):
+            refine_uniform(bad)
+
     def test_remarking(self):
         m = generate_box(2, 2, 2, "hex8")
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nndiff.errors import (
@@ -21,12 +21,11 @@ from nndiff.sparse import (
     dot,
     make_preconditioner,
     norm2,
-    pointwise_mult,
     read_matrix_market,
     scale,
+    sorted_runs,
     spmv,
     vec_copy,
-    vec_set,
     write_matrix_market,
 )
 
@@ -86,11 +85,9 @@ class TestLedger:
             "norm": (lambda led: norm2(x, led), 2 * n, 8 * (n + 1)),
             "dot": (lambda led: dot(x, y, led), 2 * n, 8 * (2 * n + 1)),
             "copy": (lambda led: vec_copy(x, led), 0, 16 * n),
-            "set": (lambda led: vec_set(y.copy(), 2.0, led), 0, 16 * n),
             "scale": (lambda led: scale(y.copy(), 2.0, led), n, 16 * n),
             "axpy": (lambda led: axpy(y.copy(), 2.0, x, led), 2 * n, 24 * n),
             "aypx": (lambda led: aypx(y.copy(), 2.0, x, led), 2 * n, 24 * n),
-            "pointwise_mult": (lambda led: pointwise_mult(x, y, led), n, 24 * n),
         }
         for name, (fn, flops, nbytes) in cases.items():
             led = OpLedger()
@@ -107,7 +104,7 @@ class TestLedger:
         for _ in range(200):
             n = int(rng.integers(1, 40))
             x, y = rng.standard_normal(n), rng.standard_normal(n)
-            op = rng.integers(0, 5)
+            op = rng.integers(0, 4)
             if op == 0:
                 norm2(x, led)
                 expect_flops += 2 * n
@@ -120,14 +117,10 @@ class TestLedger:
                 axpy(y, 0.5, x, led)
                 expect_flops += 2 * n
                 expect_bytes += 24 * n
-            elif op == 3:
+            else:
                 scale(y, 1.5, led)
                 expect_flops += n
                 expect_bytes += 16 * n
-            else:
-                pointwise_mult(x, y, led)
-                expect_flops += n
-                expect_bytes += 24 * n
         assert led.flops == expect_flops
         assert led.bytes == expect_bytes
         bd = led.breakdown()
@@ -187,13 +180,6 @@ class TestCsrMatrix:
         c = add_scaled(2.0, a, 1.0, b)
         assert c.nnz == 3
         assert c.to_dense()[1, 2] == 4.0
-
-    def test_is_symmetric(self):
-        rng = np.random.default_rng(5)
-        a, _ = random_sparse_spd(20, rng)
-        assert a.is_symmetric()
-        skew = CsrMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        assert not skew.is_symmetric()
 
     def test_validation_rejects_bad_offsets(self):
         with pytest.raises(DimensionError):
@@ -514,6 +500,42 @@ class TestCsrOracle:
         for m in (system.stiffness, system.mass, add_scaled(50.0, system.mass, 1.0,
                                                              system.stiffness)):
             assert m.matvec_raw(x).tobytes() == bincount_matvec(m, x).tobytes()
+
+
+@st.composite
+def key_rows(draw):
+    """(n, k) integer rows, n in [0, 40] and k in [1, 4]; repeats likely."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k))
+    return np.array(vals, dtype=np.int64).reshape(n, k)
+
+
+class TestSortedRuns:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(key_rows())
+    @example(np.zeros((0, 3), dtype=np.int64))
+    @example(np.array([[5, -1]]))
+    @example(np.full((7, 2), 4))
+    def test_groups_and_counts_match_unique(self, keys):
+        from nndiff.mesh import _groups
+
+        order, starts = sorted_runs(keys.T)
+        uniq, index, inverse, counts = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        ends = np.append(starts[1:], len(keys))
+        assert np.array_equal(np.sort(order), np.arange(len(keys)))
+        assert np.array_equal(keys[order[starts]], uniq)
+        assert np.array_equal(ends - starts, counts)
+        # stable: every run lists its rows in input order
+        assert all(np.all(np.diff(order[a:b]) > 0) for a, b in zip(starts, ends))
+        groups = np.empty(len(keys), dtype=np.int64)
+        groups[order] = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
+        assert np.array_equal(groups, inverse.reshape(-1))
+        mesh_groups, first = _groups(keys)
+        assert np.array_equal(mesh_groups, groups)
+        assert np.array_equal(first, index)
 
 
 # ---------------------------------------------------------------------------
