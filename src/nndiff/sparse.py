@@ -34,12 +34,17 @@ from __future__ import annotations
 import io
 import re
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import io as _scipy_io
+from scipy.sparse import SparseEfficiencyWarning
+from scipy.sparse import csc_array as _scipy_csc
 from scipy.sparse import csr_matrix as _scipy_csr
-from scipy.sparse.linalg import spsolve_triangular as _spsolve_triangular
+from scipy.sparse import diags_array as _scipy_diags
+from scipy.sparse import eye_array as _scipy_eye
+from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .errors import (
     DimensionError,
@@ -388,58 +393,133 @@ class JacobiPreconditioner:
         return r * self._inv_diag
 
 
+def _ranges(starts, stops) -> np.ndarray:
+    """The concatenation of ``arange(starts[j], stops[j])`` over every j."""
+    lengths = stops - starts
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return shift + np.arange(len(shift))
+
+
+def _wavefronts(n, lower_rows, lower_cols) -> np.ndarray:
+    """Level of each row: 0 without strictly-lower entries, else one more than
+    the highest level among the rows its lower entries sit in."""
+    dependents = lower_rows[np.argsort(lower_cols, kind="stable")]
+    dep_offs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lower_cols, minlength=n), out=dep_offs[1:])
+    waiting = np.bincount(lower_rows, minlength=n)
+    level = np.empty(n, dtype=np.int64)
+    front, depth = np.flatnonzero(waiting == 0), 0
+    while len(front):
+        level[front] = depth
+        rows, freed = np.unique(
+            dependents[_ranges(dep_offs[front], dep_offs[front + 1])], return_counts=True
+        )
+        waiting[rows] -= freed
+        front, depth = rows[waiting[rows] == 0], depth + 1
+    return level
+
+
+def ilu0_factor(a: CsrMatrix) -> tuple[np.ndarray, int]:
+    """ILU(0) of ``a``: the factor values in its CSR order, and the FLOPs spent.
+
+    Entries strictly below the diagonal hold L (whose unit diagonal is not
+    stored), the others hold U.  Row i eliminates its lower entries k in
+    increasing column order: l_ik = a_ik / u_kk, then a_ij -= l_ik * u_kj
+    for every j > k in row k's pattern that is also in row i's.  Rows are
+    scheduled by wavefront level (Saad, *Iterative Methods for Sparse
+    Linear Systems*, 2nd ed.; Anderson & Saad 1989): a row
+    depends only on rows of lower levels, so all rows of one level take
+    their p-th elimination step together, one vectorised step per
+    (level, p).  Every entry sees the same operations in the same order
+    as in a row-by-row loop, so the values are bit-identical to it.
+    """
+    n, offs, cols = a.n, a.row_offsets, a.col_indices
+    row_idx = a._row_index()
+    diag_pos = np.full(n, -1, dtype=np.int64)
+    on_diag = row_idx == cols
+    diag_pos[cols[on_diag]] = np.flatnonzero(on_diag)
+    missing = np.flatnonzero(diag_pos < 0)
+    if missing.size:
+        raise FactorizationError(f"missing diagonal entry in row {missing[0]}")
+
+    # symbolic pass: one step per lower entry (row i, position p in the row),
+    # ordered by (level of i, p); one (target, source) pair per u_kj it uses
+    step = np.flatnonzero(cols < row_idx)
+    step_row = row_idx[step]
+    level = _wavefronts(n, step_row, cols[step])
+    order, starts = sorted_runs((level[step_row], step - offs[step_row]))
+    step, step_row = step[order], step_row[order]
+    pivot = diag_pos[cols[step]]
+    source = _ranges(pivot + 1, offs[cols[step] + 1])
+    owner = np.repeat(np.arange(len(step)), offs[cols[step] + 1] - pivot - 1)
+    key = row_idx * n + cols  # increasing along the CSR order
+    want = step_row[owner] * n + cols[source]
+    target = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    hit = key[target] == want
+    source, owner, target = source[hit], owner[hit], target[hit]
+    del key, want, hit
+    starts = np.append(starts, len(step))
+    pair_starts = np.searchsorted(owner, starts)
+
+    # numeric pass; a zero pivot feeds inf/nan only into later rows, so the
+    # lowest row with a zero pivot is the one a row-by-row loop stops at
+    val = a.values.copy()
+    lik = np.empty(len(step))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s0, s1, q0, q1 in zip(starts[:-1], starts[1:], pair_starts[:-1], pair_starts[1:]):
+            idx = step[s0:s1]
+            lik[s0:s1] = val[idx] / val[pivot[s0:s1]]
+            val[idx] = lik[s0:s1]
+            val[target[q0:q1]] -= lik[owner[q0:q1]] * val[source[q0:q1]]
+    zero = np.flatnonzero(val[diag_pos] == 0.0)
+    if zero.size:
+        raise FactorizationError(f"zero pivot in row {zero[0]}")
+    return val, len(step) + 2 * len(target)
+
+
+def _gstrs_operands(lower: _scipy_csc, upper: _scipy_csc) -> tuple:
+    """(N, nnz, data, indices, indptr) of both CSC factors, as ``gstrs`` takes them."""
+    return tuple(
+        x for f in (lower, upper)
+        for x in (f.shape[0], f.nnz, f.data, f.indices.astype(np.intc),
+                  f.indptr.astype(np.intc))
+    )
+
+
 class Ilu0Preconditioner:
-    """Incomplete LU with zero fill: factors confined to the pattern of A."""
+    """Incomplete LU with zero fill: factors confined to the pattern of A.
+
+    The factorization is :func:`ilu0_factor`: level-scheduled, with the
+    operations of a row-by-row loop in the same order, so bit-identical to
+    it.  ``apply`` is a forward solve with unit-diagonal L and a backward
+    solve with U.  ``scipy.sparse.linalg.spsolve_triangular`` would
+    transpose each CSR factor to CSC, set L's diagonal to one, scale U's
+    columns by its inverse diagonal and sum duplicates on every call; that
+    set-up is done once here, and each apply is two calls to SuperLU's
+    ``gstrs``, so its result is bit-identical to ``spsolve_triangular``'s.
+    """
 
     def __init__(self, a: CsrMatrix, ledger: OpLedger | None = None):
-        n = a.n
-        offs, cols = a.row_offsets, a.col_indices
-        val = a.values.copy()
-        diag_pos = np.full(n, -1, dtype=np.int64)
-        on_diag = a._row_index() == cols
-        diag_pos[cols[on_diag]] = np.flatnonzero(on_diag)
-        missing = np.flatnonzero(diag_pos < 0)
-        if missing.size:
-            raise FactorizationError(f"missing diagonal entry in row {missing[0]}")
-
-        flops = 0
-        for i in range(n):
-            lo, hi = offs[i], offs[i + 1]
-            row_cols = cols[lo:hi]
-            for idx in range(lo, hi):
-                k = cols[idx]
-                if k >= i:
-                    break
-                ukk = val[diag_pos[k]]
-                if ukk == 0.0:
-                    raise FactorizationError(f"zero pivot in row {k}")
-                lik = val[idx] / ukk
-                val[idx] = lik
-                ks, ke = diag_pos[k] + 1, offs[k + 1]
-                if ks < ke:
-                    kcols = cols[ks:ke]
-                    pos = lo + np.searchsorted(row_cols, kcols)
-                    ok = pos < hi
-                    ok[ok] &= cols[pos[ok]] == kcols[ok]
-                    hit = pos[ok]
-                    val[hit] -= lik * val[ks:ke][ok]
-                    flops += 1 + 2 * len(hit)
-                else:
-                    flops += 1
-            if val[diag_pos[i]] == 0.0:
-                raise FactorizationError(f"zero pivot in row {i}")
-
-        row_idx = a._row_index()
+        val, flops = ilu0_factor(a)
+        n, cols, row_idx = a.n, a.col_indices, a._row_index()
         lower = cols < row_idx
         upper = ~lower
         self.n = n
         self.nnz = a.nnz
-        self._l = _scipy_csr(
-            (val[lower], (row_idx[lower], cols[lower])), shape=(n, n)
-        )
-        self._u = _scipy_csr(
-            (val[upper], (row_idx[upper], cols[upper])), shape=(n, n)
-        )
+        # spsolve_triangular's operands for L (lower, unit diagonal) and U
+        # (upper), each CSR factor solved as its CSC transpose
+        l_t = _scipy_csr((val[lower], (row_idx[lower], cols[lower])), shape=(n, n)).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SparseEfficiencyWarning)
+            l_t.setdiag(1)
+        l_t.sum_duplicates()
+        l_t.setdiag(0)
+        self._l_solve = _gstrs_operands(_scipy_eye(n, format="csc"), l_t)
+        u_t = _scipy_csr((val[upper], (row_idx[upper], cols[upper])), shape=(n, n)).T
+        self._inv_diag = 1 / u_t.diagonal()
+        u_t = (u_t.T @ _scipy_diags(self._inv_diag)).T
+        u_t.sum_duplicates()
+        self._u_solve = _gstrs_operands(u_t, _scipy_csc((n, n)))
         if ledger is not None:
             ledger.record(
                 "ilu0_setup",
@@ -450,16 +530,18 @@ class Ilu0Preconditioner:
     def apply(self, r, ledger: OpLedger | None = None) -> np.ndarray:
         if len(r) != self.n:
             raise DimensionError("preconditioner dimension mismatch")
-        y = _spsolve_triangular(self._l, np.asarray(r, dtype=np.float64),
-                                lower=True, unit_diagonal=True)
-        z = _spsolve_triangular(self._u, y, lower=False)
+        # both solves are of the transposed CSC factors ("T"), as in scipy
+        y, info_l = _gstrs("T", *self._l_solve, np.array(r, dtype=np.float64))
+        z, info_u = _gstrs("T", *self._u_solve, y)
+        if info_l or info_u:
+            raise FactorizationError("triangular solve failed")
         if ledger is not None:
             n, nz = self.n, self.nnz
             ledger.record(
                 "ilu0_apply", 2 * nz,
                 INT_BYTES * (n + nz) + FLOAT_BYTES * (2 * n + nz),
             )
-        return z
+        return z * self._inv_diag
 
 
 def make_preconditioner(a: CsrMatrix, name: str, ledger: OpLedger | None = None):

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve_triangular
 
 from nndiff.errors import (
     DimensionError,
@@ -19,6 +23,7 @@ from nndiff.sparse import (
     aypx,
     cg_solve,
     dot,
+    ilu0_factor,
     make_preconditioner,
     norm2,
     read_matrix_market,
@@ -28,6 +33,7 @@ from nndiff.sparse import (
     vec_copy,
     write_matrix_market,
 )
+from record_golden_ilu0 import apply_inputs, reduced_matrix
 
 
 def random_spd(n, rng, shift=None):
@@ -243,6 +249,14 @@ class TestPreconditioners:
         with pytest.raises(FactorizationError, match="row 0"):
             Ilu0Preconditioner(a)
 
+    def test_ilu0_zero_pivot_raises_before_any_warning(self):
+        # row 2 divides by row 1's zero pivot if the factorization goes on
+        a = CsrMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FactorizationError, match="zero pivot in row 1"):
+                Ilu0Preconditioner(a)
+
     def test_ilu0_apply_bytes_match_spmv_formula(self):
         rng = np.random.default_rng(9)
         a, _ = random_sparse_spd(30, rng, density=0.2)
@@ -251,6 +265,137 @@ class TestPreconditioners:
         p.apply(np.ones(30), led)
         n, nz = a.n, a.nnz
         assert led.bytes == 4 * (n + nz) + 8 * (2 * n + nz)
+
+
+def _ilu0_reference(a):
+    """Row-by-row ILU(0), the loop the level-scheduled factorization replaced:
+    (factor values in the CSR order of ``a``, FLOPs), or FactorizationError."""
+    n = a.n
+    offs, cols = a.row_offsets, a.col_indices
+    val = a.values.copy()
+    diag_pos = np.full(n, -1, dtype=np.int64)
+    on_diag = a._row_index() == cols
+    diag_pos[cols[on_diag]] = np.flatnonzero(on_diag)
+    missing = np.flatnonzero(diag_pos < 0)
+    if missing.size:
+        raise FactorizationError(f"missing diagonal entry in row {missing[0]}")
+
+    flops = 0
+    for i in range(n):
+        lo, hi = offs[i], offs[i + 1]
+        row_cols = cols[lo:hi]
+        for idx in range(lo, hi):
+            k = cols[idx]
+            if k >= i:
+                break
+            ukk = val[diag_pos[k]]
+            if ukk == 0.0:
+                raise FactorizationError(f"zero pivot in row {k}")
+            lik = val[idx] / ukk
+            val[idx] = lik
+            ks, ke = diag_pos[k] + 1, offs[k + 1]
+            if ks < ke:
+                kcols = cols[ks:ke]
+                pos = lo + np.searchsorted(row_cols, kcols)
+                ok = pos < hi
+                ok[ok] &= cols[pos[ok]] == kcols[ok]
+                hit = pos[ok]
+                val[hit] -= lik * val[ks:ke][ok]
+                flops += 1 + 2 * len(hit)
+            else:
+                flops += 1
+        if val[diag_pos[i]] == 0.0:
+            raise FactorizationError(f"zero pivot in row {i}")
+    return val, flops
+
+
+def _factor_or_error(factor, a):
+    try:
+        return factor(a)
+    except FactorizationError as exc:
+        return str(exc)
+
+
+@st.composite
+def ilu0_matrices(draw):
+    """A sparse SPD matrix of small integers times 0.3 (so sums round), stored
+    with its whole diagonal; some with permuted rows (zero pivots likely),
+    some diagonal-only, some with rows emptied left of the diagonal."""
+    n = draw(st.integers(1, 10))
+    b = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n)
+    b[np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)] = 0
+    dense = 0.3 * (b.T @ b + draw(st.integers(0, 3)) * np.eye(n))
+    kind = draw(st.sampled_from(["spd", "permuted", "diagonal", "no-lower-rows"]))
+    if kind == "permuted":
+        dense = dense[draw(st.permutations(range(n)))]
+    elif kind == "diagonal":
+        dense = np.diag(np.diag(dense))
+    elif kind == "no-lower-rows":
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            dense[i, :i] = 0.0
+    rows, cols = np.nonzero(dense + np.eye(n))
+    return CsrMatrix.from_coo(n, rows, cols, dense[rows, cols])
+
+
+def _random_factored(seed, n=40, density=0.15):
+    """A random nonsymmetric matrix with a dominant diagonal: random factors."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    dense += np.diag(n * (1.0 + rng.random(n)))
+    return CsrMatrix.from_dense(dense)
+
+
+def _scipy_triangular_apply(a, r):
+    """Unit-lower L, then U, through the public ``spsolve_triangular``."""
+    val, _ = ilu0_factor(a)
+    rows = a._row_index()
+    lower = a.col_indices < rows
+    l_csr = csr_matrix((val[lower], (rows[lower], a.col_indices[lower])), shape=a.shape)
+    u_csr = csr_matrix((val[~lower], (rows[~lower], a.col_indices[~lower])), shape=a.shape)
+    y = spsolve_triangular(l_csr, np.asarray(r, dtype=float), lower=True, unit_diagonal=True)
+    return spsolve_triangular(u_csr, y, lower=False)
+
+
+class TestIlu0Oracle:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(ilu0_matrices())
+    def test_level_schedule_matches_row_loop_bit_for_bit(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _factor_or_error(ilu0_factor, a)
+        want = _factor_or_error(_ilu0_reference, a)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        led = OpLedger()
+        Ilu0Preconditioner(a, led)
+        assert led.breakdown()["ilu0_setup"].flops == want[1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_equals_spsolve_triangular_on_random_factors(self, seed):
+        a = _random_factored(seed)
+        r = np.random.default_rng(100 + seed).standard_normal(a.n)
+        assert np.array_equal(Ilu0Preconditioner(a).apply(r), _scipy_triangular_apply(a, r))
+
+    @pytest.mark.parametrize("case", ["hole-n18-tet4", "hole-n18-hex8"])
+    def test_apply_equals_spsolve_triangular_on_galerkin_factors(self, case):
+        a = reduced_matrix(case)
+        p = Ilu0Preconditioner(a)
+        for r in apply_inputs(a.n):
+            assert np.array_equal(p.apply(r), _scipy_triangular_apply(a, r))
+
+    def test_apply_keeps_r_and_takes_a_list(self):
+        a = _random_factored(7, n=12)
+        p = Ilu0Preconditioner(a)
+        r = np.random.default_rng(8).standard_normal(12)
+        kept = r.copy()
+        z = p.apply(r)
+        assert np.array_equal(r, kept)
+        assert np.array_equal(p.apply(r.tolist()), z)
+        assert np.array_equal(p.apply(r), z)
 
 
 # ---------------------------------------------------------------------------
