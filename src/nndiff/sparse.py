@@ -292,9 +292,11 @@ def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of integer key columns with one stable lexicographic sort.
 
     ``columns`` holds equal-length integer arrays, the most significant
-    first.  Returns ``order``, the stable sort of the rows, and ``starts``,
-    the positions in ``order`` where each run of equal rows begins: run
-    ``j`` is ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
+    first: several columns (the sorted vertex tuples of the mesh callers)
+    or one packed key (``CooPattern``'s ``row * n + col``).  Returns
+    ``order``, the stable sort of the rows, and ``starts``, the positions
+    in ``order`` where each run of equal rows begins: run ``j`` is
+    ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
     ``order[starts]`` are the first occurrences.
     """
     order = np.lexsort(tuple(columns)[::-1])
@@ -309,6 +311,9 @@ def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
 class CooPattern:
     """The CSR pattern of fixed (rows, cols) triplets, sorted once.
 
+    The triplets are sorted by the single packed key ``row * n + col``,
+    whose stable order is the (row, col) lexicographic one; each entry's
+    row and column are read back from the key at the start of its run.
     :meth:`matrix` sums duplicate entries exactly as
     :meth:`CsrMatrix.from_coo` does, so matrices built from one pattern
     (the stiffness and capacity of one mesh) pay for one sort and share
@@ -324,11 +329,12 @@ class CooPattern:
                           or cols.max() >= n):
             raise DimensionError("coo index out of range")
         self.n = int(n)
-        self._order, self._starts = sorted_runs((rows, cols))
-        first = self._order[self._starts]
+        # row * n + col < n**2, below 2**63 for any n < 3e9: no overflow
+        key = rows * self.n + cols
+        self._order, self._starts = sorted_runs((key,))
+        first_rows, self.col_indices = np.divmod(key[self._order[self._starts]], self.n)
         self.row_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[first], minlength=self.n), out=self.row_offsets[1:])
-        self.col_indices = cols[first]
+        np.cumsum(np.bincount(first_rows, minlength=self.n), out=self.row_offsets[1:])
 
     def matrix(self, vals) -> CsrMatrix:
         vals = np.asarray(vals, dtype=np.float64).ravel()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nndiff.errors import AssemblyError, ConfigError, SingularTensorError
 from nndiff.fem import (
+    _STIFFNESS_BLOCK,
     DiffusivityField,
     DispersionParams,
     apply_dirichlet,
@@ -13,9 +16,12 @@ from nndiff.fem import (
     element_mass,
     element_stiffness,
     neumann_load,
+    _tet_batch,
+    _tet_stiffness,
 )
 from nndiff.mesh import BoundarySpec, generate_box, with_boundary_markers
 from nndiff.sparse import cg_solve
+from record_golden import from_function
 
 UNIT_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 UNIT_HEX = np.array(
@@ -149,6 +155,53 @@ class TestElementMatrices:
         assert abs(f.sum() - 1.0) < 1e-14
         f_tet = element_load(UNIT_TET, 2.0, "tet4")
         assert abs(f_tet.sum() - 2.0 / 6.0) < 1e-14
+
+
+def _tet_stiffness_reference(det, grads, d):
+    """The four-operand ``einsum`` that the blocked ``_tet_stiffness`` replaced."""
+    if d.ndim == 4:
+        d = d.mean(axis=1)
+    ke = np.einsum("m,mia,mab,mjb->mij", det / 6.0, grads, d, grads)
+    return 0.5 * (ke + ke.transpose(0, 2, 1))
+
+
+def _random_spd(rng, shape):
+    """SPD 3x3 tensors of the given leading shape, scales spread over 1e-3..1e3."""
+    a = rng.standard_normal(shape + (3, 3))
+    scale = 10.0 ** rng.uniform(-3, 3, shape + (1, 1))
+    return scale * (a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3))
+
+
+_BLOCK_COUNTS = [_STIFFNESS_BLOCK - 1, _STIFFNESS_BLOCK, _STIFFNESS_BLOCK + 1,
+                 2 * _STIFFNESS_BLOCK, 2 * _STIFFNESS_BLOCK + 37]
+
+
+class TestTetStiffnessOracle:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 50), st.sampled_from(_BLOCK_COUNTS)),
+        st.sampled_from(["cell", "point", "constant"]),
+    )
+    @example(0, 1, "cell")
+    @example(1, _STIFFNESS_BLOCK, "point")
+    @example(2, 2 * _STIFFNESS_BLOCK + 37, "constant")
+    def test_blocked_matches_einsum_bit_for_bit(self, seed, m, tensors):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, 4, 3)) * 10.0 ** rng.uniform(-2, 2, (m, 1, 1))
+        x += rng.uniform(-5, 5, (m, 1, 3))
+        flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
+        x[flip] = x[flip][:, [0, 2, 1, 3]]  # positive volume
+        assume(np.all(np.linalg.det(x[:, 1:] - x[:, :1]) > 0))
+        det, grads, _ = _tet_batch(x.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))
+        if tensors == "cell":
+            d = _random_spd(rng, (m,))
+        elif tensors == "point":
+            d = _random_spd(rng, (m, 4))
+        else:
+            d = np.broadcast_to(_random_spd(rng, ()), (m, 3, 3))
+        ke = _tet_stiffness(det, grads, d)
+        assert ke.tobytes() == _tet_stiffness_reference(det, grads, d).tobytes()
 
 
 @pytest.fixture
@@ -375,13 +428,43 @@ class TestDiffusivityField:
 
     def test_rejects_asymmetric_tensor(self):
         mesh = generate_box(1, 1, 1, "tet4")
-        bad = DiffusivityField.from_function(
+        bad = from_function(
             lambda pts: np.tile(np.array([[1.0, 0.5, 0.0],
                                           [0.0, 1.0, 0.0],
                                           [0.0, 0.0, 1.0]]), (len(pts), 1, 1))
         )
         bc = BoundarySpec(dirichlet={1: 0.0})
         with pytest.raises(AssemblyError, match="asymmetry"):
+            assemble(mesh, None, bc, bad)
+
+    def test_rejects_asymmetric_constant_tensor(self):
+        mesh = generate_box(1, 1, 1, "tet4")
+        bad = DiffusivityField.constant([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        bc = BoundarySpec(dirichlet={1: 0.0})
+        with pytest.raises(AssemblyError, match="asymmetry 0.5 exceeds"):
+            assemble(mesh, None, bc, bad)
+
+    def test_constant_tensor_checked_once(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        mesh = generate_box(3, 3, 3, "tet4")
+        field = DiffusivityField.constant(np.diag([1.0, 0.001, 0.001]))
+        assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}), field)
+        assert seen == [(1, 3, 3)]
+
+    def test_one_indefinite_cell_among_many(self):
+        mesh = generate_box(3, 3, 3, "tet4")
+        tensors = np.tile(np.eye(3), (mesh.n_cells, 1, 1))
+        tensors[mesh.n_cells // 2] = np.diag([1.0, -0.1, 1.0])
+        bad = DiffusivityField.from_cell_tensors(tensors)
+        bc = BoundarySpec(dirichlet={1: 0.0})
+        with pytest.raises(AssemblyError, match="positive definite .min eigenvalue -0.1"):
             assemble(mesh, None, bc, bad)
 
     def test_rejects_indefinite_tensor(self):

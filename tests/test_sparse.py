@@ -14,6 +14,7 @@ from nndiff.errors import (
     SolverBreakdownError,
 )
 from nndiff.sparse import (
+    CooPattern,
     CsrMatrix,
     Ilu0Preconditioner,
     JacobiPreconditioner,
@@ -681,6 +682,70 @@ class TestSortedRuns:
         mesh_groups, first = _groups(keys)
         assert np.array_equal(mesh_groups, groups)
         assert np.array_equal(first, index)
+
+
+def _coo_pattern_reference(n, rows, cols, vals):
+    """The two-column ``np.lexsort`` pattern that ``CooPattern`` used before
+    it sorted one packed ``row * n + col`` key."""
+    order = np.lexsort((cols, rows))
+    new_run = np.zeros(len(order), dtype=bool)
+    new_run[:1] = True
+    new_run[1:] |= rows[order][1:] != rows[order][:-1]
+    new_run[1:] |= cols[order][1:] != cols[order][:-1]
+    starts = np.flatnonzero(new_run)
+    first = order[starts]
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=n), out=row_offsets[1:])
+    summed = np.add.reduceat(vals[order], starts)
+    return order, starts, row_offsets, cols[first], summed
+
+
+def _corner_triplets(n, m, seed):
+    """m triplets whose indices hit 0 and n - 1 on both axes, with repeats."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, m)
+    cols = rng.integers(0, n, m)
+    rows[:2], cols[:2] = n - 1, (n - 1, 0)
+    return n, rows, cols, rng.standard_normal(m)
+
+
+class TestCooPatternOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(coo_triplets(dyadic=False))
+    @example((1, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)))
+    @example((5, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)))
+    @example((1, np.zeros(4, np.int64), np.zeros(4, np.int64), np.array([0.1, 0.2, 0.3, -1.0])))
+    @example(_corner_triplets(3, 40, 0))
+    @example(_corner_triplets(1000, 5000, 1))
+    def test_packed_key_matches_lexsort_bit_for_bit(self, coo):
+        n, rows, cols, vals = coo
+        pattern = CooPattern(n, rows, cols)
+        order, starts, row_offsets, col_indices, summed = _coo_pattern_reference(
+            n, rows, cols, vals
+        )
+        assert np.array_equal(pattern._order, order)
+        assert np.array_equal(pattern._starts, starts)
+        assert np.array_equal(pattern.row_offsets, row_offsets)
+        assert np.array_equal(pattern.col_indices, col_indices)
+        assert pattern.col_indices.dtype == np.int64
+        a = pattern.matrix(vals)
+        assert a.values.tobytes() == summed.tobytes()
+        a._validate()
+
+    def test_broadcast_cell_pattern_matches_lexsort(self):
+        cells = np.random.default_rng(2).integers(0, 50, (300, 4))
+        rows = np.broadcast_to(cells[:, :, None], (300, 4, 4))
+        cols = np.broadcast_to(cells[:, None, :], (300, 4, 4))
+        pattern = CooPattern(50, rows, cols)
+        ref = _coo_pattern_reference(50, rows.ravel(), cols.ravel(), np.zeros(rows.size))
+        assert np.array_equal(pattern._order, ref[0])
+        assert np.array_equal(pattern._starts, ref[1])
+
+    @pytest.mark.parametrize("rows, cols", [([0, 3], [0, 0]), ([0, 0], [-1, 0]),
+                                            ([-1, 0], [2, 0]), ([0, 1], [0, 3])])
+    def test_index_out_of_range(self, rows, cols):
+        with pytest.raises(DimensionError, match="out of range"):
+            CooPattern(3, np.array(rows), np.array(cols))
 
 
 # ---------------------------------------------------------------------------
