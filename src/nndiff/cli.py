@@ -37,7 +37,7 @@ from .errors import (
     SolverFailure,
 )
 from .mesh import generate_box, generate_cube_with_hole
-from .mesh_io import write_gmsh, write_vtk
+from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import arithmetic_intensity, efficiency, report_as_dict
 from .qp import QpProblem, kkt_check, solve_blmvm, solve_tron
 from .sparse import CsrMatrix, read_matrix_market
@@ -78,13 +78,13 @@ def _build_problem(args):
     return run_cfg, mesh, diffusivity, bc, source
 
 
-def _snapshot_writer(mesh, path_pattern, cadence):
+def _snapshot_writer(mesh, geometry, path_pattern, cadence):
     def on_step(step, t, c_full, report):
         if cadence > 0 and step % cadence == 0:
             path = path_pattern.with_name(
                 f"{path_pattern.stem}_{step:04d}{path_pattern.suffix}"
             )
-            write_vtk(mesh, {"c": c_full}, path)
+            write_vtk(mesh, {"c": c_full}, path, geometry=geometry)
 
     return on_step
 
@@ -107,13 +107,14 @@ def cmd_solve(args) -> int:
 
     vtk_path = args.vtk or run_cfg.output.get("vtk")
     cadence = int(run_cfg.output.get("cadence", 0))
+    geometry = VtkGeometry(mesh)  # formatted at the first write, shared by all
     on_step = None
     if vtk_path and cadence > 0 and not tcfg.steady:
-        on_step = _snapshot_writer(mesh, Path(vtk_path), cadence)
+        on_step = _snapshot_writer(mesh, geometry, Path(vtk_path), cadence)
 
     result = run_transient(mesh, bc, diffusivity, source, tcfg, on_step=on_step)
     if vtk_path:
-        write_vtk(mesh, {"c": result.final}, vtk_path)
+        write_vtk(mesh, {"c": result.final}, vtk_path, geometry=geometry)
     csv_path = run_cfg.output.get("csv")
     if csv_path:
         write_step_csv(result, csv_path, tcfg.c_min, tcfg.c_max)

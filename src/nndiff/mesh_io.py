@@ -7,6 +7,8 @@ facets; their first tag is the boundary marker.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ParseError
@@ -131,26 +133,31 @@ def read_gmsh(path) -> Mesh:
 
 def write_gmsh(mesh: Mesh, path) -> None:
     """Write a Mesh as ASCII MSH 2.2 (volume cells + marked facets)."""
-    facet_type = 2 if mesh.kind == TET4 else 3
+    facet_type, facet_width = (2, 3) if mesh.kind == TET4 else (3, 4)
     cell_type = _GMSH_TYPE_OF_KIND[mesh.kind]
+    n_facets = len(mesh.boundary_facets)
+    n_elems = mesh.n_cells + n_facets
+    markers = mesh.boundary_markers
+    # ids are 1-based; a vertex id is exact in float64 and %d prints it whole
+    nodes = np.column_stack((np.arange(1.0, mesh.n_vertices + 1), mesh.vertices))
+    facets = np.column_stack(
+        (np.arange(1, n_facets + 1), markers, markers,
+         mesh.boundary_facets.reshape(-1, facet_width) + 1)
+    )
+    cells = np.column_stack((np.arange(n_facets + 1, n_elems + 1), mesh.cells + 1))
+    cell_width = mesh.cells.shape[1]
+    text = "".join([
+        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n",
+        f"$Nodes\n{mesh.n_vertices}\n",
+        _format_rows("%d %.17g %.17g %.17g\n", nodes),
+        "$EndNodes\n",
+        f"$Elements\n{n_elems}\n",
+        _format_rows(f"%d {facet_type} 2 %d %d" + " %d" * facet_width + "\n", facets),
+        _format_rows(f"%d {cell_type} 2 0 0" + " %d" * cell_width + "\n", cells),
+        "$EndElements\n",
+    ])
     with open(path, "w") as fh:
-        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
-        for i, (x, y, z) in enumerate(mesh.vertices, start=1):
-            fh.write(f"{i} {x:.17g} {y:.17g} {z:.17g}\n")
-        fh.write("$EndNodes\n")
-        n_elems = mesh.n_cells + len(mesh.boundary_facets)
-        fh.write(f"$Elements\n{n_elems}\n")
-        eid = 1
-        for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-            nodes = " ".join(str(v + 1) for v in facet)
-            fh.write(f"{eid} {facet_type} 2 {marker} {marker} {nodes}\n")
-            eid += 1
-        for cell in mesh.cells:
-            nodes = " ".join(str(v + 1) for v in cell)
-            fh.write(f"{eid} {cell_type} 2 0 0 {nodes}\n")
-            eid += 1
-        fh.write("$EndElements\n")
+        fh.write(text)
 
 
 def _format_rows(fmt: str, array) -> str:
@@ -159,12 +166,50 @@ def _format_rows(fmt: str, array) -> str:
     return (fmt * len(array)) % tuple(array.ravel().tolist())
 
 
-def write_vtk(mesh: Mesh, nodal_fields, path, title: str = "nndiff output") -> None:
+class VtkGeometry:
+    """The header, POINTS, CELLS and CELL_TYPES block of a mesh's VTK files.
+
+    ``text`` is formatted at its first use and kept, so a run that writes
+    several fields of one mesh formats its geometry once.
+    """
+
+    def __init__(self, mesh: Mesh, title: str = "nndiff output"):
+        self.mesh = mesh
+        self.title = title
+
+    @cached_property
+    def text(self) -> str:
+        mesh = self.mesh
+        width = mesh.cells.shape[1]
+        return "".join([
+            "# vtk DataFile Version 3.0\n",
+            f"{self.title}\n",
+            "ASCII\n",
+            "DATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {mesh.n_vertices} double\n",
+            _format_rows("%.17g %.17g %.17g\n", mesh.vertices),
+            f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n",
+            _format_rows(f"{width}" + " %d" * width + "\n", mesh.cells),
+            f"CELL_TYPES {mesh.n_cells}\n",
+            f"{_VTK_CELL_TYPE[mesh.kind]}\n" * mesh.n_cells,
+        ])
+
+
+def write_vtk(
+    mesh: Mesh, nodal_fields, path, title: str = "nndiff output",
+    geometry: VtkGeometry | None = None,
+) -> None:
     """Write a legacy ASCII VTK unstructured grid with point scalars.
 
     ``nodal_fields`` maps field names to per-vertex arrays.  Output is
     formatted with %.17g, so identical inputs produce identical files.
+    ``geometry``, built once for ``mesh`` and ``title``, lets repeated
+    writes share the formatted mesh block.
     """
+    if geometry is None:
+        geometry = VtkGeometry(mesh, title)
+    elif geometry.mesh is not mesh or geometry.title != title:
+        raise ValueError("geometry was built for another mesh or title")
     nodal_fields = dict(nodal_fields or {})
     for name, values in nodal_fields.items():
         if len(values) != mesh.n_vertices:
@@ -172,19 +217,7 @@ def write_vtk(mesh: Mesh, nodal_fields, path, title: str = "nndiff output") -> N
                 f"field {name!r} has {len(values)} values for "
                 f"{mesh.n_vertices} vertices"
             )
-    width = mesh.cells.shape[1]
-    parts = [
-        "# vtk DataFile Version 3.0\n",
-        f"{title}\n",
-        "ASCII\n",
-        "DATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {mesh.n_vertices} double\n",
-        _format_rows("%.17g %.17g %.17g\n", mesh.vertices),
-        f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n",
-        _format_rows(f"{width}" + " %d" * width + "\n", mesh.cells),
-        f"CELL_TYPES {mesh.n_cells}\n",
-        f"{_VTK_CELL_TYPE[mesh.kind]}\n" * mesh.n_cells,
-    ]
+    parts = [geometry.text]
     if nodal_fields:
         parts.append(f"POINT_DATA {mesh.n_vertices}\n")
         for name, values in nodal_fields.items():

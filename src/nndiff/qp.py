@@ -10,7 +10,9 @@ an exhaustive active-set oracle for small dimensions.  Feasibility is maintained
 componentwise clamping, so every iterate satisfies the bounds.
 
 All linear algebra runs through the instrumented kernels in
-:mod:`nndiff.sparse`; each solve owns its ledger.
+:mod:`nndiff.sparse`; each solve owns its ledger.  Every evaluated point
+pays for one H c: the solvers form the product once and pass it to both
+``objective`` and ``gradient`` (TAO's objective-and-gradient evaluation).
 """
 
 from __future__ import annotations
@@ -93,13 +95,16 @@ class QpProblem:
         return bool(np.any(np.isfinite(self.lower)) or np.any(np.isfinite(self.upper)))
 
 
-def objective(problem: QpProblem, c, ledger: OpLedger | None = None) -> float:
-    hc = spmv(problem.hessian, c, ledger)
+def objective(problem: QpProblem, c, ledger: OpLedger | None = None, hc=None) -> float:
+    """1/2 c'Hc + c'q; ``hc`` is H c when the caller has formed it already."""
+    if hc is None:
+        hc = spmv(problem.hessian, c, ledger)
     return 0.5 * dot(c, hc, ledger) + dot(c, problem.linear, ledger)
 
 
-def gradient(problem: QpProblem, c, ledger: OpLedger | None = None) -> np.ndarray:
-    g = spmv(problem.hessian, c, ledger)
+def gradient(problem: QpProblem, c, ledger: OpLedger | None = None, hc=None) -> np.ndarray:
+    """Hc + q; a given ``hc`` (H c, formed by the caller) becomes the gradient in place."""
+    g = spmv(problem.hessian, c, ledger) if hc is None else hc
     axpy(g, 1.0, problem.linear, ledger)
     return g
 
@@ -176,11 +181,12 @@ def solve_blmvm(
     c = _start_point(problem, x0, ledger)
     if problem.n == 0:
         return c, finish("converged", 0)
-    g = gradient(problem, c, ledger)
+    hc = spmv(problem.hessian, c, ledger)
+    fc = objective(problem, c, ledger, hc)
+    g = gradient(problem, c, ledger, hc)
     pg = projected_gradient(g, c, lo, hi, ledger)
     pg_norm = norm2(pg, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
-    fc = objective(problem, c, ledger)
     pairs: list = []
     outer = 0
     status = "max-iter"
@@ -211,7 +217,8 @@ def solve_blmvm(
             step = vec_copy(c_new, ledger)
             axpy(step, -1.0, c, ledger)
             g_step = dot(g, step, ledger)
-            f_new = objective(problem, c_new, ledger)
+            hc_new = spmv(problem.hessian, c_new, ledger)
+            f_new = objective(problem, c_new, ledger, hc_new)
             if g_step < 0.0 and f_new <= fc + ARMIJO * g_step + noise:
                 accepted = True
                 break
@@ -223,7 +230,7 @@ def solve_blmvm(
             status = "breakdown"
             break
 
-        g_new = gradient(problem, c_new, ledger)
+        g_new = gradient(problem, c_new, ledger, hc_new)
         pg_new = projected_gradient(g_new, c_new, lo, hi, ledger)
         y = vec_copy(pg_new, ledger)
         axpy(y, -1.0, pg, ledger)
@@ -276,14 +283,15 @@ def solve_tron(
     c = _start_point(problem, x0, ledger)
     if n == 0:
         return c, finish("converged", 0)
-    g = gradient(problem, c, ledger)
+    hc = spmv(h, c, ledger)
+    fc = objective(problem, c, ledger, hc)
+    g = gradient(problem, c, ledger, hc)
     pg = projected_gradient(g, c, lo, hi, ledger)
     pg_norm = norm2(pg, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     delta = norm2(g, ledger)
     if delta == 0.0:
         delta = 1.0
-    fc = objective(problem, c, ledger)
     outer = 0
     inner_total = 0
     status = "max-iter"
@@ -321,7 +329,8 @@ def solve_tron(
         gs = dot(g, s, ledger)
         hs = spmv(h, s, ledger)
         predicted = -(gs + 0.5 * dot(s, hs, ledger))
-        f_trial = objective(problem, c_trial, ledger)
+        hc_trial = spmv(h, c_trial, ledger)
+        f_trial = objective(problem, c_trial, ledger, hc_trial)
         actual = fc - f_trial
         if predicted <= 0.0:
             delta *= TRON_SHRINK
@@ -340,7 +349,7 @@ def solve_tron(
         if ratio > TRON_ACCEPT_RATIO:
             c = c_trial
             fc = f_trial
-            g = gradient(problem, c, ledger)
+            g = gradient(problem, c, ledger, hc_trial)
             pg = projected_gradient(g, c, lo, hi, ledger)
             pg_norm = norm2(pg, ledger)
             if monitor is not None:
@@ -427,13 +436,18 @@ class KktCertificate:
 
 
 def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
-    """First-order optimality: |g| small at interior points, signed at bounds."""
+    """First-order optimality: |g| small at interior points, signed at bounds.
+
+    A variable pinned at lower == upper takes a multiplier of either sign,
+    so only its feasibility is checked.
+    """
     g = problem.hessian.matvec_raw(c) + problem.linear
     lo, hi = problem.lower, problem.upper
     viol = 0.0
     at_lower = c <= lo
     at_upper = c >= hi
     interior = ~(at_lower | at_upper)
+    at_lower, at_upper = at_lower & ~at_upper, at_upper & ~at_lower
     if np.any(interior):
         viol = max(viol, float(np.abs(g[interior]).max()))
     if np.any(at_lower):

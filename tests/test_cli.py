@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import nndiff.cli
+import nndiff.mesh_io
 from nndiff.cli import main
 from nndiff.mesh import boundary_faces, generate_box
-from nndiff.mesh_io import read_gmsh, write_gmsh
+from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
 from nndiff.qp import QpProblem, brute_force_qp
 from nndiff.sparse import CsrMatrix, write_matrix_market
 
@@ -217,6 +219,41 @@ class TestSolve:
         assert not (tmp_path / "t_0001.vtk").exists()
         lines = (tmp_path / "steps.csv").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_snapshots_match_standalone_writer_geometry_formatted_once(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tmp_path / "trans.toml"
+        cfg.write_text(
+            HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "blmvm"')
+            + "\n[transient]\ndt = 0.02\nn_steps = 4\n"
+            + f'\n[output]\nvtk = "{tmp_path / "t.vtk"}"\ncadence = 2\n'
+        )
+        runs, formats = [], []
+        run, format_rows = nndiff.cli.run_transient, nndiff.mesh_io._format_rows
+
+        def spy_run(mesh, *args, **kwargs):
+            runs.append((mesh, run(mesh, *args, **kwargs)))
+            return runs[-1][1]
+
+        def spy_format(fmt, array):
+            formats.append(fmt)
+            return format_rows(fmt, array)
+
+        monkeypatch.setattr(nndiff.cli, "run_transient", spy_run)
+        monkeypatch.setattr(nndiff.mesh_io, "_format_rows", spy_format)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert formats.count("%.17g %.17g %.17g\n") == 1  # POINTS, once per run
+        assert formats.count("%.17g\n") == 3  # one field per file
+
+        (mesh, result), = runs
+        monkeypatch.undo()
+        written = {"t_0002.vtk": result.fields[2], "t_0004.vtk": result.fields[4],
+                   "t.vtk": result.final}
+        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == sorted(written)
+        for name, field in written.items():
+            write_vtk(mesh, {"c": field}, tmp_path / "ref.vtk")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
 
 class TestCompare:

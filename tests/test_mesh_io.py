@@ -3,7 +3,7 @@ import pytest
 
 from nndiff.errors import ParseError
 from nndiff.mesh import Mesh, cell_volumes, generate_box, generate_cube_with_hole
-from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
+from nndiff.mesh_io import VtkGeometry, read_gmsh, write_gmsh, write_vtk
 
 SINGLE_TET_MSH = """$MeshFormat
 2.2 0 8
@@ -24,6 +24,52 @@ $Elements
 5 4 2 0 1 1 2 3 4
 $EndElements
 """
+
+
+def reference_write_gmsh(mesh, path):
+    """The line-by-line MSH writer that ``write_gmsh`` must match byte for byte."""
+    facet_type = 2 if mesh.kind == "tet4" else 3
+    cell_type = {"tet4": 4, "hex8": 5}[mesh.kind]
+    with open(path, "w") as fh:
+        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
+        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
+        for i, (x, y, z) in enumerate(mesh.vertices, start=1):
+            fh.write(f"{i} {x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write("$EndNodes\n")
+        n_elems = mesh.n_cells + len(mesh.boundary_facets)
+        fh.write(f"$Elements\n{n_elems}\n")
+        eid = 1
+        for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
+            nodes = " ".join(str(v + 1) for v in facet)
+            fh.write(f"{eid} {facet_type} 2 {marker} {marker} {nodes}\n")
+            eid += 1
+        for cell in mesh.cells:
+            nodes = " ".join(str(v + 1) for v in cell)
+            fh.write(f"{eid} {cell_type} 2 0 0 {nodes}\n")
+            eid += 1
+        fh.write("$EndElements\n")
+
+
+def jittered(mesh, seed=7):
+    """``mesh`` with coordinates that need all 17 digits."""
+    rng = np.random.default_rng(seed)
+    return Mesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape),
+                mesh.cells, mesh.kind, mesh.boundary_facets, mesh.boundary_markers)
+
+
+class TestWriteGmsh:
+    @pytest.mark.parametrize("mesh", [
+        jittered(generate_box(3, 2, 2, "tet4")),
+        jittered(generate_box(2, 2, 3, "hex8")),
+        generate_cube_with_hole(9, "tet4"),
+        generate_cube_with_hole(9, "hex8"),
+        Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-0.0, 1e-300, 1 / 3]], [[0, 1, 2, 3]],
+             "tet4", np.zeros((0, 3)), []),
+    ], ids=["box-tet4", "box-hex8", "hole-tet4", "hole-hex8", "no-facets"])
+    def test_bytes_match_reference_writer(self, mesh, tmp_path):
+        write_gmsh(mesh, tmp_path / "new.msh")
+        reference_write_gmsh(mesh, tmp_path / "ref.msh")
+        assert (tmp_path / "new.msh").read_bytes() == (tmp_path / "ref.msh").read_bytes()
 
 
 class TestReadGmsh:
@@ -176,6 +222,22 @@ class TestWriteVtk:
         write_vtk(mesh, fields, tmp_path / "new.vtk", title="t")
         reference_write_vtk(mesh, fields, tmp_path / "ref.vtk", title="t")
         assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+    def test_shared_geometry_writes_the_same_bytes(self, tmp_path):
+        mesh = jittered(generate_box(2, 3, 2, "hex8"))
+        geometry = VtkGeometry(mesh, title="t")
+        for k in range(3):
+            field = {"c": np.linspace(-1.0, 1.0, mesh.n_vertices) ** (k + 1)}
+            write_vtk(mesh, field, tmp_path / "shared.vtk", title="t", geometry=geometry)
+            reference_write_vtk(mesh, field, tmp_path / "ref.vtk", title="t")
+            assert (tmp_path / "shared.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+    def test_geometry_of_another_mesh_or_title_rejected(self, tmp_path):
+        mesh = generate_box(1, 1, 1, "tet4")
+        with pytest.raises(ValueError, match="another mesh"):
+            write_vtk(mesh, {}, tmp_path / "x.vtk", geometry=VtkGeometry(generate_box(1, 1, 1)))
+        with pytest.raises(ValueError, match="title"):
+            write_vtk(mesh, {}, tmp_path / "x.vtk", geometry=VtkGeometry(mesh, "other"))
 
     def test_hex_cell_type_12(self, tmp_path):
         m = generate_box(1, 1, 1, "hex8")

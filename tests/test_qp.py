@@ -1,9 +1,13 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nndiff.sparse import CsrMatrix, OpLedger, cg_solve, norm2
+import nndiff.qp as qp
+from nndiff.sparse import CsrMatrix, OpLedger, cg_solve, norm2, spmv
 from nndiff.qp import (
     QpProblem,
     brute_force_qp,
@@ -264,6 +268,13 @@ class TestSolverProperties:
                 cert = kkt_check(p, c, tol_abs * 10)
                 assert cert.ok, (solver.__name__, cert)
 
+    def test_kkt_pinned_variable_takes_either_sign(self):
+        # lower == upper: the bound's multiplier may have either sign
+        p = QpProblem(CsrMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]]), [0.25, -1.0],
+                      lower=[-0.0, -1.0], upper=[0.0, 2.0])
+        assert kkt_check(p, np.array([0.0, 1.0]), 1e-12).ok
+        assert not kkt_check(p, np.array([0.0, 0.5]), 1e-12).ok
+
     def test_unconstrained_reduction_both_solvers(self):
         rng = np.random.default_rng(71)
         a = rng.standard_normal((20, 20))
@@ -291,3 +302,58 @@ class TestSolverProperties:
         _, rep = solve_blmvm(p, ledger=ledger)
         assert rep.flops > 0 and rep.bytes > 0
         assert ledger.flops > rep.flops
+
+
+@st.composite
+def spd_box_qps(draw):
+    """A random SPD box QP with n <= 8, finite bounds that may pin a variable."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    h = a.T @ a + draw(st.sampled_from([0.01, 1.0, n])) * np.eye(n)
+    lower = -rng.random(n) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    upper = lower + rng.random(n) * draw(st.sampled_from([0.0, 1.0, 4.0]))
+    return QpProblem(CsrMatrix.from_dense(h), rng.standard_normal(n) * 2.0, lower, upper)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestOneProductPerPoint:
+    """One H c pays for the objective and the gradient at every evaluated point."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(spd_box_qps())
+    def test_blmvm_spmv_calls_equal_objective_evaluations(self, p):
+        ledger = OpLedger()
+        with mock.patch.object(qp, "objective", wraps=qp.objective) as obj, \
+                mock.patch.object(qp, "gradient", wraps=qp.gradient) as grad:
+            _, rep = solve_blmvm(p, ledger=ledger)
+        # one objective at x0 plus one per trial point; a gradient at x0 and
+        # at each accepted point
+        assert ledger.breakdown()["spmv"].calls == obj.call_count
+        assert grad.call_count == rep.iterations + 1
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(spd_box_qps(), st.data())
+    def test_given_product_gives_the_same_bits(self, p, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        c = project(np.random.default_rng(seed).standard_normal(p.n) * 2.0, p.lower, p.upper)
+        ledger = OpLedger()
+        hc = spmv(p.hessian, c)
+        assert bits(objective(p, c, ledger, hc)) == bits(objective(p, c))
+        assert bits(gradient(p, c, ledger, hc)) == bits(gradient(p, c))
+        assert "spmv" not in ledger.breakdown()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(spd_box_qps())
+    def test_iterates_pass_kkt_and_match_brute_force(self, p):
+        c_bf = brute_force_qp(p)
+        g0 = p.hessian.matvec_raw(project(np.zeros(p.n), p.lower, p.upper)) + p.linear
+        tol_abs = 1e-10 * np.linalg.norm(g0) + 1e-12
+        for solver in (solve_blmvm, solve_tron):
+            c, rep = solver(p, rtol=1e-10)
+            assert rep.converged, solver.__name__
+            assert kkt_check(p, c, tol_abs * 10).ok, solver.__name__
+            assert np.max(np.abs(c - c_bf)) < 1e-6, solver.__name__
