@@ -26,13 +26,9 @@ from .config import (
 )
 from .diagnostics import dmp_check
 from .errors import (
-    AssemblyError,
     ConfigError,
     FactorizationError,
-    MeshError,
     NndiffError,
-    ParseError,
-    SingularTensorError,
     SolverBreakdownError,
     SolverFailure,
 )
@@ -46,11 +42,9 @@ from .transient import write_step_csv
 
 logger = logging.getLogger("nndiff")
 
-_CONFIG_ERRORS = (
-    ConfigError, ParseError, MeshError, AssemblyError, SingularTensorError,
-    FileNotFoundError, ValueError,
-)
 _SOLVER_ERRORS = (SolverFailure, SolverBreakdownError, FactorizationError)
+# every other package error is an input error; main catches the solver errors first
+_INPUT_ERRORS = (NndiffError, OSError, ValueError)
 
 DEFAULT_COMPARE_SOLVERS = ["galerkin", "tron:1e-1", "tron:1e-2", "tron:1e-3", "blmvm"]
 
@@ -68,14 +62,13 @@ def _setup_logging() -> None:
 # solve
 # ---------------------------------------------------------------------------
 
-def _build_problem(args):
-    run_cfg = RunConfig.from_file(args.config)
-    base_dir = Path(args.config).parent
+def _build_problem(run_cfg, config_path):
+    base_dir = Path(config_path).parent
     mesh = build_mesh(run_cfg.mesh, base_dir)
     diffusivity = build_diffusivity(run_cfg.physics, mesh, base_dir)
     bc = build_bc(run_cfg.bc)
     source = run_cfg.physics.get("source", 0.0)
-    return run_cfg, mesh, diffusivity, bc, source
+    return mesh, diffusivity, bc, source
 
 
 def _snapshot_writer(mesh, geometry, path_pattern, cadence):
@@ -102,8 +95,11 @@ def _summarize(result, tcfg, envelope):
 
 
 def cmd_solve(args) -> int:
-    run_cfg, mesh, diffusivity, bc, source = _build_problem(args)
+    run_cfg = RunConfig.from_file(args.config)
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
+    if args.inner_rtol is not None and tcfg.solver != "tron":
+        raise ConfigError(f"--inner-rtol sets tron's inner CG; {tcfg.solver} has none")
+    mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
 
     vtk_path = args.vtk or run_cfg.output.get("vtk")
     cadence = int(run_cfg.output.get("cadence", 0))
@@ -170,30 +166,31 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
-    run_cfg, mesh, diffusivity, bc, source = _build_problem(args)
-    solvers = (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)
+    run_cfg = RunConfig.from_file(args.config)
+    solvers = [str(s) for s in (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)]
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
+    tcfgs = [build_transient_config(run_cfg, s, args.rtol, args.inner_rtol) for s in solvers]
+    mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
 
     columns = []
     ai_by_name = {}
     any_failed = False
-    for spec in solvers:
-        tcfg = build_transient_config(run_cfg, str(spec), args.rtol, args.inner_rtol)
+    for spec, tcfg in zip(solvers, tcfgs):
         try:
             result = run_transient(mesh, bc, diffusivity, source, tcfg)
         except (NndiffError, ValueError) as exc:
             logger.error("solver %s failed: %s", spec, exc)
-            columns.append({"name": str(spec), "failed": True})
+            columns.append({"name": spec, "failed": True})
             any_failed = True
             continue
         dmp, outer, inner, ai, eff = _summarize(result, tcfg, envelope)
         ai = float("nan") if ai is None else ai
-        ai_by_name[str(spec)] = ai
+        ai_by_name[spec] = ai
         columns.append(
             {
-                "name": str(spec),
+                "name": spec,
                 "failed": False,
                 "min": dmp.min_value,
                 "max": dmp.max_value,
@@ -409,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--rtol", type=float, help="override solver rtol")
-    common.add_argument("--inner-rtol", type=float, help="override inner CG rtol")
+    common.add_argument("--inner-rtol", type=float,
+                        help="override tron's inner CG rtol (solve: tron only)")
     common.add_argument("--report", help="override report output path")
 
     p_solve = sub.add_parser("solve", parents=[common], help="run one configured solve")
@@ -452,7 +450,7 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except _CONFIG_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from .fem import DiffusivityField, DispersionParams
 from .mesh import BoundarySpec, Mesh, generate_box, generate_cube_with_hole, refine_uniform
 from .mesh_io import read_gmsh
 from .perf import PerfEnvelope
-from .transient import SOLVER_CHOICES, TransientConfig
+from .transient import TransientConfig
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -222,30 +222,19 @@ def build_bc(cfg: dict) -> BoundarySpec:
 def build_transient_config(run: RunConfig, solver_override: str | None = None,
                            rtol: float | None = None,
                            inner_rtol: float | None = None) -> TransientConfig:
-    solver_cfg = run.solver
-    choice = solver_override or solver_cfg.get("choice", "galerkin")
-    inner = inner_rtol if inner_rtol is not None else solver_cfg.get("inner_rtol", 1e-2)
-    if ":" in str(choice):
-        name, _, tail = str(choice).partition(":")
-        choice = name
-        inner = float(tail)
-    if choice not in SOLVER_CHOICES:
-        raise ConfigError(f"unknown solver {choice!r}; use {SOLVER_CHOICES}")
-    bounds = run.bounds
-    transient = run.transient
-    return TransientConfig(
-        dt=float(transient["dt"]) if transient and "dt" in transient else 1.0,
-        n_steps=int(transient.get("n_steps", 1)) if transient else 1,
-        steady=transient is None,
-        c_min=float(bounds.get("c_min", 0.0)),
-        c_max=float(bounds.get("c_max", 1.0)),
-        initial_value=float(transient.get("initial_value", 1e-8)) if transient else 1e-8,
-        solver=choice,
-        rtol=float(rtol if rtol is not None else solver_cfg.get("rtol", 1e-6)),
-        inner_rtol=float(inner),
-        max_iter=solver_cfg.get("max_iter"),
-        precond=solver_cfg.get("precond"),
-    )
+    """:class:`TransientConfig` of the [solver], [transient] and [bounds] keys
+    present (its field names; ``choice`` is ``solver``) and the overrides.  A
+    solver spec ``name:inner_rtol`` such as ``tron:1e-3`` sets both."""
+    settings = {**run.solver, **(run.transient or {}), **run.bounds}
+    choice = settings.pop("choice", "galerkin")
+    settings["solver"], colon, tail = str(solver_override or choice).partition(":")
+    if rtol is not None:
+        settings["rtol"] = rtol
+    if inner_rtol is not None:
+        settings["inner_rtol"] = inner_rtol
+    if colon:
+        settings["inner_rtol"] = float(tail)
+    return TransientConfig(steady=run.transient is None, **settings)
 
 
 def build_envelope(run: RunConfig) -> PerfEnvelope | None:

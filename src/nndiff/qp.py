@@ -90,10 +90,6 @@ class QpProblem:
     def n(self) -> int:
         return self.hessian.n
 
-    @property
-    def bounded(self) -> bool:
-        return bool(np.any(np.isfinite(self.lower)) or np.any(np.isfinite(self.upper)))
-
 
 def objective(problem: QpProblem, c, ledger: OpLedger | None = None, hc=None) -> float:
     """1/2 c'Hc + c'q; ``hc`` is H c when the caller has formed it already."""

@@ -34,16 +34,11 @@ from __future__ import annotations
 import io
 import re
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import io as _scipy_io
-from scipy.sparse import SparseEfficiencyWarning
-from scipy.sparse import csc_array as _scipy_csc
 from scipy.sparse import csr_matrix as _scipy_csr
-from scipy.sparse import diags_array as _scipy_diags
-from scipy.sparse import eye_array as _scipy_eye
 from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .errors import (
@@ -483,49 +478,41 @@ def ilu0_factor(a: CsrMatrix) -> tuple[np.ndarray, int]:
     return val, len(step) + 2 * len(target)
 
 
-def _gstrs_operands(lower: _scipy_csc, upper: _scipy_csc) -> tuple:
-    """(N, nnz, data, indices, indptr) of both CSC factors, as ``gstrs`` takes them."""
-    return tuple(
-        x for f in (lower, upper)
-        for x in (f.shape[0], f.nnz, f.data, f.indices.astype(np.intc),
-                  f.indptr.astype(np.intc))
-    )
-
-
 class Ilu0Preconditioner:
     """Incomplete LU with zero fill: factors confined to the pattern of A.
 
     The factorization is :func:`ilu0_factor`: level-scheduled, with the
     operations of a row-by-row loop in the same order, so bit-identical to
     it.  ``apply`` is a forward solve with unit-diagonal L and a backward
-    solve with U.  ``scipy.sparse.linalg.spsolve_triangular`` would
-    transpose each CSR factor to CSC, set L's diagonal to one, scale U's
-    columns by its inverse diagonal and sum duplicates on every call; that
-    set-up is done once here, and each apply is two calls to SuperLU's
-    ``gstrs``, so its result is bit-identical to ``spsolve_triangular``'s.
+    solve with U: two calls to SuperLU's ``gstrs`` on the operands that
+    ``scipy.sparse.linalg.spsolve_triangular`` builds on every call, so its
+    result is bit-identical to ``spsolve_triangular``'s.  The factors sit in
+    A's sorted CSR pattern, diagonal included, and CSR arrays are those of
+    the CSC transpose that ``gstrs`` solves, so each operand is one mask.
     """
 
     def __init__(self, a: CsrMatrix, ledger: OpLedger | None = None):
         val, flops = ilu0_factor(a)
         n, cols, row_idx = a.n, a.col_indices, a._row_index()
-        lower = cols < row_idx
-        upper = ~lower
+        on_diag = cols == row_idx
         self.n = n
         self.nnz = a.nnz
-        # spsolve_triangular's operands for L (lower, unit diagonal) and U
-        # (upper), each CSR factor solved as its CSC transpose
-        l_t = _scipy_csr((val[lower], (row_idx[lower], cols[lower])), shape=(n, n)).T
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SparseEfficiencyWarning)
-            l_t.setdiag(1)
-        l_t.sum_duplicates()
-        l_t.setdiag(0)
-        self._l_solve = _gstrs_operands(_scipy_eye(n, format="csc"), l_t)
-        u_t = _scipy_csr((val[upper], (row_idx[upper], cols[upper])), shape=(n, n)).T
-        self._inv_diag = 1 / u_t.diagonal()
-        u_t = (u_t.T @ _scipy_diags(self._inv_diag)).T
-        u_t.sum_duplicates()
-        self._u_solve = _gstrs_operands(u_t, _scipy_csc((n, n)))
+        self._inv_diag = 1 / val[on_diag]
+
+        def operand(mask, values):
+            """(N, nnz, data, indices, indptr) of the masked entries, as ``gstrs`` takes them."""
+            indptr = np.zeros(n + 1, dtype=np.intc)
+            np.cumsum(np.bincount(row_idx[mask], minlength=n), out=indptr[1:])
+            return n, len(values), values, cols[mask].astype(np.intc), indptr
+
+        # L: the identity in gstrs's L slot, L with its unit diagonal stored as
+        # 0 in the U slot.  U: U times its inverse diagonal in the L slot,
+        # without the zeros that scipy's product with the diagonal drops.
+        lower, l_val = cols <= row_idx, np.where(on_diag, 0.0, val)
+        self._l_solve = operand(on_diag, np.ones(n)) + operand(lower, l_val[lower])
+        u_val = val * self._inv_diag[cols]
+        upper = (cols >= row_idx) & (u_val != 0)
+        self._u_solve = operand(upper, u_val[upper]) + operand(np.zeros_like(upper), np.empty(0))
         if ledger is not None:
             ledger.record(
                 "ilu0_setup",
@@ -550,14 +537,18 @@ class Ilu0Preconditioner:
         return z * self._inv_diag
 
 
-def make_preconditioner(a: CsrMatrix, name: str, ledger: OpLedger | None = None):
-    if name in (None, "none"):
-        return IdentityPreconditioner()
+PRECONDITIONERS = ("none", "jacobi", "ilu0")
+
+
+def make_preconditioner(a: CsrMatrix, name: str | None, ledger: OpLedger | None = None):
+    """The preconditioner named in :data:`PRECONDITIONERS`; None means "none"."""
+    if name not in (None, *PRECONDITIONERS):
+        raise ValueError(f"unknown preconditioner {name!r}; use {PRECONDITIONERS}")
     if name == "jacobi":
         return JacobiPreconditioner(a, ledger)
     if name == "ilu0":
         return Ilu0Preconditioner(a, ledger)
-    raise ValueError(f"unknown preconditioner: {name!r}")
+    return IdentityPreconditioner()
 
 
 # ---------------------------------------------------------------------------

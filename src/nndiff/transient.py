@@ -28,7 +28,8 @@ from .fem import (
 )
 from .mesh import BoundarySpec, Mesh
 from .qp import QpProblem, project, solve_blmvm, solve_tron
-from .sparse import CsrMatrix, OpLedger, add_scaled, cg_solve, make_preconditioner, spmv
+from .sparse import (PRECONDITIONERS, CsrMatrix, OpLedger, add_scaled, cg_solve,
+                     make_preconditioner, spmv)
 
 SOLVER_CHOICES = ("galerkin", "tron", "blmvm")
 
@@ -54,8 +55,13 @@ class TransientConfig:
     precond: str | None = None  # galerkin/inner CG; None picks per-solver default
 
     def __post_init__(self):
+        # stored as floats, so an integer initial value still gives a float field
+        for name in ("dt", "c_min", "c_max", "initial_value", "rtol", "inner_rtol"):
+            setattr(self, name, float(getattr(self, name)))
         if self.solver not in SOLVER_CHOICES:
             raise ConfigError(f"unknown solver {self.solver!r}; use {SOLVER_CHOICES}")
+        if self.precond is not None and self.precond not in PRECONDITIONERS:
+            raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
         if not self.steady:
             if self.dt <= 0.0:
                 raise ConfigError("dt must be positive")
@@ -134,7 +140,7 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
         x, report = solve_tron(
             problem, rtol=config.rtol, inner_rtol=config.inner_rtol,
             max_outer=config.max_iter or 500,
-            x0=x0, precond=precond or "jacobi", atol=atol, ledger=ledger,
+            x0=x0, precond=precond, atol=atol, ledger=ledger,
         )
     else:
         x, report = solve_blmvm(

@@ -7,6 +7,7 @@ import pytest
 
 import nndiff.cli
 import nndiff.mesh_io
+import nndiff.transient
 from nndiff.cli import main
 from nndiff.mesh import boundary_faces, generate_box
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
@@ -159,6 +160,42 @@ class TestSolve:
         for key in ("solver", "steps", "outer_iterations", "inner_iterations",
                     "dmp", "flops", "bytes", "ai"):
             assert da[key] == db[key], key
+
+    @pytest.mark.parametrize("solver", ["galerkin", "blmvm"])
+    def test_inner_rtol_without_tron_exit_1(self, hole_config, solver, capsys):
+        argv = ["solve", "--config", str(hole_config), "--solver", solver, "--inner-rtol", "1e-3"]
+        assert main(argv) == 1
+        assert "--inner-rtol" in capsys.readouterr().err
+
+    def test_inner_rtol_sets_tron_inner_tolerance(self, hole_config, tmp_path):
+        reports = []
+        for tag, extra in (("flag", ["--solver", "tron", "--inner-rtol", "1e-3"]),
+                           ("spec", ["--solver", "tron:1e-3"]),
+                           ("default", ["--solver", "tron"])):
+            path = tmp_path / f"{tag}.json"
+            argv = ["solve", "--config", str(hole_config), "--report", str(path), *extra]
+            assert main(argv) == 0
+            reports.append(json.loads(path.read_text()))
+        flag, spec, default = ((r["outer_iterations"], r["inner_iterations"], r["flops"])
+                               for r in reports)
+        assert flag == spec != default
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "galerkin"],
+        ["solve", "--solver", "tron"],
+        ["solve", "--solver", "blmvm"],
+        ["compare"],
+    ])
+    def test_unknown_precond_exit_1_before_assembly(self, argv, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu9"'))
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("assembled before the config was checked")
+
+        monkeypatch.setattr(nndiff.transient, "assemble", assemble)
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert "unknown preconditioner 'ilu9'" in capsys.readouterr().err
 
     def test_conflicting_marker_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.toml"
@@ -378,6 +415,23 @@ class TestUsageErrors:
     ])
     def test_removed_flags_exit_1(self, hole_config, argv):
         assert main([*argv, "--config", str(hole_config)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["qp", "--random-dim", "3", "--lower", "1", "--upper", "0"],  # DimensionError
+        ["perf-report", "--kernels", "REPORT", "--tpp", "0", "--bw", "1e9"],  # PerfModelError
+        ["perf-report", "--kernels", "NO_BYTES", "--tpp", "1e9", "--bw", "1e9"],
+        ["solve", "--config", "DIR"],  # IsADirectoryError
+        ["solve", "--config", "CONFIG", "--solver", "tron:"],  # ValueError
+    ])
+    def test_input_errors_print_one_line(self, argv, hole_config, tmp_path, capsys):
+        paths = {"REPORT": tmp_path / "report.json", "NO_BYTES": tmp_path / "no_bytes.json",
+                 "DIR": tmp_path, "CONFIG": hole_config}
+        paths["REPORT"].write_text(json.dumps({"flops": 100, "bytes": 800, "wall_time_s": 0.5}))
+        paths["NO_BYTES"].write_text(json.dumps({"flops": 100, "bytes": 0, "wall_time_s": 0.5}))
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
     def test_help_and_version_exit_0(self, argv, capsys):

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
 import re
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,17 @@ class TestBuilders:
         assert tcfg.solver == "tron"
         assert tcfg.inner_rtol == 1e-3
 
+    def test_inner_rtol_flag_for_a_plain_tron_spec(self):
+        run = RunConfig.from_raw(parse_config_text(MINIMAL))
+        assert build_transient_config(run, "tron", inner_rtol=1e-3).inner_rtol == 1e-3
+        # the spec's own tolerance wins, as in compare's "tron:1e-1" column
+        assert build_transient_config(run, "tron:1e-1", inner_rtol=1e-3).inner_rtol == 0.1
+
+    def test_unknown_precond(self):
+        run = RunConfig.from_raw(parse_config_text(MINIMAL + '\n[solver]\nprecond = "ilu9"\n'))
+        with pytest.raises(ConfigError, match="unknown preconditioner 'ilu9'"):
+            build_transient_config(run, "blmvm")
+
     def test_transient_section(self):
         text = MINIMAL + "\n[transient]\ndt = 0.2\nn_steps = 10\n"
         run = RunConfig.from_raw(parse_config_text(text))
@@ -237,3 +252,65 @@ class TestBundledConfigs:
             build_bc(run.bc)
             build_transient_config(run)
             assert build_envelope(run) is not None, name
+
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIG_DIR = files("nndiff") / "configs"
+# the settings build_transient_config gave when it still restated
+# TransientConfig's defaults; each config below lists its differences
+DEFAULT_SETTINGS = {
+    "dt": 1.0, "n_steps": 1, "steady": True, "c_min": 0.0, "c_max": 1.0,
+    "initial_value": 1e-8, "solver": "galerkin", "rtol": 1e-6, "inner_rtol": 1e-2,
+    "max_iter": None, "precond": None,
+}
+TRON = {"solver": "tron", "precond": "jacobi"}
+COMPARE_SPECS = {
+    "galerkin": {},
+    "tron:1e-1": {"solver": "tron", "inner_rtol": 0.1},
+    "tron:1e-2": {"solver": "tron", "inner_rtol": 0.01},
+    "tron:1e-3": {"solver": "tron", "inner_rtol": 0.001},
+    "blmvm": {"solver": "blmvm"},
+}
+EXPECTED_SETTINGS = {
+    "cube_hole_blmvm.toml": {"solver": "blmvm"},
+    "cube_hole_compare_n9.toml": {},
+    "cube_hole_compare_n18.toml": {},
+    "cube_hole_compare_n36.toml": {},
+    "cube_hole_galerkin.toml": {"precond": "ilu0"},
+    "cube_hole_tron.toml": TRON,
+    "steady-galerkin-ilu0-n27": {"precond": "ilu0"},
+    "steady-tron-n27": TRON,
+    "transient-blmvm-n18": {"solver": "blmvm", "steady": False, "dt": 0.02, "n_steps": 20},
+}
+
+
+def _typed(settings: dict) -> dict:
+    return {key: (value, type(value)) for key, value in settings.items()}
+
+
+def _assert_settings(tcfg, changes):
+    assert _typed(dataclasses.asdict(tcfg)) == _typed({**DEFAULT_SETTINGS, **changes})
+
+
+class TestTransientSettings:
+    """Configs build the same TransientConfig, in value and type, as before."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".toml"))
+    )
+    def test_bundled_config(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        run = RunConfig.from_raw(parse_config_text(text, name))
+        _assert_settings(build_transient_config(run), EXPECTED_SETTINGS[name])
+        for spec in (run.compare or {}).get("solvers", []):
+            _assert_settings(build_transient_config(run, spec), COMPARE_SPECS[spec])
+
+    @pytest.mark.parametrize("name", sorted(n for n in EXPECTED_SETTINGS if "." not in n))
+    def test_benchmark_workload_config(self, name, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "bench"))
+        workloads = importlib.import_module("workloads")
+        path = workloads.write_config(
+            workloads.WORKLOADS[name], workloads.velocity_for_seed(3, 1), REPO / "src", tmp_path
+        )
+        run = RunConfig.from_file(path)
+        _assert_settings(build_transient_config(run), EXPECTED_SETTINGS[name])

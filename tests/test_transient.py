@@ -77,6 +77,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="initial value"):
             TransientConfig(solver="tron", initial_value=-1.0)
 
+    def test_precond_validation(self):
+        with pytest.raises(ConfigError, match="unknown preconditioner"):
+            TransientConfig(solver="blmvm", precond="ilu9")
+
+    def test_integer_initial_value_gives_the_float_fields(self):
+        mesh = generate_box(2, 2, 2, "tet4")
+        bc = BoundarySpec(dirichlet={1: 0.5})
+        runs = [run(mesh, bc, ISO, 0.0, TransientConfig(dt=0.1, n_steps=2, initial_value=v))
+                for v in (0, 0.0)]
+        for a, b in zip(runs[0].fields, runs[1].fields, strict=True):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+
     def test_steady_skips_dt_check(self):
         cfg = TransientConfig(steady=True, dt=-1.0)
         assert cfg.steady
