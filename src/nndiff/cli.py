@@ -37,8 +37,8 @@ from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import arithmetic_intensity, efficiency, report_as_dict
 from .qp import QpProblem, kkt_check, solve_blmvm, solve_tron
 from .sparse import CsrMatrix, read_matrix_market
+from .transient import prepare, solve, write_step_csv
 from .transient import run as run_transient
-from .transient import write_step_csv
 
 logger = logging.getLogger("nndiff")
 
@@ -82,16 +82,29 @@ def _snapshot_writer(mesh, geometry, path_pattern, cadence):
     return on_step
 
 
-def _summarize(result, tcfg, envelope):
-    """(dmp report, outer and inner iteration sums, AI or None, efficiency or None)."""
+def _summary(result, tcfg, envelope) -> dict:
+    """report.json's payload for one run; compare's table and CSV read it too."""
     dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
-    outer = sum(report.iterations for report in result.reports)
-    inner = sum(report.inner_iterations for report in result.reports)
-    ai = arithmetic_intensity(result.ledger) if result.ledger.bytes > 0 else None
-    perf = None
+    summary = {
+        "solver": tcfg.solver,
+        "status": "converged",
+        "steps": len(result.reports),
+        "outer_iterations": sum(report.iterations for report in result.reports),
+        "inner_iterations": sum(report.inner_iterations for report in result.reports),
+        "dmp": {"min": dmp.min_value, "max": dmp.max_value, "n_below": dmp.n_below,
+                "n_above": dmp.n_above, "n_total": dmp.n_total,
+                "percent_violated": dmp.percent_violated},
+        "flops": result.ledger.flops,
+        "bytes": result.ledger.bytes,
+        "solver_wall_time_s": result.solver_wall_time,
+    }
+    if result.ledger.bytes > 0:
+        summary["ai"] = arithmetic_intensity(result.ledger)
     if envelope is not None and result.solver_wall_time > 0:
-        perf = efficiency(result.ledger, result.solver_wall_time, envelope)
-    return dmp, outer, inner, ai, perf
+        summary["perf"] = report_as_dict(
+            efficiency(result.ledger, result.solver_wall_time, envelope)
+        )
+    return summary
 
 
 def cmd_solve(args) -> int:
@@ -114,49 +127,27 @@ def cmd_solve(args) -> int:
     csv_path = run_cfg.output.get("csv")
     if csv_path:
         write_step_csv(result, csv_path, tcfg.c_min, tcfg.c_max)
-    dmp, outer, inner, ai, perf = _summarize(result, tcfg, build_envelope(run_cfg))
-
-    payload = {
-        "solver": tcfg.solver,
-        "status": "converged",
-        "steps": len(result.reports),
-        "outer_iterations": outer,
-        "inner_iterations": inner,
-        "dmp": {
-            "min": dmp.min_value,
-            "max": dmp.max_value,
-            "n_below": dmp.n_below,
-            "n_above": dmp.n_above,
-            "n_total": dmp.n_total,
-            "percent_violated": dmp.percent_violated,
-        },
-        "flops": result.ledger.flops,
-        "bytes": result.ledger.bytes,
-        "solver_wall_time_s": result.solver_wall_time,
-    }
-    if ai is not None:
-        payload["ai"] = ai
-    if perf is not None:
-        payload["perf"] = report_as_dict(perf)
+    summary = _summary(result, tcfg, build_envelope(run_cfg))
     report_path = args.report or run_cfg.output.get("report")
     if report_path:
         with open(report_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
 
+    dmp = summary["dmp"]
     print(
-        f"{tcfg.solver}: {len(result.reports)} solve(s), {outer} outer iterations, "
-        f"min c = {dmp.min_value:.6g}, max c = {dmp.max_value:.6g}, "
-        f"{dmp.n_violated}/{dmp.n_total} nodes outside bounds "
-        f"({dmp.percent_violated:.1f}%)"
+        f"{tcfg.solver}: {summary['steps']} solve(s), {summary['outer_iterations']} outer "
+        f"iterations, min c = {dmp['min']:.6g}, max c = {dmp['max']:.6g}, "
+        f"{dmp['n_below'] + dmp['n_above']}/{dmp['n_total']} nodes outside bounds "
+        f"({dmp['percent_violated']:.1f}%)"
     )
-    if "ai" in payload:
-        print(f"arithmetic intensity: {payload['ai']:.4f} flops/byte")
-    if "perf" in payload:
+    if "ai" in summary:
+        print(f"arithmetic intensity: {summary['ai']:.4f} flops/byte")
+    if "perf" in summary:
+        perf = summary["perf"]
         print(
-            f"efficiency: {payload['perf']['efficiency_pct']:.1f}% of "
-            f"{payload['perf']['ideal_flops_per_s']:.3e} flops/s "
-            f"({payload['perf']['bound']}-bound)"
+            f"efficiency: {perf['efficiency_pct']:.1f}% of "
+            f"{perf['ideal_flops_per_s']:.3e} flops/s ({perf['bound']}-bound)"
         )
     return 0
 
@@ -165,93 +156,69 @@ def cmd_solve(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
+# (table label, table format, CSV column, CSV format, field of the flat summary)
+_COMPARE_ROWS = [
+    ("min c", "{:.6g}", "min_c", "{:.17g}", "min"),
+    ("max c", "{:.6g}", "max_c", "{:.17g}", "max"),
+    ("% violated", "{:.1f}", "percent_violated", "{:.6g}", "percent_violated"),
+    ("outer iters", "{}", "outer", "{}", "outer_iterations"),
+    ("inner iters", "{}", "inner", "{}", "inner_iterations"),
+    ("AI", "{:.4f}", "ai", "{:.6g}", "ai"),
+    ("efficiency %", "{:.1f}", "efficiency_pct", "{:.6g}", "efficiency_pct"),
+]
+
+
+def _cell(flat: dict, key: str, fmt: str, missing: str) -> str:
+    return missing if flat.get(key) is None else fmt.format(flat[key])
+
+
 def cmd_compare(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
     solvers = [str(s) for s in (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)]
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
     tcfgs = [build_transient_config(run_cfg, s, args.rtol, args.inner_rtol) for s in solvers]
+    if args.inner_rtol is not None and not any(
+            t.solver == "tron" and ":" not in spec for spec, t in zip(solvers, tcfgs)):
+        raise ConfigError("--inner-rtol sets a plain tron entry's inner CG; [compare] has none")
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
+    # the entries differ only in solver settings, so one prepared problem serves all
+    prepared = prepare(mesh, bc, diffusivity, source, None if tcfgs[0].steady else tcfgs[0].dt)
 
-    columns = []
-    ai_by_name = {}
-    any_failed = False
+    columns = []  # (spec, the summary with dmp and perf merged in, or None if it failed)
     for spec, tcfg in zip(solvers, tcfgs):
         try:
-            result = run_transient(mesh, bc, diffusivity, source, tcfg)
+            summary = _summary(solve(prepared, tcfg), tcfg, envelope)
         except (NndiffError, ValueError) as exc:
             logger.error("solver %s failed: %s", spec, exc)
-            columns.append({"name": spec, "failed": True})
-            any_failed = True
+            columns.append((spec, None))
             continue
-        dmp, outer, inner, ai, eff = _summarize(result, tcfg, envelope)
-        ai = float("nan") if ai is None else ai
-        ai_by_name[spec] = ai
-        columns.append(
-            {
-                "name": spec,
-                "failed": False,
-                "min": dmp.min_value,
-                "max": dmp.max_value,
-                "violated_pct": dmp.percent_violated,
-                "outer": outer,
-                "inner": inner,
-                "ai": ai,
-                "efficiency_pct": eff.efficiency_pct if eff else None,
-            }
-        )
+        columns.append((spec, {**summary.get("perf", {}), **summary["dmp"], **summary}))
 
-    galerkin_ai = ai_by_name.get("galerkin")
-    blmvm_ai = ai_by_name.get("blmvm")
-    if galerkin_ai is not None and blmvm_ai is not None:
-        if galerkin_ai >= blmvm_ai:
-            logger.info(
-                "AI ordering holds: galerkin %.4f >= blmvm %.4f", galerkin_ai, blmvm_ai
-            )
+    ai = {spec: flat.get("ai", float("nan")) for spec, flat in columns if flat is not None}
+    if "galerkin" in ai and "blmvm" in ai:
+        g, b = ai["galerkin"], ai["blmvm"]
+        if g >= b:
+            logger.info("AI ordering holds: galerkin %.4f >= blmvm %.4f", g, b)
         else:
-            logger.warning(
-                "AI ordering violated: galerkin %.4f < blmvm %.4f", galerkin_ai, blmvm_ai
-            )
+            logger.warning("AI ordering violated: galerkin %.4f < blmvm %.4f", g, b)
 
-    rows = [
-        ("min c", "min", "{:.6g}"),
-        ("max c", "max", "{:.6g}"),
-        ("% violated", "violated_pct", "{:.1f}"),
-        ("outer iters", "outer", "{}"),
-        ("inner iters", "inner", "{}"),
-        ("AI", "ai", "{:.4f}"),
-        ("efficiency %", "efficiency_pct", "{:.1f}"),
-    ]
     width = 14
-    header = "metric".ljust(16) + "".join(c["name"].rjust(width) for c in columns)
-    print(header)
-    for label, key, fmt in rows:
-        cells = []
-        for c in columns:
-            if c["failed"]:
-                cells.append("FAILED".rjust(width))
-            elif c.get(key) is None:
-                cells.append("-".rjust(width))
-            else:
-                cells.append(fmt.format(c[key]).rjust(width))
-        print(label.ljust(16) + "".join(cells))
+    print("metric".ljust(16) + "".join(spec.rjust(width) for spec, _ in columns))
+    for label, fmt, _, _, key in _COMPARE_ROWS:
+        cells = ["FAILED" if flat is None else _cell(flat, key, fmt, "-") for _, flat in columns]
+        print(label.ljust(16) + "".join(cell.rjust(width) for cell in cells))
 
     report_path = args.report or run_cfg.output.get("report")
     if report_path:
         with open(report_path, "w") as fh:
-            fh.write("solver,min_c,max_c,percent_violated,outer,inner,ai,efficiency_pct\n")
-            for c in columns:
-                if c["failed"]:
-                    fh.write(f"{c['name']},FAILED,,,,,,\n")
-                else:
-                    eff_s = "" if c["efficiency_pct"] is None else f"{c['efficiency_pct']:.6g}"
-                    fh.write(
-                        f"{c['name']},{c['min']:.17g},{c['max']:.17g},"
-                        f"{c['violated_pct']:.6g},{c['outer']},{c['inner']},"
-                        f"{c['ai']:.6g},{eff_s}\n"
-                    )
-    return 2 if any_failed else 0
+            fh.write(",".join(["solver", *(row[2] for row in _COMPARE_ROWS)]) + "\n")
+            for spec, flat in columns:
+                cells = (["FAILED"] + [""] * (len(_COMPARE_ROWS) - 1) if flat is None else
+                         [_cell(flat, key, fmt, "") for *_, fmt, key in _COMPARE_ROWS])
+                fh.write(",".join([spec, *cells]) + "\n")
+    return 2 if any(flat is None for _, flat in columns) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ One implicit step solves (M/dt + K) c_next = f_next + M c_n / dt on the
 free dofs.  The Galerkin path uses preconditioned CG; the constrained
 paths minimize the equivalent quadratic subject to c_min <= c <= c_max,
 warm-started from the previous level (the minimizer is unique, so the
-warm start changes work, not the answer).  A fixed time step keeps the
-operator constant, so it is assembled and reduced once, and the cell
-geometry is computed once per run.
+warm start changes work, not the answer).
+
+:func:`prepare` assembles and reduces one problem: a fixed time step keeps
+the operator constant, and the cell geometry is computed once for every
+level's load.  :func:`solve` runs one solver configuration on it and
+builds its own preconditioner and ledger, so several solvers can share one
+prepared problem; :func:`run` is one prepare followed by one solve.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 from .diagnostics import dmp_check
 from .errors import ConfigError, SolverFailure
 from .fem import (
+    AssembledSystem,
+    CellGeometry,
     DiffusivityField,
     apply_dirichlet,
     assemble,
@@ -155,39 +161,60 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     return x, report
 
 
-def run(
-    mesh: Mesh,
-    bc: BoundarySpec,
-    diffusivity: DiffusivityField,
-    source,
-    config: TransientConfig,
-    on_step=None,
-) -> TransientResult:
-    """Drive the time loop (or a single steady solve).
+@dataclass
+class PreparedProblem:
+    """One assembled and reduced problem; solves only read it.  ``dt`` is None
+    when steady.  ``operator`` is the free-dof block of K (steady, with its
+    ``rhs``) or of ``full_operator`` = M/dt + K (transient, with ``geometry``
+    for the loads of later levels)."""
 
-    ``source`` is a constant or ``fn(points, t)``.  The initial field is
-    ``config.initial_value`` everywhere with the Dirichlet data inserted.
-    ``on_step(step, t, c_full, report)`` fires after every solved level.
-    The result ledger covers solver work only; assembly and rhs
-    construction are not logged.  The cell geometry is computed once and
-    reused by every load; only the source and fluxes are evaluated at t.
-    """
-    # one steady load needs no geometry kept for later levels
-    geometry = None if config.steady else cell_geometry(mesh)
+    mesh: Mesh
+    bc: BoundarySpec
+    source: object
+    dt: float | None
+    system: AssembledSystem
+    operator: CsrMatrix
+    rhs: np.ndarray | None = None
+    geometry: CellGeometry | None = None
+    full_operator: CsrMatrix | None = None
+
+
+def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
+            dt: float | None = None) -> PreparedProblem:
+    """Assemble and reduce once; steady when ``dt`` is None.  ``source`` is a
+    constant or ``fn(points, t)``."""
+    geometry = cell_geometry(mesh)  # kept only for a transient problem's later loads
     system = assemble(mesh, None, bc, diffusivity, source, geometry=geometry)
-    n, free = system.n, system.free
+    if dt is None:
+        reduced = apply_dirichlet(system)
+        return PreparedProblem(mesh, bc, source, None, system, reduced.matrix, reduced.rhs)
+    full = build_transient_operator(system.stiffness, system.mass, dt)
+    return PreparedProblem(mesh, bc, source, float(dt), system, full.submatrix(system.free),
+                           geometry=geometry, full_operator=full)
+
+
+def solve(prepared: PreparedProblem, config: TransientConfig, on_step=None) -> TransientResult:
+    """Drive the time loop (or the single steady solve) on ``prepared``; ``config``
+    must match its steady/dt setting.  The initial field is ``config.initial_value``
+    everywhere with the Dirichlet data inserted.  ``on_step(step, t, c_full, report)``
+    fires after every solved level.  The result ledger covers solver work only (the
+    preconditioner's setup too), not assembly or rhs construction.
+    """
+    p, system = prepared, prepared.system
+    dt = None if config.steady else config.dt
+    if dt != p.dt:
+        want, have = ("steady" if d is None else f"dt = {d:g}" for d in (dt, p.dt))
+        raise ConfigError(f"the solve config is {want}, the prepared problem {have}")
+    n, free, operator = system.n, system.free, p.operator
     result = TransientResult()
     _check_bounds(system.dirichlet_values, config)
 
     c_full = np.full(n, config.initial_value)
     c_full[system.dirichlet_idx] = system.dirichlet_values
-    if config.steady:
-        reduced = apply_dirichlet(system)
-        operator, levels = reduced.matrix, [(0, 0.0)]
+    if dt is None:
+        levels = [(0, 0.0)]
     else:
-        full_operator = build_transient_operator(system.stiffness, system.mass, config.dt)
-        operator = full_operator.submatrix(free)
-        levels = [(k, k * config.dt) for k in range(1, config.n_steps + 1)]
+        levels = [(k, k * dt) for k in range(1, config.n_steps + 1)]
         result.times.append(0.0)
         result.fields.append(c_full.copy())
 
@@ -196,19 +223,17 @@ def run(
         precond = make_preconditioner(operator, precond, result.ledger)
 
     for step, t in levels:
-        if config.steady:
-            rhs, idx, vals = reduced.rhs, reduced.dirichlet_idx, reduced.dirichlet_values
+        if dt is None:
+            rhs, idx, vals = p.rhs, system.dirichlet_idx, system.dirichlet_values
         else:
-            f_full = assemble_load(mesh, source, bc, t, geometry)
-            ftilde = build_transient_rhs(f_full, system.mass, c_full, config.dt)
-            idx, vals = dirichlet_values(mesh, bc, t)
+            f_full = assemble_load(p.mesh, p.source, p.bc, t, p.geometry)
+            ftilde = build_transient_rhs(f_full, system.mass, c_full, dt)
+            idx, vals = dirichlet_values(p.mesh, p.bc, t)
             _check_bounds(vals, config)
             lift = np.zeros(n)
             lift[idx] = vals
-            rhs = reduce_rhs(full_operator, ftilde, free, lift)
-        x, report = _solve_level(
-            operator, rhs, config, c_full[free], precond, result.ledger, step,
-        )
+            rhs = reduce_rhs(p.full_operator, ftilde, free, lift)
+        x, report = _solve_level(operator, rhs, config, c_full[free], precond, result.ledger, step)
         c_full = np.zeros(n)
         c_full[free] = x
         c_full[idx] = vals
@@ -219,6 +244,13 @@ def run(
         if on_step is not None:
             on_step(step, t, c_full, report)
     return result
+
+
+def run(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
+        config: TransientConfig, on_step=None) -> TransientResult:
+    """:func:`prepare` the problem ``config`` describes, then :func:`solve` it."""
+    dt = None if config.steady else config.dt
+    return solve(prepare(mesh, bc, diffusivity, source, dt), config, on_step)
 
 
 def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) -> None:

@@ -321,6 +321,73 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert "empty" in capsys.readouterr().err
 
+    @staticmethod
+    def csv_rows(path):
+        return {ln.split(",")[0]: ln.split(",")[1:] for ln in path.read_text().splitlines()[1:]}
+
+    def test_rows_match_solve_of_each_spec(self, hole_config, tmp_path):
+        """Every entry solves the shared prepared problem as a lone solve would."""
+        csv_path = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", str(hole_config), "--report", str(csv_path)]) == 0
+        rows = self.csv_rows(csv_path)
+        assert list(rows) == nndiff.cli.DEFAULT_COMPARE_SOLVERS
+        for spec, row in rows.items():
+            path = tmp_path / "report.json"
+            argv = ["solve", "--config", str(hole_config), "--solver", spec, "--report", str(path)]
+            assert main(argv) == 0
+            r = json.loads(path.read_text())
+            expected = [f"{r['dmp']['min']:.17g}", f"{r['dmp']['max']:.17g}",
+                        f"{r['dmp']['percent_violated']:.6g}", str(r["outer_iterations"]),
+                        str(r["inner_iterations"]), f"{r['ai']:.6g}"]
+            assert row[:6] == expected, spec
+
+    def test_assembles_once_for_all_entries(self, hole_config, monkeypatch):
+        calls, assemble = [], nndiff.transient.assemble
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(nndiff.transient, "assemble", spy)
+        assert main(["compare", "--config", str(hole_config)]) == 0
+        assert len(calls) == 1
+
+    def test_inner_rtol_without_plain_tron_exit_1(self, hole_config, capsys):
+        argv = ["compare", "--config", str(hole_config), "--inner-rtol", "1e-3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --inner-rtol") and err.count("\n") == 1
+
+    def test_inner_rtol_sets_plain_tron_entry(self, tmp_path):
+        cfg = tmp_path / "cmp.toml"
+        cfg.write_text(HOLE_CONFIG + '\n[compare]\nsolvers = ["tron"]\n')
+        rows = []
+        for tag, extra in (("flag", ["--inner-rtol", "1e-3"]), ("default", [])):
+            path = tmp_path / f"{tag}.csv"
+            assert main(["compare", "--config", str(cfg), "--report", str(path), *extra]) == 0
+            rows.append(self.csv_rows(path)["tron"])
+        flag, default = rows
+        assert flag[3:5] != default[3:5]  # outer and inner iterations
+
+    def test_unknown_marker_exit_1_once(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.toml"
+        cfg.write_text(HOLE_CONFIG.replace("2 = 1.0", "2 = 1.0\n7 = 0.5"))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: boundary condition references unknown marker 7\n"
+
+    def test_solver_failures_keep_failed_columns_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "hard.toml"
+        cfg.write_text(HOLE_CONFIG.replace("rtol = 1e-6", "rtol = 1e-6\nmax_iter = 1"))
+        csv_path = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", str(cfg), "--report", str(csv_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["metric", *nndiff.cli.DEFAULT_COMPARE_SOLVERS]
+        assert all(line.split()[-5:] == ["FAILED"] * 5 for line in lines[1:])
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{spec},FAILED,,,,,," for spec in nndiff.cli.DEFAULT_COMPARE_SOLVERS
+        ]
+
 
 class TestQp:
     def test_identity_clamp(self, tmp_path, capsys):

@@ -15,7 +15,9 @@ from nndiff.transient import (
     TransientConfig,
     build_transient_operator,
     build_transient_rhs,
+    prepare,
     run,
+    solve,
     write_step_csv,
 )
 
@@ -248,3 +250,30 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes"
         assert len(lines) == 4
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("timing", [{"dt": 0.5, "n_steps": 3}, {"steady": True}])
+    def test_solves_on_one_prepare_match_separate_runs(self, timing):
+        mesh = generate_cube_with_hole(9, "tet4")
+        d = DiffusivityField.dispersion(
+            DispersionParams(1.0, 0.001, 0.0), np.array([1.0, 1.0, 1.0])
+        )
+        bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+        prepared = prepare(mesh, bc, d, 0.0, timing.get("dt"))
+        # galerkin again after tron: a solve that wrote into the shared problem shows
+        for solver in ("galerkin", "tron", "galerkin"):
+            cfg = TransientConfig(solver=solver, **timing)
+            shared, alone = solve(prepared, cfg), run(mesh, bc, d, 0.0, cfg)
+            assert [f.tobytes() for f in shared.fields] == [f.tobytes() for f in alone.fields]
+            assert (shared.ledger.flops, shared.ledger.bytes) == (
+                alone.ledger.flops, alone.ledger.bytes)
+
+    @pytest.mark.parametrize("prepared_dt, timing", [
+        (0.5, {"steady": True}), (None, {"dt": 0.5}), (0.5, {"dt": 0.25}),
+    ])
+    def test_mismatched_time_step_rejected(self, prepared_dt, timing):
+        mesh, bc = small_problem()
+        prepared = prepare(mesh, bc, ISO, 0.0, prepared_dt)
+        with pytest.raises(ConfigError, match="prepared problem"):
+            solve(prepared, TransientConfig(**timing))
