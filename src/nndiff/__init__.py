@@ -15,9 +15,6 @@ from .fem import (
     apply_dirichlet,
     assemble,
     dispersion_tensor,
-    element_load,
-    element_mass,
-    element_stiffness,
 )
 from .mesh import (
     BoundarySpec,
@@ -89,9 +86,6 @@ __all__ = [
     "dispersion_tensor",
     "dmp_check",
     "efficiency",
-    "element_load",
-    "element_mass",
-    "element_stiffness",
     "generate_box",
     "generate_cube_with_hole",
     "gradient",

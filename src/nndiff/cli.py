@@ -47,6 +47,8 @@ _SOLVER_ERRORS = (SolverFailure, SolverBreakdownError, FactorizationError)
 _INPUT_ERRORS = (NndiffError, OSError, ValueError)
 
 DEFAULT_COMPARE_SOLVERS = ["galerkin", "tron:1e-1", "tron:1e-2", "tron:1e-3", "blmvm"]
+# [solver] keys a solver has no use for; --solver may override a config written for another
+_IGNORED_SOLVER_KEYS = {"galerkin": ("inner_rtol",), "blmvm": ("precond", "inner_rtol")}
 
 
 def _setup_logging() -> None:
@@ -112,6 +114,9 @@ def cmd_solve(args) -> int:
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
     if args.inner_rtol is not None and tcfg.solver != "tron":
         raise ConfigError(f"--inner-rtol sets tron's inner CG; {tcfg.solver} has none")
+    for key in _IGNORED_SOLVER_KEYS.get(tcfg.solver, ()):
+        if key in run_cfg.solver:
+            logger.warning("[solver] %s is ignored: %s does not use it", key, tcfg.solver)
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
 
     vtk_path = args.vtk or run_cfg.output.get("vtk")

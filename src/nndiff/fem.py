@@ -117,43 +117,37 @@ def _dispersion_tensors(velocities, params: DispersionParams) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class DiffusivityField:
-    """Position- or cell-indexed 3x3 diffusion tensor.
+    """The 3x3 diffusion tensor as plain data: ``tensors`` holds one (3, 3)
+    tensor or one per cell, (m, 3, 3); ``function(points) -> (p, 3, 3)``
+    instead samples a field at every quadrature point."""
 
-    ``varies_within_cell`` tells the assembler whether the tensor must be
-    sampled at every quadrature point or once per cell.  A field built by
-    :meth:`constant` keeps its one tensor in ``tensor`` (``None`` for any
-    other field), so the assembler checks it once instead of per cell.
-    """
+    tensors: np.ndarray | None = None
+    function: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __init__(self, evaluator, varies_within_cell: bool = True):
-        self._evaluator = evaluator
-        self.varies_within_cell = varies_within_cell
-        self.tensor = None
+    def __post_init__(self):
+        if (self.tensors is None) == (self.function is None):
+            raise ConfigError("a diffusivity field holds either tensors or a function")
 
     @classmethod
     def constant(cls, tensor) -> "DiffusivityField":
         t = np.asarray(tensor, dtype=np.float64)
         if t.shape != (3, 3):
             raise ConfigError(f"constant tensor must be 3x3, got {t.shape}")
-
-        def ev(points, cells=None):
-            return np.broadcast_to(t, (len(points), 3, 3))
-
-        field = cls(ev, varies_within_cell=False)
-        field.tensor = t
-        return field
+        return cls(tensors=t)
 
     @classmethod
     def from_cell_tensors(cls, tensors) -> "DiffusivityField":
-        t = np.asarray(tensors, dtype=np.float64)
+        t = np.ascontiguousarray(tensors, dtype=np.float64)
+        if t.ndim != 3 or t.shape[1:] != (3, 3):
+            raise ConfigError(f"cell tensors must have shape (n_cells, 3, 3), got {t.shape}")
+        return cls(tensors=t)
 
-        def ev(points, cells=None):
-            if cells is None:
-                raise ConfigError("cell-wise diffusivity needs cell indices")
-            return t[np.asarray(cells)]
-
-        return cls(ev, varies_within_cell=False)
+    @classmethod
+    def from_function(cls, fn) -> "DiffusivityField":
+        """A field sampled at every quadrature point: ``fn(points) -> (p, 3, 3)``."""
+        return cls(function=fn)
 
     @classmethod
     def dispersion(cls, params: DispersionParams, velocity) -> "DiffusivityField":
@@ -164,9 +158,6 @@ class DiffusivityField:
         if v.ndim == 2 and v.shape[1] == 3:
             return cls.from_cell_tensors(_dispersion_tensors(v, params))
         raise ConfigError(f"velocity must be (3,) or (n_cells, 3), got {v.shape}")
-
-    def evaluate(self, points, cells=None) -> np.ndarray:
-        return self._evaluator(np.atleast_2d(points), cells)
 
 
 def _check_tensor_batch(d: np.ndarray) -> None:
@@ -268,20 +259,19 @@ def cell_geometry(mesh: Mesh) -> CellGeometry:
 def _cell_tensors(diffusivity, qpts, n_cells):
     """Per-cell (m,3,3) or per-point (m,q,3,3) tensors, validated.
 
-    A constant field's one tensor is checked once and broadcast.
+    One tensor for the whole mesh is checked once and broadcast.
     """
-    if diffusivity.tensor is not None:
-        _check_tensor_batch(diffusivity.tensor[None])
-        return np.broadcast_to(diffusivity.tensor, (n_cells, 3, 3))
-    nq = qpts.shape[1]
-    if diffusivity.varies_within_cell:
-        flat = diffusivity.evaluate(
-            qpts.reshape(-1, 3), np.repeat(np.arange(n_cells), nq)
-        )
-        d = flat.reshape(n_cells, nq, 3, 3)
-    else:
-        centroids = qpts.mean(axis=1)
-        d = diffusivity.evaluate(centroids, np.arange(n_cells))
+    d = diffusivity.tensors
+    if diffusivity.function is not None:
+        d = np.asarray(diffusivity.function(qpts.reshape(-1, 3)), dtype=np.float64)
+        if d.shape != (qpts.size // 3, 3, 3):
+            raise ConfigError(f"diffusivity function returned shape {d.shape}")
+        d = d.reshape(qpts.shape[:2] + (3, 3))
+    elif d.ndim == 2:
+        _check_tensor_batch(d[None])
+        return np.broadcast_to(d, (n_cells, 3, 3))
+    elif len(d) != n_cells:
+        raise ConfigError(f"{len(d)} cell tensors given for a mesh of {n_cells} cells")
     _check_tensor_batch(d)
     return d
 
@@ -313,41 +303,6 @@ def _hex_stiffness(det, b, d):
     else:
         ke = np.einsum("mq,mqia,mab,mqjb->mij", det, b, d, b)
     return 0.5 * (ke + ke.transpose(0, 2, 1))
-
-
-def element_stiffness(coords, diffusion, kind: str = TET4) -> np.ndarray:
-    """Single-element stiffness; diffusion is (3,3) or (nq,3,3)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    cells = np.arange(len(coords), dtype=np.int64)[None, :]
-    d = np.asarray(diffusion, dtype=np.float64)[None]  # leading cell axis
-    if kind == TET4:
-        det, grads, _ = _tet_batch(coords, cells)
-        return _tet_stiffness(det, grads, d)[0]
-    det, b, _ = _hex_batch(coords, cells)
-    return _hex_stiffness(det, b, d)[0]
-
-
-def element_mass(coords, kind: str = TET4) -> np.ndarray:
-    coords = np.asarray(coords, dtype=np.float64)
-    cells = np.arange(len(coords), dtype=np.int64)[None, :]
-    if kind == TET4:
-        det, _, _ = _tet_batch(coords, cells)
-        return det[0] * _TET_MASS_REF
-    det, _, _ = _hex_batch(coords, cells)
-    return np.einsum("q,qi,qj->ij", det[0], _HEX_N, _HEX_N)
-
-
-def element_load(coords, source, kind: str = TET4) -> np.ndarray:
-    coords = np.asarray(coords, dtype=np.float64)
-    cells = np.arange(len(coords), dtype=np.int64)[None, :]
-    src = scalar_field(source)
-    if kind == TET4:
-        det, _, qpts = _tet_batch(coords, cells)
-        fvals = src(qpts[0]).reshape(1, -1)
-        return det[0] * _TET_W * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)[0]
-    det, _, qpts = _hex_batch(coords, cells)
-    fvals = src(qpts[0]).reshape(1, -1)
-    return np.einsum("mq,qi->mi", det * fvals, _HEX_N)[0]
 
 
 # ---------------------------------------------------------------------------

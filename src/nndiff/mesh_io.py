@@ -173,9 +173,8 @@ class VtkGeometry:
     several fields of one mesh formats its geometry once.
     """
 
-    def __init__(self, mesh: Mesh, title: str = "nndiff output"):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.title = title
 
     @cached_property
     def text(self) -> str:
@@ -183,7 +182,7 @@ class VtkGeometry:
         width = mesh.cells.shape[1]
         return "".join([
             "# vtk DataFile Version 3.0\n",
-            f"{self.title}\n",
+            "nndiff output\n",
             "ASCII\n",
             "DATASET UNSTRUCTURED_GRID\n",
             f"POINTS {mesh.n_vertices} double\n",
@@ -195,21 +194,18 @@ class VtkGeometry:
         ])
 
 
-def write_vtk(
-    mesh: Mesh, nodal_fields, path, title: str = "nndiff output",
-    geometry: VtkGeometry | None = None,
-) -> None:
+def write_vtk(mesh: Mesh, nodal_fields, path, geometry: VtkGeometry | None = None) -> None:
     """Write a legacy ASCII VTK unstructured grid with point scalars.
 
     ``nodal_fields`` maps field names to per-vertex arrays.  Output is
     formatted with %.17g, so identical inputs produce identical files.
-    ``geometry``, built once for ``mesh`` and ``title``, lets repeated
-    writes share the formatted mesh block.
+    ``geometry``, built once for ``mesh``, lets repeated writes share the
+    formatted mesh block.
     """
     if geometry is None:
-        geometry = VtkGeometry(mesh, title)
-    elif geometry.mesh is not mesh or geometry.title != title:
-        raise ValueError("geometry was built for another mesh or title")
+        geometry = VtkGeometry(mesh)
+    elif geometry.mesh is not mesh:
+        raise ValueError("geometry was built for another mesh")
     nodal_fields = dict(nodal_fields or {})
     for name, values in nodal_fields.items():
         if len(values) != mesh.n_vertices:

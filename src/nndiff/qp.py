@@ -130,6 +130,24 @@ def _start_point(problem, x0, ledger):
     return project(x0, problem.lower, problem.upper, ledger)
 
 
+def _trial_point(problem, c, alpha, d, g, ledger):
+    """c_new = P(c + alpha d) with s = c_new - c, g.s, H c_new and f(c_new)."""
+    c_new = vec_copy(c, ledger)
+    axpy(c_new, alpha, d, ledger)
+    c_new = project(c_new, problem.lower, problem.upper, ledger)
+    s = vec_copy(c_new, ledger)
+    axpy(s, -1.0, c, ledger)
+    hc_new = spmv(problem.hessian, c_new, ledger)
+    return c_new, s, dot(g, s, ledger), hc_new, objective(problem, c_new, ledger, hc_new)
+
+
+def _gradients(problem, c, hc, ledger):
+    """Gradient, projected gradient and its norm at c, from H c (consumed)."""
+    g = gradient(problem, c, ledger, hc)
+    pg = projected_gradient(g, c, problem.lower, problem.upper, ledger)
+    return g, pg, norm2(pg, ledger)
+
+
 # ---------------------------------------------------------------------------
 # Projected limited-memory quasi-Newton (BLMVM-style)
 # ---------------------------------------------------------------------------
@@ -172,16 +190,13 @@ def solve_blmvm(
     if ledger is None:
         ledger = OpLedger()
     finish = start_report(ledger)
-    lo, hi = problem.lower, problem.upper
 
     c = _start_point(problem, x0, ledger)
     if problem.n == 0:
         return c, finish("converged", 0)
     hc = spmv(problem.hessian, c, ledger)
     fc = objective(problem, c, ledger, hc)
-    g = gradient(problem, c, ledger, hc)
-    pg = projected_gradient(g, c, lo, hi, ledger)
-    pg_norm = norm2(pg, ledger)
+    g, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     pairs: list = []
     outer = 0
@@ -207,14 +222,7 @@ def solve_blmvm(
         # the eps-scaled allowance keeps rounding noise from failing the test
         noise = 4.0 * np.finfo(float).eps * abs(fc)
         for _ in range(MAX_BACKTRACKS):
-            c_new = vec_copy(c, ledger)
-            axpy(c_new, alpha, d, ledger)
-            c_new = project(c_new, lo, hi, ledger)
-            step = vec_copy(c_new, ledger)
-            axpy(step, -1.0, c, ledger)
-            g_step = dot(g, step, ledger)
-            hc_new = spmv(problem.hessian, c_new, ledger)
-            f_new = objective(problem, c_new, ledger, hc_new)
+            c_new, step, g_step, hc_new, f_new = _trial_point(problem, c, alpha, d, g, ledger)
             if g_step < 0.0 and f_new <= fc + ARMIJO * g_step + noise:
                 accepted = True
                 break
@@ -226,8 +234,7 @@ def solve_blmvm(
             status = "breakdown"
             break
 
-        g_new = gradient(problem, c_new, ledger, hc_new)
-        pg_new = projected_gradient(g_new, c_new, lo, hi, ledger)
+        g_new, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
         y = vec_copy(pg_new, ledger)
         axpy(y, -1.0, pg, ledger)
         sy = dot(step, y, ledger)
@@ -236,7 +243,6 @@ def solve_blmvm(
             if len(pairs) > BLMVM_MEMORY:
                 pairs.pop(0)
         c, g, pg, fc = c_new, g_new, pg_new, f_new
-        pg_norm = norm2(pg, ledger)
         outer += 1
         if monitor is not None:
             monitor(outer, fc, pg_norm)
@@ -281,9 +287,7 @@ def solve_tron(
         return c, finish("converged", 0)
     hc = spmv(h, c, ledger)
     fc = objective(problem, c, ledger, hc)
-    g = gradient(problem, c, ledger, hc)
-    pg = projected_gradient(g, c, lo, hi, ledger)
-    pg_norm = norm2(pg, ledger)
+    g, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     delta = norm2(g, ledger)
     if delta == 0.0:
@@ -317,16 +321,9 @@ def solve_tron(
 
         d = np.zeros(n)
         d[free] = d_f
-        c_trial = vec_copy(c, ledger)
-        axpy(c_trial, 1.0, d, ledger)
-        c_trial = project(c_trial, lo, hi, ledger)
-        s = vec_copy(c_trial, ledger)
-        axpy(s, -1.0, c, ledger)
-        gs = dot(g, s, ledger)
+        c_trial, s, gs, hc_trial, f_trial = _trial_point(problem, c, 1.0, d, g, ledger)
         hs = spmv(h, s, ledger)
         predicted = -(gs + 0.5 * dot(s, hs, ledger))
-        hc_trial = spmv(h, c_trial, ledger)
-        f_trial = objective(problem, c_trial, ledger, hc_trial)
         actual = fc - f_trial
         if predicted <= 0.0:
             delta *= TRON_SHRINK
@@ -343,11 +340,8 @@ def solve_tron(
         elif ratio > 0.75 and hit:
             delta *= TRON_EXPAND
         if ratio > TRON_ACCEPT_RATIO:
-            c = c_trial
-            fc = f_trial
-            g = gradient(problem, c, ledger, hc_trial)
-            pg = projected_gradient(g, c, lo, hi, ledger)
-            pg_norm = norm2(pg, ledger)
+            c, fc = c_trial, f_trial
+            g, pg, pg_norm = _gradients(problem, c, hc_trial, ledger)
             if monitor is not None:
                 monitor(outer + 1, fc, pg_norm)
         outer += 1

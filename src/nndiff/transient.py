@@ -84,7 +84,6 @@ class TransientConfig:
 
 @dataclass
 class TransientResult:
-    times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     ledger: OpLedger = field(default_factory=OpLedger)
@@ -215,7 +214,6 @@ def solve(prepared: PreparedProblem, config: TransientConfig, on_step=None) -> T
         levels = [(0, 0.0)]
     else:
         levels = [(k, k * dt) for k in range(1, config.n_steps + 1)]
-        result.times.append(0.0)
         result.fields.append(c_full.copy())
 
     precond = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
@@ -237,7 +235,6 @@ def solve(prepared: PreparedProblem, config: TransientConfig, on_step=None) -> T
         c_full = np.zeros(n)
         c_full[free] = x
         c_full[idx] = vals
-        result.times.append(t)
         result.fields.append(c_full)
         result.reports.append(report)
         result.solver_wall_time += report.wall_time

@@ -47,18 +47,6 @@ def _flux(points, t):
     return (0.5 - 20.0 * t) * (points[:, 0] + 2.0 * points[:, 2]) + t * t
 
 
-def from_function(fn) -> DiffusivityField:
-    """A tensor field sampled at every quadrature point: ``fn(points) -> (m, 3, 3)``."""
-
-    def ev(points, cells=None):
-        out = np.asarray(fn(points), dtype=np.float64)
-        if out.shape != (len(points), 3, 3):
-            raise ValueError(f"diffusivity function returned shape {out.shape}")
-        return out
-
-    return DiffusivityField(ev, varies_within_cell=True)
-
-
 def _hex_diffusivity(points):
     d = np.zeros((len(points), 3, 3))
     d[:, 0, 0] = 1.0 + points[:, 0]
@@ -82,7 +70,7 @@ def _hex_case():
         lambda c: np.where(np.abs(c[:, 0]) < 1e-12, 1, 3),
     )
     bc = BoundarySpec(dirichlet={1: lambda p, t: p[:, 1] * (1.0 + t)}, neumann={3: _flux})
-    return mesh, bc, from_function(_hex_diffusivity)
+    return mesh, bc, DiffusivityField.from_function(_hex_diffusivity)
 
 
 CASES = {

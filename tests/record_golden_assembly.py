@@ -34,7 +34,7 @@ import numpy as np
 
 from nndiff import BoundarySpec, DiffusivityField, DispersionParams, generate_cube_with_hole
 from nndiff.fem import assemble
-from record_golden import _flux, _source, from_function, sha256
+from record_golden import _flux, _source, sha256
 
 DATA = Path(__file__).parent / "data" / "golden_assembly.json"
 
@@ -62,7 +62,7 @@ def _cellwise(mesh):
 
 
 def _pointwise(mesh):
-    return from_function(_pointwise_tensors)
+    return DiffusivityField.from_function(_pointwise_tensors)
 
 
 def _constant_full(mesh):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestSolve:
         argv = ["solve", "--config", str(hole_config), "--solver", solver, "--inner-rtol", "1e-3"]
         assert main(argv) == 1
         assert "--inner-rtol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,ignored", [("galerkin", ["inner_rtol"]),
+                                                ("blmvm", ["precond", "inner_rtol"]),
+                                                ("tron", [])])
+    def test_ignored_solver_keys_warn_and_run(self, solver, ignored, tmp_path, caplog):
+        cfg = tmp_path / "keys.toml"
+        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu0"\ninner_rtol = 1e-3'))
+        with caplog.at_level(logging.WARNING, logger="nndiff"):
+            assert main(["solve", "--config", str(cfg), "--solver", solver]) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if r.name == "nndiff" and r.levelno == logging.WARNING]
+        assert warned == [f"[solver] {key} is ignored: {solver} does not use it"
+                          for key in ignored]
 
     def test_inner_rtol_sets_tron_inner_tolerance(self, hole_config, tmp_path):
         reports = []

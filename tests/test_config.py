@@ -149,16 +149,13 @@ class TestBuilders:
     def test_constant_diffusivity_diagonal(self):
         mesh = generate_box(1, 1, 1, "tet4")
         field = build_diffusivity({"mode": "constant", "tensor": [1.0, 2.0, 3.0]}, mesh)
-        d = field.evaluate(np.zeros((1, 3)))[0]
-        assert np.array_equal(d, np.diag([1.0, 2.0, 3.0]))
+        assert np.array_equal(field.tensors, np.diag([1.0, 2.0, 3.0]))
 
     def test_constant_diffusivity_full(self):
         mesh = generate_box(1, 1, 1, "tet4")
         entries = [2.0, 0.1, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.5]
         field = build_diffusivity({"mode": "constant", "tensor": entries}, mesh)
-        assert np.array_equal(
-            field.evaluate(np.zeros((1, 3)))[0], np.array(entries).reshape(3, 3)
-        )
+        assert np.array_equal(field.tensors, np.array(entries).reshape(3, 3))
 
     def test_dispersion_constant_velocity(self):
         mesh = generate_box(1, 1, 1, "tet4")
@@ -168,7 +165,7 @@ class TestBuilders:
         }
         field = build_diffusivity(cfg, mesh)
         expected = dispersion_tensor([1, 1, 1], DispersionParams(1.0, 0.001, 0.0))
-        assert np.allclose(field.evaluate(np.zeros((1, 3)))[0], expected)
+        assert np.allclose(field.tensors, expected)
 
     def test_dispersion_velocity_file(self, tmp_path):
         mesh = generate_box(1, 1, 1, "tet4")  # 6 cells
@@ -179,8 +176,8 @@ class TestBuilders:
             "velocity_file": "v.txt",
         }
         field = build_diffusivity(cfg, mesh, base_dir=tmp_path)
-        d = field.evaluate(np.zeros((2, 3)), cells=[0, 5])
-        assert np.allclose(d[0], np.diag([0.2, 0.2, 1.0]))
+        assert field.tensors.shape == (mesh.n_cells, 3, 3)
+        assert np.allclose(field.tensors, np.diag([0.2, 0.2, 1.0]))
 
     def test_velocity_file_length_checked(self, tmp_path):
         mesh = generate_box(1, 1, 1, "tet4")

@@ -54,7 +54,6 @@ class TestTables:
         # the per-level violation table: the initial field is not a row,
         # and each row counts the nodes outside [c_min, c_max]
         result = TransientResult(
-            times=[0.0, 0.1, 0.2],
             fields=[np.array([5.0, 5.0]), np.array([0.5]), np.array([-1.0, 2.0])],
             reports=[
                 SolveReport("converged", 3, flops=10, bytes=80),

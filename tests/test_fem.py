@@ -12,16 +12,12 @@ from nndiff.fem import (
     assemble,
     dirichlet_values,
     dispersion_tensor,
-    element_load,
-    element_mass,
-    element_stiffness,
     neumann_load,
     _tet_batch,
     _tet_stiffness,
 )
-from nndiff.mesh import BoundarySpec, generate_box, with_boundary_markers
+from nndiff.mesh import BoundarySpec, Mesh, boundary_faces, generate_box, with_boundary_markers
 from nndiff.sparse import cg_solve
-from record_golden import from_function
 
 UNIT_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 UNIT_HEX = np.array(
@@ -83,9 +79,23 @@ class TestDispersionTensor:
             DispersionParams(1.0, 0.5, -1.0)
 
 
+def one_cell(coords, kind, diffusion=np.eye(3), source=None):
+    """The operators of a one-cell mesh of ``coords``: its element integrals.
+
+    ``diffusion`` is a (3, 3) tensor or a ``DiffusivityField``.
+    """
+    cells = np.arange(len(coords))[None, :]
+    facets, _ = boundary_faces(cells, kind)
+    mesh = Mesh(coords, cells, kind, facets, np.ones(len(facets), dtype=np.int64))
+    if not isinstance(diffusion, DiffusivityField):
+        diffusion = DiffusivityField.constant(diffusion)
+    # the Dirichlet data enter none of the unreduced operators
+    return assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}), diffusion, source)
+
+
 class TestElementMatrices:
     def test_unit_tet_stiffness_frozen_oracle(self):
-        k = element_stiffness(UNIT_TET, np.eye(3), "tet4")
+        k = one_cell(UNIT_TET, "tet4").stiffness.to_dense()
         expected = (1.0 / 6.0) * np.array(
             [
                 [3.0, -1.0, -1.0, -1.0],
@@ -98,7 +108,7 @@ class TestElementMatrices:
         assert np.allclose(np.diag(k), [0.5, 1 / 6, 1 / 6, 1 / 6])
 
     def test_tet_stiffness_nullspace_and_rank(self):
-        k = element_stiffness(UNIT_TET, np.eye(3), "tet4")
+        k = one_cell(UNIT_TET, "tet4").stiffness.to_dense()
         assert np.max(np.abs(k @ np.ones(4))) < 1e-14
         assert np.linalg.matrix_rank(k, tol=1e-12) == 3
 
@@ -110,11 +120,11 @@ class TestElementMatrices:
                 coords = coords[[0, 2, 1, 3]]
             d_raw = rng.standard_normal((3, 3))
             d = d_raw @ d_raw.T + 3 * np.eye(3)
-            k = element_stiffness(coords, d, "tet4")
+            k = one_cell(coords, "tet4", d).stiffness.to_dense()
             assert np.max(np.abs(k - p1_stiffness_oracle(coords, d))) < 1e-12
 
     def test_hex_stiffness_nullspace(self):
-        k = element_stiffness(UNIT_HEX, np.eye(3), "hex8")
+        k = one_cell(UNIT_HEX, "hex8").stiffness.to_dense()
         assert np.max(np.abs(k @ np.ones(8))) < 1e-13
         assert np.max(np.abs(k - k.T)) < 1e-14
 
@@ -122,38 +132,44 @@ class TestElementMatrices:
                                                 ("hex8", UNIT_HEX, 8)])
     def test_per_quadrature_point_tensor(self, kind, coords, nq):
         d = np.diag([1.0, 2.0, 0.5])
-        k_const = element_stiffness(coords, d, kind)
-        k_per_q = element_stiffness(coords, np.tile(d, (nq, 1, 1)), kind)
+
+        def per_point(points):
+            assert len(points) == nq  # one cell: one point per quadrature point
+            return np.tile(d, (nq, 1, 1))
+
+        k_const = one_cell(coords, kind, d).stiffness.to_dense()
+        field = DiffusivityField.from_function(per_point)
+        k_per_q = one_cell(coords, kind, field).stiffness.to_dense()
         assert np.max(np.abs(k_const - k_per_q)) < 1e-14
 
     def test_inverted_tet_raises(self):
         with pytest.raises(AssemblyError, match="cell 0"):
-            element_stiffness(UNIT_TET[[0, 2, 1, 3]], np.eye(3), "tet4")
+            one_cell(UNIT_TET[[0, 2, 1, 3]], "tet4")
 
     def test_mass_partition_of_unity(self):
-        m_tet = element_mass(UNIT_TET, "tet4")
+        m_tet = one_cell(UNIT_TET, "tet4").mass.to_dense()
         assert abs(m_tet.sum() - 1.0 / 6.0) < 1e-14
-        m_hex = element_mass(UNIT_HEX, "hex8")
+        m_hex = one_cell(UNIT_HEX, "hex8").mass.to_dense()
         assert abs(m_hex.sum() - 1.0) < 1e-14
 
     def test_tet_mass_consistent_pattern(self):
         # V/20 * (2 on the diagonal, 1 off) is the exact P1 mass matrix
-        m = element_mass(UNIT_TET, "tet4")
+        m = one_cell(UNIT_TET, "tet4").mass.to_dense()
         vol = 1.0 / 6.0
         expected = vol / 20.0 * (np.ones((4, 4)) + np.eye(4))
         assert np.max(np.abs(m - expected)) < 1e-14
 
     def test_hex_mass_exact_entries(self):
-        m = element_mass(UNIT_HEX, "hex8")
+        m = one_cell(UNIT_HEX, "hex8").mass.to_dense()
         assert abs(m[0, 0] - 1.0 / 27.0) < 1e-14   # corner with itself
         assert abs(m[0, 1] - 1.0 / 54.0) < 1e-14   # edge neighbors
         assert abs(m[0, 2] - 1.0 / 108.0) < 1e-14  # face diagonal
         assert abs(m[0, 6] - 1.0 / 216.0) < 1e-14  # body diagonal
 
     def test_load_constant_source(self):
-        f = element_load(UNIT_HEX, 1.0, "hex8")
+        f = one_cell(UNIT_HEX, "hex8", source=1.0).load
         assert abs(f.sum() - 1.0) < 1e-14
-        f_tet = element_load(UNIT_TET, 2.0, "tet4")
+        f_tet = one_cell(UNIT_TET, "tet4", source=2.0).load
         assert abs(f_tet.sum() - 2.0 / 6.0) < 1e-14
 
 
@@ -421,14 +437,41 @@ class TestDiffusivityField:
     def test_cellwise_velocities(self):
         v = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         p = DispersionParams(1.0, 0.1, 0.0)
-        field = DiffusivityField.dispersion(p, v)
-        d = field.evaluate(np.zeros((2, 3)), cells=[0, 1])
+        d = DiffusivityField.dispersion(p, v).tensors
         assert np.allclose(d[0], dispersion_tensor(v[0], p))
         assert np.allclose(d[1], dispersion_tensor(v[1], p))
 
+    def test_too_many_cell_tensors(self):
+        mesh = generate_box(1, 1, 1, "tet4")  # 6 cells
+        field = DiffusivityField.dispersion(DispersionParams(1.0, 0.1, 0.0), np.ones((9, 3)))
+        with pytest.raises(ConfigError, match="9 cell tensors given for a mesh of 6 cells"):
+            assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}), field)
+
+    def test_too_few_cell_tensors(self):
+        mesh = generate_box(1, 1, 1, "tet4")
+        field = DiffusivityField.from_cell_tensors(np.tile(np.eye(3), (4, 1, 1)))
+        with pytest.raises(ConfigError, match="4 cell tensors given for a mesh of 6 cells"):
+            assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}), field)
+
+    def test_cell_tensors_shape_checked(self):
+        with pytest.raises(ConfigError, match=r"\(n_cells, 3, 3\), got \(6, 3\)"):
+            DiffusivityField.from_cell_tensors(np.ones((6, 3)))
+
+    def test_holds_tensors_or_a_function(self):
+        with pytest.raises(ConfigError, match="either tensors or a function"):
+            DiffusivityField()
+        with pytest.raises(ConfigError, match="either tensors or a function"):
+            DiffusivityField(np.eye(3), lambda pts: np.tile(np.eye(3), (len(pts), 1, 1)))
+
+    def test_function_shape_checked(self):
+        mesh = generate_box(1, 1, 1, "hex8")
+        field = DiffusivityField.from_function(lambda pts: np.ones((len(pts), 9)))
+        with pytest.raises(ConfigError, match=r"returned shape \(8, 9\)"):
+            assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}), field)
+
     def test_rejects_asymmetric_tensor(self):
         mesh = generate_box(1, 1, 1, "tet4")
-        bad = from_function(
+        bad = DiffusivityField.from_function(
             lambda pts: np.tile(np.array([[1.0, 0.5, 0.0],
                                           [0.0, 1.0, 0.0],
                                           [0.0, 0.0, 1.0]]), (len(pts), 1, 1))

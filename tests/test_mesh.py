@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nndiff.errors import ConfigError, MeshError
 from nndiff.mesh import (
@@ -110,6 +112,26 @@ class TestRefine:
         assert r.n_cells == 8 * m.n_cells
         assert abs(cell_volumes(r).sum() - cell_volumes(m).sum()) < 1e-12
         r.validate()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(["tet4", "hex8"]), st.tuples(*[st.integers(1, 3)] * 3),
+           st.integers(0, 2**32 - 1))
+    def test_volume_preserved_on_distorted_boxes(self, kind, shape, seed):
+        # an orientation-preserving affine map plus a vertex jitter, so hexes
+        # get non-planar faces; the children of a trilinear hex are trilinear
+        # images of its octants, so the 2x2x2 Gauss volumes add up exactly
+        rng = np.random.default_rng(seed)
+        box = generate_box(*shape, kind)
+        a = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+        assume(np.linalg.det(a) > 0.25)
+        jitter = 0.05 / max(shape) * rng.uniform(-1.0, 1.0, box.vertices.shape)
+        mesh = Mesh(box.vertices @ a.T + jitter, box.cells, kind,
+                    box.boundary_facets, box.boundary_markers)
+        volumes = cell_volumes(mesh)
+        assume(np.all(volumes > 0.0))
+        refined = refine_uniform(mesh)
+        assert refined.n_cells == 8 * mesh.n_cells
+        assert abs(cell_volumes(refined).sum() - volumes.sum()) <= 1e-12 * volumes.sum()
 
     def test_refine_twice_64x(self):
         m = generate_box(1, 1, 1, "tet4")

@@ -177,12 +177,12 @@ $EndElements
             read_gmsh(path)
 
 
-def reference_write_vtk(mesh, nodal_fields, path, title="nndiff output"):
+def reference_write_vtk(mesh, nodal_fields, path):
     """The line-by-line VTK writer that ``write_vtk`` must match byte for byte."""
     width = mesh.cells.shape[1]
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
+        fh.write("nndiff output\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
@@ -219,25 +219,23 @@ class TestWriteVtk:
             c = rng.standard_normal(mesh.n_vertices)
             c[: len(special)] = special
             fields = {"c": c, "violation": np.arange(mesh.n_vertices) % 3}
-        write_vtk(mesh, fields, tmp_path / "new.vtk", title="t")
-        reference_write_vtk(mesh, fields, tmp_path / "ref.vtk", title="t")
+        write_vtk(mesh, fields, tmp_path / "new.vtk")
+        reference_write_vtk(mesh, fields, tmp_path / "ref.vtk")
         assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
     def test_shared_geometry_writes_the_same_bytes(self, tmp_path):
         mesh = jittered(generate_box(2, 3, 2, "hex8"))
-        geometry = VtkGeometry(mesh, title="t")
+        geometry = VtkGeometry(mesh)
         for k in range(3):
             field = {"c": np.linspace(-1.0, 1.0, mesh.n_vertices) ** (k + 1)}
-            write_vtk(mesh, field, tmp_path / "shared.vtk", title="t", geometry=geometry)
-            reference_write_vtk(mesh, field, tmp_path / "ref.vtk", title="t")
+            write_vtk(mesh, field, tmp_path / "shared.vtk", geometry=geometry)
+            reference_write_vtk(mesh, field, tmp_path / "ref.vtk")
             assert (tmp_path / "shared.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
-    def test_geometry_of_another_mesh_or_title_rejected(self, tmp_path):
+    def test_geometry_of_another_mesh_rejected(self, tmp_path):
         mesh = generate_box(1, 1, 1, "tet4")
         with pytest.raises(ValueError, match="another mesh"):
             write_vtk(mesh, {}, tmp_path / "x.vtk", geometry=VtkGeometry(generate_box(1, 1, 1)))
-        with pytest.raises(ValueError, match="title"):
-            write_vtk(mesh, {}, tmp_path / "x.vtk", geometry=VtkGeometry(mesh, "other"))
 
     def test_hex_cell_type_12(self, tmp_path):
         m = generate_box(1, 1, 1, "hex8")
