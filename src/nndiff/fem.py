@@ -13,7 +13,8 @@ are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,9 +47,9 @@ _TET_MASS_REF = _TET_W * np.einsum("qi,qj->ij", TET_QUAD_BARY, TET_QUAD_BARY)
 
 _HEX_N, _HEX_DN = hex_shape_gradients(HEX_QUAD_POINTS)
 
-# Cells per block of the tet4 stiffness: its (block, 4, 4) temporaries
-# (256 KiB each) stay in cache.
-_STIFFNESS_BLOCK = 2048
+# Cells per block of the tet4 stiffness: its (4, 4, block) accumulator
+# and term (1 MiB each) stay in cache.
+_STIFFNESS_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,7 @@ def _tet_batch(vertices, cells):
     grads = np.empty((len(cells), 4, 3))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    qpts = np.einsum("qi,mia->mqa", TET_QUAD_BARY, x)
-    return det, grads, qpts
+    return det, grads
 
 
 def _hex_batch(vertices, cells):
@@ -233,8 +233,7 @@ def _hex_batch(vertices, cells):
         raise AssemblyError(f"non-positive Jacobian determinant in cell {bad}")
     jinv = np.linalg.inv(jac)
     b = np.einsum("qib,mqba->mqia", _HEX_DN, jinv)
-    qpts = np.einsum("qi,mia->mqa", _HEX_N, x)
-    return det, b, qpts
+    return det, b
 
 
 @dataclass(frozen=True)
@@ -243,26 +242,34 @@ class CellGeometry:
     of every cell of one mesh.
 
     tet4: ``det`` (m,), ``grads`` (m, 4, 3); hex8: ``det`` (m, q),
-    ``grads`` (m, q, 8, 3); both: ``qpts`` (m, q, 3).
+    ``grads`` (m, q, 8, 3); both: ``qpts`` (m, q, 3).  The quadrature
+    points are formed on first use, which only a function-valued tensor
+    or source makes, and kept.
     """
 
     det: np.ndarray
     grads: np.ndarray
-    qpts: np.ndarray
+    mesh: Mesh = field(repr=False)
+
+    @cached_property
+    def qpts(self) -> np.ndarray:
+        shape = TET_QUAD_BARY if self.mesh.kind == TET4 else _HEX_N
+        return np.einsum("qi,mia->mqa", shape, self.mesh.vertices[self.mesh.cells])
 
 
 def cell_geometry(mesh: Mesh) -> CellGeometry:
     batch = _tet_batch if mesh.kind == TET4 else _hex_batch
-    return CellGeometry(*batch(mesh.vertices, mesh.cells))
+    return CellGeometry(*batch(mesh.vertices, mesh.cells), mesh)
 
 
-def _cell_tensors(diffusivity, qpts, n_cells):
+def _cell_tensors(diffusivity, geometry: CellGeometry, n_cells):
     """Per-cell (m,3,3) or per-point (m,q,3,3) tensors, validated.
 
     One tensor for the whole mesh is checked once and broadcast.
     """
     d = diffusivity.tensors
     if diffusivity.function is not None:
+        qpts = geometry.qpts
         d = np.asarray(diffusivity.function(qpts.reshape(-1, 3)), dtype=np.float64)
         if d.shape != (qpts.size // 3, 3, 3):
             raise ConfigError(f"diffusivity function returned shape {d.shape}")
@@ -277,24 +284,35 @@ def _cell_tensors(diffusivity, qpts, n_cells):
 
 
 def _tet_stiffness(det, grads, d):
-    """(det/6) G D G^T per cell, bit for bit as ``np.einsum("m,mia,mab,mjb->mij")``.
+    """(det/6) G D G^T per cell, symmetrized, bit for bit as
+    ``np.einsum("m,mia,mab,mjb->mij")`` followed by ``0.5 * (k + k^T)``.
 
     The einsum forms each term as ((w g_ia) d_ab) g_jb and adds the terms
-    to zero in (a, b) order; the nine vectorised steps below do the same,
-    over blocks of cells whose temporaries stay in cache.
+    to zero in (a, b) order.  The nine steps below do the same for all 16
+    entries (i, j) at once, on gradients laid out as contiguous rows
+    ``g[a, i]`` of one block of cells, so the accumulator and the term
+    (4, 4, block) stay in cache; each block is symmetrized before it is
+    stored.
     """
     if d.ndim == 4:
         d = d.mean(axis=1)  # P1 gradients are cellwise constant
     w = det / 6.0
-    ke = np.zeros((len(det), 4, 4))
+    ke = np.empty((len(det), 4, 4))
     for start in range(0, len(det), _STIFFNESS_BLOCK):
         blk = slice(start, start + _STIFFNESS_BLOCK)
-        g, db, kb = grads[blk], d[blk], ke[blk]
+        g = grads[blk].transpose(2, 1, 0).copy()  # (3, 4, block)
+        db = d[blk]
+        acc = np.zeros((4, 4, g.shape[2]))
+        term = np.empty_like(acc)
         for a in range(3):
-            wg = w[blk, None] * g[:, :, a]
+            wg = w[blk] * g[a]
             for b in range(3):
-                kb += (wg * db[:, a, b, None])[:, :, None] * g[:, None, :, b]
-    return 0.5 * (ke + ke.transpose(0, 2, 1))
+                np.multiply((wg * db[:, a, b])[:, None, :], g[b][None, :, :], out=term)
+                acc += term
+        np.add(acc, acc.transpose(1, 0, 2), out=term)
+        term *= 0.5
+        ke[blk] = term.transpose(2, 0, 1)
+    return ke
 
 
 def _hex_stiffness(det, b, d):
@@ -311,13 +329,21 @@ def _hex_stiffness(det, b, d):
 
 @dataclass
 class AssembledSystem:
-    """Global stiffness/capacity operators, load vector, Dirichlet table."""
+    """Global stiffness/capacity operators, load vector, Dirichlet table.
+
+    The capacity (mass) matrix is built on first access from ``mass_fn``:
+    a steady solve never reads it.
+    """
 
     stiffness: CsrMatrix
-    mass: CsrMatrix
+    mass_fn: Callable[[], CsrMatrix] = field(repr=False)
     load: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
+
+    @cached_property
+    def mass(self) -> CsrMatrix:
+        return self.mass_fn()
 
     @property
     def n(self) -> int:
@@ -431,9 +457,12 @@ def assemble_load(
     """
     if geometry is None:
         geometry = cell_geometry(mesh)
-    src = scalar_field(source)
-    det, qpts = geometry.det, geometry.qpts
-    fvals = src(qpts.reshape(-1, 3), t).reshape(len(mesh.cells), -1)
+    det, m = geometry.det, mesh.n_cells
+    if callable(source):
+        fvals = scalar_field(source)(geometry.qpts.reshape(-1, 3), t).reshape(m, -1)
+    else:  # a constant needs no quadrature points
+        n_points = len(TET_QUAD_BARY) if mesh.kind == TET4 else len(_HEX_N)
+        fvals = np.full((m, n_points), float(source or 0.0))
     if mesh.kind == TET4:
         fe = det[:, None] * _TET_W * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)
     else:
@@ -457,22 +486,25 @@ def assemble(
     The second parameter is ignored; it keeps the positional signature
     ``assemble(mesh, None, bc, diffusivity, source)`` that callers use.
     ``geometry`` is as in :func:`assemble_load`.  Stiffness and capacity
-    share one sorted pattern.
+    share one sorted pattern; the capacity is built when first read.
     """
     _check_markers(mesh, bc)
     if geometry is None:
         geometry = cell_geometry(mesh)
-    det, grads, qpts = geometry.det, geometry.grads, geometry.qpts
-    d = _cell_tensors(diffusivity, qpts, mesh.n_cells)
+    det, grads = geometry.det, geometry.grads
+    d = _cell_tensors(diffusivity, geometry, mesh.n_cells)
     if mesh.kind == TET4:
         ke = _tet_stiffness(det, grads, d)
-        me = det[:, None, None] * _TET_MASS_REF
     else:
         ke = _hex_stiffness(det, grads, d)
-        me = np.einsum("mq,qi,qj->mij", det, _HEX_N, _HEX_N)
     pattern = _cell_pattern(mesh.n_vertices, mesh.cells)
     stiffness = pattern.matrix(ke)
-    mass = pattern.matrix(me)
+
+    def mass():
+        if mesh.kind == TET4:
+            return pattern.matrix(det[:, None, None] * _TET_MASS_REF)
+        return pattern.matrix(np.einsum("mq,qi,qj->mij", det, _HEX_N, _HEX_N))
+
     load = assemble_load(mesh, source, bc, t, geometry)
     idx, vals = dirichlet_values(mesh, bc, t)
     return AssembledSystem(stiffness, mass, load, idx, vals)

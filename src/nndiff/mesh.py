@@ -9,8 +9,11 @@ Every lookup of "the same entity" (a face in ``boundary_faces`` and the
 facet census of :meth:`Mesh.validate`, a new point shared by neighbours
 in :func:`refine_uniform`) keys it by its sorted vertex ids and groups
 equal keys with :func:`nndiff.sparse.sorted_runs`, the routine behind
-``CooPattern``.  Refinement is written as tables: the parents of every
-new point and the children of every cell and facet.
+``CooPattern``: one stable counting pass per key column, so a grouping
+costs time linear in the keys plus the vertex count.  ``boundary_faces``
+reads how often a face occurs from the run starts.  Refinement is
+written as tables: the parents of every new point and the children of
+every cell and facet.
 """
 
 from __future__ import annotations
@@ -209,8 +212,10 @@ def boundary_faces(cells, kind) -> tuple[np.ndarray, np.ndarray]:
     faces = cells[:, np.asarray(local)]  # (m, nf, k)
     m, nf, k = faces.shape
     flat = faces.reshape(m * nf, k)
-    inverse, _ = _groups(np.sort(flat, axis=1))
-    once = np.bincount(inverse)[inverse] == 1
+    order, starts = sorted_runs(np.sort(flat, axis=1).T)
+    single = starts[np.diff(starts, append=len(order)) == 1]
+    once = np.zeros(len(flat), dtype=bool)
+    once[order[single]] = True
     return flat[once], np.flatnonzero(once) // nf
 
 

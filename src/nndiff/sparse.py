@@ -283,32 +283,64 @@ class CsrMatrix:
         return f"CsrMatrix(n={self.n}, nnz={self.nnz})"
 
 
+def _counting_pass(keys, order) -> tuple[np.ndarray, np.ndarray]:
+    """``order`` stably sorted by ``keys`` (one per entry of ``order``), and
+    the position where each key's bucket begins.
+
+    The pass is scipy's CSR->CSC transposition of a one-row matrix whose
+    column indices are the keys and whose values are ``order``: a compiled
+    O(len + range) bucket scatter that keeps equal keys in input order.
+    Keys whose range would need more than four buckets per key are ranked
+    first (``np.unique``), so memory stays O(len) for any key width.
+    """
+    lo, hi = int(keys.min()), int(keys.max())
+    if hi - lo >= 4 * len(keys):
+        uniq, keys = np.unique(keys, return_inverse=True)
+        lo, hi = 0, len(uniq) - 1
+    itype = np.int32 if max(len(keys), hi - lo + 1) < 2**31 else np.int64
+    if lo:
+        keys = np.subtract(keys, lo, out=np.empty(len(keys), dtype=itype), casting="unsafe")
+    indptr = np.array([0, len(keys)], dtype=itype)
+    col = _scipy_csr((order, keys.astype(itype, copy=False), indptr), shape=(1, hi - lo + 1)).tocsc()
+    return col.data, col.indptr[:-1]
+
+
 def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of integer key columns with one stable lexicographic sort.
+    """Group equal rows of integer key columns by their stable lexicographic order.
 
     ``columns`` holds equal-length integer arrays, the most significant
-    first: several columns (the sorted vertex tuples of the mesh callers)
-    or one packed key (``CooPattern``'s ``row * n + col``).  Returns
-    ``order``, the stable sort of the rows, and ``starts``, the positions
-    in ``order`` where each run of equal rows begins: run ``j`` is
-    ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
+    first: the sorted vertex tuples of the mesh callers, or ``CooPattern``'s
+    rows and columns.  Returns ``order``, the stable sort of the rows (the
+    permutation ``np.lexsort(columns[::-1])`` gives), and ``starts``, the
+    positions in ``order`` where each run of equal rows begins: run ``j``
+    is ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
     ``order[starts]`` are the first occurrences.
+
+    The sort is a least-significant-first radix sort with one stable
+    counting pass per column, O(rows + range) each instead of a comparison
+    sort; the last pass's buckets mark where the first column changes.
     """
-    order = np.lexsort(tuple(columns)[::-1])
-    new_run = np.zeros(len(order), dtype=bool)
-    new_run[:1] = True
-    for col in columns:
+    columns = tuple(columns)
+    n = len(columns[0]) if columns else 0
+    if not n:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    for k, col in enumerate(reversed(columns)):
+        order, buckets = _counting_pass(col[order] if k else col, order)
+    new_run = np.zeros(n, dtype=bool)
+    new_run[buckets[buckets < n]] = True
+    for col in columns[1:]:
         c = col[order]
         new_run[1:] |= c[1:] != c[:-1]
-    return order, np.flatnonzero(new_run)
+    return order.astype(np.int64), np.flatnonzero(new_run)
 
 
 class CooPattern:
     """The CSR pattern of fixed (rows, cols) triplets, sorted once.
 
-    The triplets are sorted by the single packed key ``row * n + col``,
-    whose stable order is the (row, col) lexicographic one; each entry's
-    row and column are read back from the key at the start of its run.
+    The triplets are grouped by :func:`sorted_runs` over the two columns
+    (rows, cols), whose stable order is the (row, col) lexicographic one;
+    each entry's row and column are those of the first triplet of its run.
     :meth:`matrix` sums duplicate entries exactly as
     :meth:`CsrMatrix.from_coo` does, so matrices built from one pattern
     (the stiffness and capacity of one mesh) pay for one sort and share
@@ -316,20 +348,21 @@ class CooPattern:
     """
 
     def __init__(self, n, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        if len(rows) != len(cols):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.size != cols.size:
             raise DimensionError("coo triplet arrays must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0
+        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0
                           or cols.max() >= n):
             raise DimensionError("coo index out of range")
         self.n = int(n)
-        # row * n + col < n**2, below 2**63 for any n < 3e9: no overflow
-        key = rows * self.n + cols
-        self._order, self._starts = sorted_runs((key,))
-        first_rows, self.col_indices = np.divmod(key[self._order[self._starts]], self.n)
+        # indices below n in the narrowest type: half the sort's memory traffic
+        itype = np.int32 if self.n <= 2**31 else np.int64
+        rows, cols = (a.astype(itype, order="C").ravel() for a in (rows, cols))
+        self._order, self._starts = sorted_runs((rows, cols))
+        first = self._order[self._starts]
+        self.col_indices = cols[first].astype(np.int64)
         self.row_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(first_rows, minlength=self.n), out=self.row_offsets[1:])
+        np.cumsum(np.bincount(rows[first], minlength=self.n), out=self.row_offsets[1:])
 
     def matrix(self, vals) -> CsrMatrix:
         vals = np.asarray(vals, dtype=np.float64).ravel()

@@ -13,10 +13,18 @@ paths that neither reaches, on the cube-with-hole mesh at n = 9:
 For each, the SHA-256 of the stiffness and the capacity (``row_offsets``,
 ``col_indices``, ``values``) and of the load vector are kept.
 
+``tet4-hole-n27`` pins the benchmark's mesh size, where the grouping
+sorts and the blocked stiffness run over many blocks: the
+``boundary_faces`` faces and owners of the cube with a hole at n = 27, the
+sort order and run starts of its ``CooPattern``, and the stiffness,
+capacity and load of a full constant tensor with a constant source.
+
 The data was recorded with the four-operand element ``einsum``, the
 ``np.lexsort`` pattern sort and the per-cell tensor check, before the
 blocked element stiffness, the packed-key sort and the single check of a
-constant tensor replaced them.
+constant tensor replaced them.  ``tet4-hole-n27`` was recorded with the
+packed-key ``np.lexsort`` sort and the 2048-cell blocked stiffness, before
+the counting-pass grouping and the per-entry stiffness replaced them.
 
 Run from the repository root to rewrite the data file (only when a change
 of results is intended and explained):
@@ -33,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from nndiff import BoundarySpec, DiffusivityField, DispersionParams, generate_cube_with_hole
-from nndiff.fem import assemble
+from nndiff.fem import _cell_pattern, assemble
+from nndiff.mesh import boundary_faces
 from record_golden import _flux, _source, sha256
 
 DATA = Path(__file__).parent / "data" / "golden_assembly.json"
@@ -93,8 +102,27 @@ def compute(case: str) -> dict:
     }
 
 
+BENCHMARK_CASE = "tet4-hole-n27"
+
+
+def compute_benchmark_mesh() -> dict:
+    mesh = generate_cube_with_hole(27, "tet4")
+    faces, owners = boundary_faces(mesh.cells, mesh.kind)
+    pattern = _cell_pattern(mesh.n_vertices, mesh.cells)
+    bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+    system = assemble(mesh, None, bc, _constant_full(mesh), 1.5)
+    return {
+        "boundary_faces": [sha256(faces), sha256(owners)],
+        "pattern": [sha256(pattern._order), sha256(pattern._starts)],
+        "stiffness": _matrix_hashes(system.stiffness),
+        "mass": _matrix_hashes(system.mass),
+        "load": sha256(system.load),
+    }
+
+
 def main() -> int:
     golden = {case: compute(case) for case in sorted(CASES)}
+    golden[BENCHMARK_CASE] = compute_benchmark_mesh()
     DATA.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} cases to {DATA}")
     return 0

@@ -10,6 +10,7 @@ from nndiff.fem import (
     DispersionParams,
     apply_dirichlet,
     assemble,
+    assemble_load,
     dirichlet_values,
     dispersion_tensor,
     neumann_load,
@@ -209,7 +210,7 @@ class TestTetStiffnessOracle:
         flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
         x[flip] = x[flip][:, [0, 2, 1, 3]]  # positive volume
         assume(np.all(np.linalg.det(x[:, 1:] - x[:, :1]) > 0))
-        det, grads, _ = _tet_batch(x.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))
+        det, grads = _tet_batch(x.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))
         if tensors == "cell":
             d = _random_spd(rng, (m,))
         elif tensors == "point":
@@ -226,6 +227,15 @@ def anisotropic_d():
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    @pytest.mark.parametrize("value", [None, 0.0, 2.5, -1])
+    def test_constant_source_load_matches_callable_bit_for_bit(self, kind, value):
+        mesh = generate_box(2, 3, 2, kind)
+        bc = BoundarySpec(dirichlet={1: 0.0})
+        const = assemble_load(mesh, value, bc, t=0.3)
+        sampled = assemble_load(mesh, lambda p, t: float(value or 0.0), bc, t=0.3)
+        assert const.tobytes() == sampled.tobytes()
+
     def test_stiffness_symmetry(self, anisotropic_d):
         mesh = generate_box(3, 3, 3, "tet4")
         bc = BoundarySpec(dirichlet={1: 0.0})

@@ -684,9 +684,72 @@ class TestSortedRuns:
         assert np.array_equal(first, index)
 
 
+_WIDE = 2**62
+
+
+@st.composite
+def wide_key_rows(draw):
+    """Key rows whose columns mix values near +-2**62 with small and negative ones."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 30))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-_WIDE, _WIDE),
+        st.sampled_from([-_WIDE, -_WIDE + 1, _WIDE - 1, _WIDE]),
+    )
+    vals = draw(st.lists(value, min_size=n * k, max_size=n * k))
+    return np.array(vals, dtype=np.int64).reshape(n, k)
+
+
+class TestSortedRunsWideKeys:
+    """The counting passes rank a column whose range is far wider than its
+    row count, so keys anywhere in int64 sort as ``np.lexsort`` does."""
+
+    @staticmethod
+    def check(keys):
+        order, starts = sorted_runs(keys.T)
+        assert order.dtype == np.int64 and starts.dtype == np.int64
+        assert np.array_equal(order, np.lexsort(keys.T[::-1]))
+        uniq, counts = np.unique(keys, axis=0, return_counts=True)
+        assert np.array_equal(keys[order[starts]], uniq)
+        assert np.array_equal(np.diff(starts, append=len(keys)), counts)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(wide_key_rows())
+    def test_matches_lexsort_and_unique(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("keys", [
+        np.zeros((0, 2), dtype=np.int64),
+        np.array([[_WIDE, -_WIDE]]),
+        np.full((9, 3), -_WIDE),
+        np.full((5, 2), 7),
+        np.array([[-_WIDE, 0], [_WIDE, -1], [-_WIDE, -_WIDE], [_WIDE, _WIDE], [0, 0],
+                  [-_WIDE, 0], [-1, 3], [-_WIDE, -_WIDE]]),
+        np.array([[-5, 2], [-7, 2], [-5, -9], [-7, 2]]),
+    ], ids=["0-rows", "1-row", "all-equal-wide", "all-equal", "extremes", "negative"])
+    def test_edge_cases(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("top", [10**6, _WIDE])
+    def test_wide_column_allocates_by_rows_not_range(self, top):
+        import tracemalloc
+
+        rows = 1000
+        col = np.random.default_rng(3).integers(0, top, rows)
+        col[:2] = 0, top
+        tracemalloc.start()
+        try:
+            order, _ = sorted_runs((col,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(order, np.argsort(col, kind="stable"))
+        assert peak < 100 * rows  # bytes; one bucket per value would need 4 * top
+
 def _coo_pattern_reference(n, rows, cols, vals):
-    """The two-column ``np.lexsort`` pattern that ``CooPattern`` used before
-    it sorted one packed ``row * n + col`` key."""
+    """The two-column ``np.lexsort`` pattern, the reference for
+    ``CooPattern``'s counting passes over (rows, cols)."""
     order = np.lexsort((cols, rows))
     new_run = np.zeros(len(order), dtype=bool)
     new_run[:1] = True

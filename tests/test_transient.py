@@ -1,6 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+import nndiff.fem as fem
 from nndiff.errors import ConfigError, SolverFailure
 from nndiff.fem import (
     DiffusivityField,
@@ -277,3 +280,47 @@ class TestPrepare:
         prepared = prepare(mesh, bc, ISO, 0.0, prepared_dt)
         with pytest.raises(ConfigError, match="prepared problem"):
             solve(prepared, TransientConfig(**timing))
+
+
+class TestPrepareBuildsOnlyWhatTheSolveReads:
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        """Count the quadrature-point sets formed and the capacity matrices built."""
+        built = {"qpts": 0, "mass": 0}
+        for cls, name in ((fem.CellGeometry, "qpts"), (fem.AssembledSystem, "mass")):
+            def counted(self, raw=getattr(cls, name).func, name=name):
+                built[name] += 1
+                return raw(self)
+            prop = cached_property(counted)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+        return built
+
+    def test_steady_constant_problem_forms_no_points_and_no_mass(self, monkeypatch):
+        built = self.spy(monkeypatch)
+        mesh = generate_cube_with_hole(9, "tet4")
+        bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+        d = DiffusivityField.constant(np.diag([1.0, 0.01, 0.01]))
+        for solver in ("galerkin", "tron"):
+            solve(prepare(mesh, bc, d, 2.0), TransientConfig(steady=True, solver=solver))
+        assert built == {"qpts": 0, "mass": 0}
+
+    @pytest.mark.parametrize("kind", ["tet4", "hex8"])
+    def test_transient_constant_problem_builds_mass_once(self, monkeypatch, kind):
+        built = self.spy(monkeypatch)
+        mesh, bc = small_problem(kind)
+        run(mesh, bc, ISO, 1.0, TransientConfig(dt=0.5, n_steps=3))
+        assert built == {"qpts": 0, "mass": 1}
+
+    @pytest.mark.parametrize("given", ["tensor", "source"])
+    def test_function_input_forms_points_once(self, monkeypatch, given):
+        built = self.spy(monkeypatch)
+        mesh, bc = small_problem()
+        d, source = ISO, 1.0
+        if given == "tensor":
+            d = DiffusivityField.from_function(
+                lambda p: np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (len(p), 3, 3)))
+        else:
+            source = lambda p, t: 1.0 + p[:, 0] * t  # noqa: E731
+        run(mesh, bc, d, source, TransientConfig(dt=0.5, n_steps=3))
+        assert built == {"qpts": 1, "mass": 1}
