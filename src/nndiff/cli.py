@@ -73,17 +73,6 @@ def _build_problem(run_cfg, config_path):
     return mesh, diffusivity, bc, source
 
 
-def _snapshot_writer(mesh, geometry, path_pattern, cadence):
-    def on_step(step, t, c_full, report):
-        if cadence > 0 and step % cadence == 0:
-            path = path_pattern.with_name(
-                f"{path_pattern.stem}_{step:04d}{path_pattern.suffix}"
-            )
-            write_vtk(mesh, {"c": c_full}, path, geometry=geometry)
-
-    return on_step
-
-
 def _summary(result, tcfg, envelope) -> dict:
     """report.json's payload for one run; compare's table and CSV read it too."""
     dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
@@ -119,15 +108,15 @@ def cmd_solve(args) -> int:
             logger.warning("[solver] %s is ignored: %s does not use it", key, tcfg.solver)
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
 
+    result = run_transient(mesh, bc, diffusivity, source, tcfg)
     vtk_path = args.vtk or run_cfg.output.get("vtk")
-    cadence = int(run_cfg.output.get("cadence", 0))
-    geometry = VtkGeometry(mesh)  # formatted at the first write, shared by all
-    on_step = None
-    if vtk_path and cadence > 0 and not tcfg.steady:
-        on_step = _snapshot_writer(mesh, geometry, Path(vtk_path), cadence)
-
-    result = run_transient(mesh, bc, diffusivity, source, tcfg, on_step=on_step)
     if vtk_path:
+        geometry = VtkGeometry(mesh)  # formatted at the first write, shared by all
+        # fields[k] is level k; a steady result holds one field and no snapshot
+        cadence, path = run_cfg.output.get("cadence", 0), Path(vtk_path)
+        for k in range(cadence, len(result.fields), cadence) if cadence else ():
+            write_vtk(mesh, {"c": result.fields[k]},
+                      path.with_name(f"{path.stem}_{k:04d}{path.suffix}"), geometry=geometry)
         write_vtk(mesh, {"c": result.final}, vtk_path, geometry=geometry)
     csv_path = run_cfg.output.get("csv")
     if csv_path:
@@ -189,7 +178,7 @@ def cmd_compare(args) -> int:
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
     # the entries differ only in solver settings, so one prepared problem serves all
-    prepared = prepare(mesh, bc, diffusivity, source, None if tcfgs[0].steady else tcfgs[0].dt)
+    prepared = prepare(mesh, bc, diffusivity, source, tcfgs[0].dt)
 
     columns = []  # (spec, the summary with dmp and perf merged in, or None if it failed)
     for spec, tcfg in zip(solvers, tcfgs):

@@ -79,6 +79,8 @@ def _check_value(section: str, key: str, value) -> None:
         )
     if key in _INTEGER_KEYS and type(value) is not int:
         raise ConfigError(f"[{section}] {key} must be an integer, not {value!r}")
+    if key in ("refine", "cadence") and value < 0:
+        raise ConfigError(f"[{section}] {key} must not be negative, not {value}")
 
 
 def _check_schema(raw: dict) -> None:
@@ -234,7 +236,9 @@ def build_transient_config(run: RunConfig, solver_override: str | None = None,
         settings["inner_rtol"] = inner_rtol
     if colon:
         settings["inner_rtol"] = float(tail)
-    return TransientConfig(steady=run.transient is None, **settings)
+    if run.transient is None:
+        settings["dt"] = None  # no [transient] section: one steady solve
+    return TransientConfig(**settings)
 
 
 def build_envelope(run: RunConfig) -> PerfEnvelope | None:

@@ -523,32 +523,27 @@ class ReducedSystem:
     free: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
-    n_full: int
 
     def expand(self, x_reduced) -> np.ndarray:
-        full = np.zeros(self.n_full)
-        full[self.free] = x_reduced
-        full[self.dirichlet_idx] = self.dirichlet_values
-        return full
-
-    def lift(self) -> np.ndarray:
-        full = np.zeros(self.n_full)
-        full[self.dirichlet_idx] = self.dirichlet_values
-        return full
+        n = len(self.free) + len(self.dirichlet_idx)
+        return expand(n, self.free, x_reduced, self.dirichlet_idx, self.dirichlet_values)
 
 
-def reduce_rhs(matrix: CsrMatrix, rhs, free, lift) -> np.ndarray:
+def expand(n: int, free, x, idx, vals) -> np.ndarray:
+    """The full field of ``n`` dofs: ``x`` on ``free``, Dirichlet ``vals`` on ``idx``."""
+    full = np.zeros(n)
+    full[free] = x
+    full[idx] = vals
+    return full
+
+
+def reduce_rhs(matrix: CsrMatrix, rhs, free, idx, vals) -> np.ndarray:
     """rhs restricted to free dofs with the Dirichlet coupling moved over."""
+    lift = expand(matrix.n, free, 0.0, idx, vals)
     return rhs[free] - matrix.matvec_raw(lift)[free]
 
 
 def apply_dirichlet(system: AssembledSystem) -> ReducedSystem:
-    n = system.n
-    free = system.free
-    reduced = system.stiffness.submatrix(free)
-    lift = np.zeros(n)
-    lift[system.dirichlet_idx] = system.dirichlet_values
-    rhs = reduce_rhs(system.stiffness, system.load, free, lift)
-    return ReducedSystem(
-        reduced, rhs, free, system.dirichlet_idx, system.dirichlet_values, n
-    )
+    free, idx, vals = system.free, system.dirichlet_idx, system.dirichlet_values
+    rhs = reduce_rhs(system.stiffness, system.load, free, idx, vals)
+    return ReducedSystem(system.stiffness.submatrix(free), rhs, free, idx, vals)

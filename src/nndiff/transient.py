@@ -4,13 +4,16 @@ One implicit step solves (M/dt + K) c_next = f_next + M c_n / dt on the
 free dofs.  The Galerkin path uses preconditioned CG; the constrained
 paths minimize the equivalent quadratic subject to c_min <= c <= c_max,
 warm-started from the previous level (the minimizer is unique, so the
-warm start changes work, not the answer).
+warm start changes work, not the answer).  ``dt = None`` is the steady
+problem: one solve of K c = f, through the same solvers.
 
 :func:`prepare` assembles and reduces one problem: a fixed time step keeps
 the operator constant, and the cell geometry is computed once for every
 level's load.  :func:`solve` runs one solver configuration on it and
 builds its own preconditioner and ledger, so several solvers can share one
-prepared problem; :func:`run` is one prepare followed by one solve.
+prepared problem; :func:`run` is one prepare followed by one solve.  The
+result keeps every level's field; output is written from it after the run,
+so a failed run writes none.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .fem import (
     assemble_load,
     cell_geometry,
     dirichlet_values,
+    expand,
     reduce_rhs,
 )
 from .mesh import BoundarySpec, Mesh
@@ -44,13 +48,12 @@ SOLVER_CHOICES = ("galerkin", "tron", "blmvm")
 class TransientConfig:
     """Time-stepping and solver parameters.
 
-    ``steady`` replaces the time loop with a single solve of the
+    ``dt = None`` replaces the time loop with a single solve of the
     stationary problem.  Bounds apply only to the constrained solvers.
     """
 
-    dt: float = 1.0
+    dt: float | None = 1.0
     n_steps: int = 1
-    steady: bool = False
     c_min: float = 0.0
     c_max: float = 1.0
     initial_value: float = 1e-8
@@ -62,17 +65,22 @@ class TransientConfig:
 
     def __post_init__(self):
         # stored as floats, so an integer initial value still gives a float field
-        for name in ("dt", "c_min", "c_max", "initial_value", "rtol", "inner_rtol"):
+        for name in ("c_min", "c_max", "initial_value", "rtol", "inner_rtol"):
             setattr(self, name, float(getattr(self, name)))
+        if self.dt is not None:
+            self.dt = float(self.dt)
         if self.solver not in SOLVER_CHOICES:
             raise ConfigError(f"unknown solver {self.solver!r}; use {SOLVER_CHOICES}")
         if self.precond is not None and self.precond not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
-        if not self.steady:
-            if self.dt <= 0.0:
-                raise ConfigError("dt must be positive")
-            if self.n_steps < 1:
-                raise ConfigError("n_steps must be at least 1")
+        if self.steady and self.n_steps != 1:
+            raise ConfigError(f"a steady solve (dt = None) takes one step, not {self.n_steps}")
+        if not self.steady and self.dt <= 0.0:
+            raise ConfigError("dt must be positive")
+        if self.n_steps < 1:
+            raise ConfigError("n_steps must be at least 1")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ConfigError("max_iter must be at least 1")
         if self.solver != "galerkin":
             if not self.c_min <= self.initial_value <= self.c_max:
                 raise ConfigError(
@@ -80,6 +88,10 @@ class TransientConfig:
                 )
             if self.c_min > self.c_max:
                 raise ConfigError("c_min must not exceed c_max")
+
+    @property
+    def steady(self) -> bool:
+        return self.dt is None
 
 
 @dataclass
@@ -124,8 +136,9 @@ def _check_bounds(values, config: TransientConfig) -> None:
 
 def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     """One reduced-system solve; raises SolverFailure on non-convergence."""
+    default_cap = {"galerkin": max(1000, 10 * operator.n), "tron": 500, "blmvm": 20000}
+    maxit = default_cap[config.solver] if config.max_iter is None else config.max_iter
     if config.solver == "galerkin":
-        maxit = config.max_iter if config.max_iter else max(1000, 10 * operator.n)
         x, report = cg_solve(
             operator, rhs, precond=precond, rtol=config.rtol,
             maxit=maxit, x0=warm, ledger=ledger,
@@ -144,13 +157,11 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     if config.solver == "tron":
         x, report = solve_tron(
             problem, rtol=config.rtol, inner_rtol=config.inner_rtol,
-            max_outer=config.max_iter or 500,
-            x0=x0, precond=precond, atol=atol, ledger=ledger,
+            max_outer=maxit, x0=x0, precond=precond, atol=atol, ledger=ledger,
         )
     else:
         x, report = solve_blmvm(
-            problem, rtol=config.rtol,
-            max_outer=config.max_iter or 20000, x0=x0, atol=atol, ledger=ledger,
+            problem, rtol=config.rtol, max_outer=maxit, x0=x0, atol=atol, ledger=ledger,
         )
     if not report.converged:
         raise SolverFailure(
@@ -192,62 +203,46 @@ def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
                            geometry=geometry, full_operator=full)
 
 
-def solve(prepared: PreparedProblem, config: TransientConfig, on_step=None) -> TransientResult:
-    """Drive the time loop (or the single steady solve) on ``prepared``; ``config``
-    must match its steady/dt setting.  The initial field is ``config.initial_value``
-    everywhere with the Dirichlet data inserted.  ``on_step(step, t, c_full, report)``
-    fires after every solved level.  The result ledger covers solver work only (the
+def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult:
+    """Drive the time loop (or the single steady solve) on ``prepared``; ``config.dt``
+    must match its own.  The initial field is ``config.initial_value`` everywhere
+    with the Dirichlet data inserted.  The result ledger covers solver work only (the
     preconditioner's setup too), not assembly or rhs construction.
     """
-    p, system = prepared, prepared.system
-    dt = None if config.steady else config.dt
+    p, system, dt = prepared, prepared.system, config.dt
     if dt != p.dt:
         want, have = ("steady" if d is None else f"dt = {d:g}" for d in (dt, p.dt))
         raise ConfigError(f"the solve config is {want}, the prepared problem {have}")
     n, free, operator = system.n, system.free, p.operator
-    result = TransientResult()
-    _check_bounds(system.dirichlet_values, config)
-
-    c_full = np.full(n, config.initial_value)
-    c_full[system.dirichlet_idx] = system.dirichlet_values
-    if dt is None:
-        levels = [(0, 0.0)]
-    else:
-        levels = [(k, k * dt) for k in range(1, config.n_steps + 1)]
-        result.fields.append(c_full.copy())
+    idx, vals = system.dirichlet_idx, system.dirichlet_values
+    _check_bounds(vals, config)
+    c_full = expand(n, free, config.initial_value, idx, vals)
+    result = TransientResult(fields=[] if dt is None else [c_full])  # level 0 if transient
 
     precond = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
     if config.solver == "galerkin":
         precond = make_preconditioner(operator, precond, result.ledger)
 
-    for step, t in levels:
-        if dt is None:
-            rhs, idx, vals = p.rhs, system.dirichlet_idx, system.dirichlet_values
-        else:
-            f_full = assemble_load(p.mesh, p.source, p.bc, t, p.geometry)
+    rhs = p.rhs  # the steady problem's; each transient level builds its own
+    for step in [0] if dt is None else range(1, config.n_steps + 1):
+        if dt is not None:
+            f_full = assemble_load(p.mesh, p.source, p.bc, step * dt, p.geometry)
             ftilde = build_transient_rhs(f_full, system.mass, c_full, dt)
-            idx, vals = dirichlet_values(p.mesh, p.bc, t)
+            idx, vals = dirichlet_values(p.mesh, p.bc, step * dt)
             _check_bounds(vals, config)
-            lift = np.zeros(n)
-            lift[idx] = vals
-            rhs = reduce_rhs(p.full_operator, ftilde, free, lift)
+            rhs = reduce_rhs(p.full_operator, ftilde, free, idx, vals)
         x, report = _solve_level(operator, rhs, config, c_full[free], precond, result.ledger, step)
-        c_full = np.zeros(n)
-        c_full[free] = x
-        c_full[idx] = vals
+        c_full = expand(n, free, x, idx, vals)
         result.fields.append(c_full)
         result.reports.append(report)
         result.solver_wall_time += report.wall_time
-        if on_step is not None:
-            on_step(step, t, c_full, report)
     return result
 
 
 def run(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
-        config: TransientConfig, on_step=None) -> TransientResult:
+        config: TransientConfig) -> TransientResult:
     """:func:`prepare` the problem ``config`` describes, then :func:`solve` it."""
-    dt = None if config.steady else config.dt
-    return solve(prepare(mesh, bc, diffusivity, source, dt), config, on_step)
+    return solve(prepare(mesh, bc, diffusivity, source, config.dt), config)
 
 
 def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) -> None:

@@ -33,9 +33,9 @@ from record_golden import sha256
 
 DATA = Path(__file__).parent / "data" / "golden_cube_hole_n9.json"
 CASES = {
-    "steady-galerkin": dict(steady=True, solver="galerkin"),
-    "steady-tron": dict(steady=True, solver="tron"),
-    "steady-blmvm": dict(steady=True, solver="blmvm"),
+    "steady-galerkin": dict(dt=None, solver="galerkin"),
+    "steady-tron": dict(dt=None, solver="tron"),
+    "steady-blmvm": dict(dt=None, solver="blmvm"),
     "transient-blmvm-3": dict(dt=0.02, n_steps=3, solver="blmvm"),
 }
 

@@ -61,7 +61,7 @@ def cube_hole_runs():
     bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
     results = {}
     for solver in ("galerkin", "tron", "blmvm"):
-        cfg = TransientConfig(steady=True, solver=solver, rtol=1e-6,
+        cfg = TransientConfig(dt=None, solver=solver, rtol=1e-6,
                               c_min=0.0, c_max=1.0)
         results[solver] = run_transient(mesh, bc, diffusivity, 0.0, cfg)
     elapsed = time.perf_counter() - t_start

@@ -10,6 +10,7 @@ import nndiff.cli
 import nndiff.mesh_io
 import nndiff.transient
 from nndiff.cli import main
+from nndiff.errors import SolverFailure
 from nndiff.mesh import boundary_faces, generate_box
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
 from nndiff.qp import QpProblem, brute_force_qp
@@ -254,6 +255,47 @@ class TestSolve:
         cfg.write_text(HOLE_CONFIG.replace("rtol = 1e-6", "rtol = 1e-6\nmax_iter = 1"))
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    # each count used to run as if unset or as 0, or to fail as a solver failure
+    @pytest.mark.parametrize("old, new, named", [
+        ("rtol = 1e-6", "rtol = 1e-6\nmax_iter = 0", "max_iter"),
+        ("rtol = 1e-6", "rtol = 1e-6\nmax_iter = -1", "max_iter"),
+        ('kind = "tet4"', 'kind = "tet4"\nrefine = -1', "[mesh] refine"),
+        ("[perf]", "[output]\ncadence = -2\n\n[perf]", "[output] cadence"),
+    ])
+    def test_negative_or_zero_count_exit_1(self, old, new, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace(old, new))
+        assert main(["solve", "--config", str(cfg), "--vtk", str(tmp_path / "t.vtk")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+        assert list(tmp_path.glob("*.vtk")) == []
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_failed_run_writes_no_snapshot_and_no_report(self, fail_at, tmp_path, monkeypatch):
+        """``max_iter = 1`` fails the first level; a failure forced at the last level
+        shows that the levels solved before it are not written either."""
+        cfg = tmp_path / "trans.toml"
+        max_iter = "" if fail_at else "\nmax_iter = 1"
+        cfg.write_text(
+            HOLE_CONFIG.replace("rtol = 1e-6", "rtol = 1e-6" + max_iter)
+            + "\n[transient]\ndt = 0.5\nn_steps = 3\n"
+            + f'\n[output]\nvtk = "{tmp_path / "t.vtk"}"\ncadence = 1\n'
+            + f'report = "{tmp_path / "report.json"}"\n'
+        )
+        solve_level = nndiff.transient._solve_level
+
+        def failing(*args):
+            step = args[-1]
+            if step == fail_at:
+                raise SolverFailure(f"forced at step {step}", step)
+            return solve_level(*args)
+
+        monkeypatch.setattr(nndiff.transient, "_solve_level", failing)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert list(tmp_path.glob("*.vtk")) == []
+        assert not (tmp_path / "report.json").exists()
 
     def test_transient_with_snapshots_and_csv(self, tmp_path):
         cfg = tmp_path / "trans.toml"

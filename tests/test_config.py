@@ -256,7 +256,7 @@ CONFIG_DIR = files("nndiff") / "configs"
 # the settings build_transient_config gave when it still restated
 # TransientConfig's defaults; each config below lists its differences
 DEFAULT_SETTINGS = {
-    "dt": 1.0, "n_steps": 1, "steady": True, "c_min": 0.0, "c_max": 1.0,
+    "dt": None, "n_steps": 1, "c_min": 0.0, "c_max": 1.0,
     "initial_value": 1e-8, "solver": "galerkin", "rtol": 1e-6, "inner_rtol": 1e-2,
     "max_iter": None, "precond": None,
 }
@@ -277,7 +277,7 @@ EXPECTED_SETTINGS = {
     "cube_hole_tron.toml": TRON,
     "steady-galerkin-ilu0-n27": {"precond": "ilu0"},
     "steady-tron-n27": TRON,
-    "transient-blmvm-n18": {"solver": "blmvm", "steady": False, "dt": 0.02, "n_steps": 20},
+    "transient-blmvm-n18": {"solver": "blmvm", "dt": 0.02, "n_steps": 20},
 }
 
 

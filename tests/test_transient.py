@@ -95,9 +95,15 @@ class TestConfig:
             assert a.dtype == b.dtype == np.float64
             assert a.tobytes() == b.tobytes()
 
-    def test_steady_skips_dt_check(self):
-        cfg = TransientConfig(steady=True, dt=-1.0)
-        assert cfg.steady
+    def test_no_time_step_is_one_steady_solve(self):
+        assert TransientConfig(dt=None).steady
+        with pytest.raises(ConfigError, match="steady solve"):
+            TransientConfig(dt=None, n_steps=3)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ConfigError, match="max_iter"):
+            TransientConfig(max_iter=max_iter)
 
 
 class TestRun:
@@ -112,7 +118,7 @@ class TestRun:
     def test_steady_flag_solves_stationary_problem(self):
         mesh = generate_box(3, 3, 3, "tet4")
         bc = BoundarySpec(dirichlet={1: 0.0})
-        cfg = TransientConfig(steady=True, rtol=1e-12)
+        cfg = TransientConfig(dt=None, rtol=1e-12)
         result = run(mesh, bc, ISO, 1.0, cfg)
         system = assemble(mesh, None, bc, ISO, source=1.0)
         red = apply_dirichlet(system)
@@ -208,7 +214,7 @@ class TestRun:
 
         ktilde = build_transient_operator(system.stiffness, system.mass, dt)
         ftilde = build_transient_rhs(system.load, system.mass, result.fields[0], dt)
-        rhs = reduce_rhs(ktilde, ftilde, red.free, red.lift())
+        rhs = reduce_rhs(ktilde, ftilde, red.free, red.dirichlet_idx, red.dirichlet_values)
         problem = QpProblem(ktilde.submatrix(red.free), -rhs, lower=0.0, upper=1.0)
         cold, rep = solve_tron(problem, rtol=rtol, x0=None)
         assert rep.converged
@@ -241,13 +247,15 @@ class TestRun:
         with pytest.raises(ConfigError, match="outside"):
             run(mesh, bc, ISO, 0.0, cfg)
 
-    def test_on_step_callback_and_csv(self, tmp_path):
-        mesh, bc = small_problem()
+    def test_one_field_per_level_and_csv(self, tmp_path):
+        mesh, _ = small_problem()
+        ramp = lambda pts, t: np.full(len(pts), t)
         cfg = TransientConfig(dt=0.1, n_steps=3, initial_value=0.0)
-        seen = []
-        result = run(mesh, bc, ISO, 0.0, cfg,
-                     on_step=lambda k, t, c, rep: seen.append((k, t)))
-        assert seen == [(1, 0.1), (2, pytest.approx(0.2)), (3, pytest.approx(0.3))]
+        result = run(mesh, BoundarySpec(dirichlet={1: ramp}), ISO, 0.0, cfg)
+        # fields[k] is level k, at t = k dt: the initial field, then one per solve
+        boundary = np.unique(mesh.boundary_facets)
+        assert [f[boundary][0] for f in result.fields] == [k * 0.1 for k in range(4)]
+        assert len(result.reports) == 3
         path = tmp_path / "steps.csv"
         write_step_csv(result, path, 0.0, 1.0)
         lines = path.read_text().splitlines()
@@ -256,7 +264,7 @@ class TestRun:
 
 
 class TestPrepare:
-    @pytest.mark.parametrize("timing", [{"dt": 0.5, "n_steps": 3}, {"steady": True}])
+    @pytest.mark.parametrize("timing", [{"dt": 0.5, "n_steps": 3}, {"dt": None}])
     def test_solves_on_one_prepare_match_separate_runs(self, timing):
         mesh = generate_cube_with_hole(9, "tet4")
         d = DiffusivityField.dispersion(
@@ -273,7 +281,7 @@ class TestPrepare:
                 alone.ledger.flops, alone.ledger.bytes)
 
     @pytest.mark.parametrize("prepared_dt, timing", [
-        (0.5, {"steady": True}), (None, {"dt": 0.5}), (0.5, {"dt": 0.25}),
+        (0.5, {"dt": None}), (None, {"dt": 0.5}), (0.5, {"dt": 0.25}),
     ])
     def test_mismatched_time_step_rejected(self, prepared_dt, timing):
         mesh, bc = small_problem()
@@ -302,7 +310,7 @@ class TestPrepareBuildsOnlyWhatTheSolveReads:
         bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
         d = DiffusivityField.constant(np.diag([1.0, 0.01, 0.01]))
         for solver in ("galerkin", "tron"):
-            solve(prepare(mesh, bc, d, 2.0), TransientConfig(steady=True, solver=solver))
+            solve(prepare(mesh, bc, d, 2.0), TransientConfig(dt=None, solver=solver))
         assert built == {"qpts": 0, "mass": 0}
 
     @pytest.mark.parametrize("kind", ["tet4", "hex8"])
