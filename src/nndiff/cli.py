@@ -101,6 +101,7 @@ def _summary(result, tcfg, envelope) -> dict:
 def cmd_solve(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
+    envelope = build_envelope(run_cfg)
     if args.inner_rtol is not None and tcfg.solver != "tron":
         raise ConfigError(f"--inner-rtol sets tron's inner CG; {tcfg.solver} has none")
     for key in _IGNORED_SOLVER_KEYS.get(tcfg.solver, ()):
@@ -121,7 +122,7 @@ def cmd_solve(args) -> int:
     csv_path = run_cfg.output.get("csv")
     if csv_path:
         write_step_csv(result, csv_path, tcfg.c_min, tcfg.c_max)
-    summary = _summary(result, tcfg, build_envelope(run_cfg))
+    summary = _summary(result, tcfg, envelope)
     report_path = args.report or run_cfg.output.get("report")
     if report_path:
         with open(report_path, "w") as fh:

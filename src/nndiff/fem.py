@@ -162,6 +162,8 @@ class DiffusivityField:
 
 
 def _check_tensor_batch(d: np.ndarray) -> None:
+    if not np.isfinite(d).all():
+        raise AssemblyError("diffusivity tensor has a non-finite entry")
     scale_ref = max(1.0, float(np.abs(d).max()))
     asym = np.abs(d - np.swapaxes(d, -1, -2)).max()
     if asym > 1e-14 * scale_ref:

@@ -30,6 +30,11 @@ def read_gmsh(path) -> Mesh:
 
     idx = 0
 
+    def line(section):
+        if idx >= len(lines):
+            fail(f"file ends inside {section}", len(lines) - 1)
+        return lines[idx]
+
     def expect_section(name):
         nonlocal idx
         while idx < len(lines) and not lines[idx].strip():
@@ -39,7 +44,7 @@ def read_gmsh(path) -> Mesh:
         idx += 1
 
     expect_section("$MeshFormat")
-    fmt = lines[idx].split()
+    fmt = line("$MeshFormat").split()
     if not fmt or not fmt[0].startswith("2.2"):
         fail(f"unsupported MSH version {fmt[0] if fmt else '?'} (need 2.2 ASCII)", idx)
     if len(fmt) >= 2 and fmt[1] != "0":
@@ -49,14 +54,14 @@ def read_gmsh(path) -> Mesh:
 
     expect_section("$Nodes")
     try:
-        n_nodes = int(lines[idx])
-    except (ValueError, IndexError):
+        n_nodes = int(line("$Nodes"))
+    except ValueError:
         fail("malformed node count", idx)
     idx += 1
     coords = np.empty((n_nodes, 3))
     id_to_row: dict[int, int] = {}
     for row in range(n_nodes):
-        parts = lines[idx].split()
+        parts = line("$Nodes").split()
         if len(parts) != 4:
             fail(f"malformed node line {lines[idx]!r}", idx)
         try:
@@ -70,8 +75,8 @@ def read_gmsh(path) -> Mesh:
 
     expect_section("$Elements")
     try:
-        n_elems = int(lines[idx])
-    except (ValueError, IndexError):
+        n_elems = int(line("$Elements"))
+    except ValueError:
         fail("malformed element count", idx)
     idx += 1
     kind = None
@@ -79,7 +84,7 @@ def read_gmsh(path) -> Mesh:
     facets: list[list[int]] = []
     markers: list[int] = []
     for _ in range(n_elems):
-        parts = lines[idx].split()
+        parts = line("$Elements").split()
         if len(parts) < 3:
             fail(f"malformed element line {lines[idx]!r}", idx)
         try:

@@ -14,6 +14,7 @@ possible when real cache reuse beats it; such reports carry an
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import PerfModelError
@@ -30,8 +31,8 @@ class PerfEnvelope:
     streams_bw: float
 
     def __post_init__(self):
-        if self.tpp <= 0.0 or self.streams_bw <= 0.0:
-            raise PerfModelError("envelope rates must be positive")
+        if not (0.0 < self.tpp < math.inf and 0.0 < self.streams_bw < math.inf):
+            raise PerfModelError("envelope rates must be positive and finite")
 
 
 def arithmetic_intensity(ledger: OpLedger) -> float:

@@ -25,6 +25,9 @@ the spmv formula.  ``median`` (bound clamping) and ``proj_grad`` are
 streaming kernels used by the bound-constrained solvers; comparisons are
 not counted as FLOPs.
 
+A :class:`CsrMatrix` is one scipy CSR matrix, stored once; its index arrays
+are the 4-byte integers above while n and nnz are below 2**31, else int64.
+
 Ledgers are plain per-solve objects: solvers never share mutable state, so
 independent solves may run concurrently.
 """
@@ -160,47 +163,46 @@ def aypx(y, a: float, x, ledger: OpLedger | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CsrMatrix:
-    """Square sparse matrix in CSR form with sorted, unique column indices."""
+    """Square sparse matrix in CSR form with sorted, unique column indices.
 
-    __slots__ = ("n", "row_offsets", "col_indices", "values", "_nz_rows", "_scipy")
+    The matrix is one ``scipy.sparse.csr_matrix`` and nothing else:
+    ``row_offsets``, ``col_indices`` and ``values`` are its ``indptr``,
+    ``indices`` and ``data``, ``n`` its order, and :meth:`as_scipy` returns
+    it.  Index arrays are int32 while n and nnz are below 2**31 (scipy's own
+    choice, and the 4-byte integers of the byte model), else int64.
+    """
+
+    __slots__ = ("_a",)
 
     def __init__(self, n, row_offsets, col_indices, values, validate: bool = True):
-        self.n = int(n)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._nz_rows = None
-        self._scipy = None
+        n, cols = int(n), np.asarray(col_indices)
+        try:  # scipy keeps index arrays already in its index type uncopied
+            self._a = _scipy_csr((values, cols, row_offsets), shape=(n, n), dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionError(f"invalid CSR arrays: {exc}") from None
         if validate:
+            # scipy silently drops the entries past row_offsets[-1]
+            if self.nnz != len(cols):
+                raise DimensionError("row_offsets must end at nnz")
             self._validate()
 
     def _validate(self) -> None:
-        if self.row_offsets.shape != (self.n + 1,):
-            raise DimensionError("row_offsets must have length n+1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != len(self.col_indices):
-            raise DimensionError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise DimensionError("row_offsets must be nondecreasing")
-        if len(self.col_indices) != len(self.values):
-            raise DimensionError("col_indices and values length mismatch")
-        if self.col_indices.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.n:
-                raise DimensionError("column index out of range")
-            # sorted + unique within each row: strictly increasing except at row starts
-            d = np.diff(self.col_indices)
-            starts = self.row_offsets[1:-1] - 1
-            interior = np.ones(len(d), dtype=bool)
-            interior[starts[(starts >= 0) & (starts < len(d))]] = False
-            if np.any(d[interior] <= 0):
-                raise DimensionError("column indices must be sorted and unique per row")
+        try:
+            self._a.check_format(full_check=True)
+        except ValueError as exc:
+            raise DimensionError(f"invalid CSR arrays: {exc}") from None
+        if not self._a.has_canonical_format:
+            raise DimensionError(
+                "row_offsets must be nondecreasing and column indices sorted and unique per row"
+            )
 
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
+    # read-only views of the held matrix
+    n = property(lambda self: self._a.shape[0])
+    shape = property(lambda self: self._a.shape)
+    nnz = property(lambda self: self._a.nnz)
+    row_offsets = property(lambda self: self._a.indptr)
+    col_indices = property(lambda self: self._a.indices)
+    values = property(lambda self: self._a.data)
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals) -> "CsrMatrix":
@@ -222,53 +224,32 @@ class CsrMatrix:
 
     @classmethod
     def identity(cls, n) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        a[self._row_index(), self.col_indices] = self.values
-        return a
+        return self._a.toarray()
 
     def _row_index(self) -> np.ndarray:
-        if self._nz_rows is None:
-            self._nz_rows = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets)
-            )
-        return self._nz_rows
+        """The row of each stored entry, as int64."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        on_diag = self._row_index() == self.col_indices
-        d[self.col_indices[on_diag]] = self.values[on_diag]
-        return d
+        return self._a.diagonal()
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix.from_coo(self.n, self.col_indices, self._row_index(), self.values)
+        t = self._a.T.tocsr()
+        return CsrMatrix(self.n, t.indptr, t.indices, t.data, validate=False)
 
     def submatrix(self, keep) -> "CsrMatrix":
-        """Symmetric extraction of the rows and columns listed in ``keep``."""
-        keep = np.asarray(keep, dtype=np.int64)
-        new_id = np.full(self.n, -1, dtype=np.int64)
-        new_id[keep] = np.arange(len(keep))
-        r = new_id[self._row_index()]
-        c = new_id[self.col_indices]
-        m = (r >= 0) & (c >= 0)
-        if np.all(keep[1:] > keep[:-1]):
-            # renumbering keeps the order, so the kept entries are already
-            # sorted by row and then column: no sort, no summation
-            offsets = np.zeros(len(keep) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(r[m], minlength=len(keep)), out=offsets[1:])
-            return CsrMatrix(len(keep), offsets, c[m], self.values[m], validate=False)
-        return CsrMatrix.from_coo(len(keep), r[m], c[m], self.values[m])
+        """Symmetric extraction of the rows and columns listed in ``keep``
+        (in any order, repeats allowed)."""
+        sub = self._a[keep][:, keep]
+        sub.sort_indices()
+        return CsrMatrix(len(keep), sub.indptr, sub.indices, sub.data, validate=False)
 
     def as_scipy(self):
-        """scipy CSR view sharing these arrays, built once (values are never reassigned)."""
-        if self._scipy is None:
-            self._scipy = _scipy_csr(
-                (self.values, self.col_indices, self.row_offsets), shape=self.shape
-            )
-        return self._scipy
+        """The scipy CSR matrix this matrix is."""
+        return self._a
 
     def matvec_raw(self, x) -> np.ndarray:
         """Unlogged y = A x; use :func:`spmv` inside instrumented code.
@@ -277,7 +258,7 @@ class CsrMatrix:
         """
         if len(x) != self.n:
             raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
-        return self.as_scipy() @ np.asarray(x, dtype=np.float64)
+        return self._a @ np.asarray(x, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"CsrMatrix(n={self.n}, nnz={self.nnz})"
@@ -355,13 +336,14 @@ class CooPattern:
                           or cols.max() >= n):
             raise DimensionError("coo index out of range")
         self.n = int(n)
-        # indices below n in the narrowest type: half the sort's memory traffic
-        itype = np.int32 if self.n <= 2**31 else np.int64
+        # int32 while indices and offsets fit: half the sort's memory traffic,
+        # and the CSR arrays are in the index type scipy keeps uncopied
+        itype = np.int32 if max(self.n, rows.size) < 2**31 else np.int64
         rows, cols = (a.astype(itype, order="C").ravel() for a in (rows, cols))
         self._order, self._starts = sorted_runs((rows, cols))
         first = self._order[self._starts]
-        self.col_indices = cols[first].astype(np.int64)
-        self.row_offsets = np.zeros(self.n + 1, dtype=np.int64)
+        self.col_indices = cols[first]
+        self.row_offsets = np.zeros(self.n + 1, dtype=itype)
         np.cumsum(np.bincount(rows[first], minlength=self.n), out=self.row_offsets[1:])
 
     def matrix(self, vals) -> CsrMatrix:
@@ -536,7 +518,7 @@ class Ilu0Preconditioner:
             """(N, nnz, data, indices, indptr) of the masked entries, as ``gstrs`` takes them."""
             indptr = np.zeros(n + 1, dtype=np.intc)
             np.cumsum(np.bincount(row_idx[mask], minlength=n), out=indptr[1:])
-            return n, len(values), values, cols[mask].astype(np.intc), indptr
+            return n, len(values), values, cols[mask].astype(np.intc, copy=False), indptr
 
         # L: the identity in gstrs's L slot, L with its unit diagonal stored as
         # 0 in the U slot.  U: U times its inverse diagonal in the L slot,

@@ -75,8 +75,15 @@ class TransientConfig:
             raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
         if self.steady and self.n_steps != 1:
             raise ConfigError(f"a steady solve (dt = None) takes one step, not {self.n_steps}")
-        if not self.steady and self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
+        # NaN fails every comparison, so the range checks reject it too
+        if not self.steady and not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.rtol < np.inf:
+            raise ConfigError(f"rtol must be positive and finite, got {self.rtol}")
+        if not np.isfinite(self.initial_value):
+            raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
+        if np.isnan(self.c_min) or np.isnan(self.c_max):
+            raise ConfigError("c_min and c_max must not be NaN")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if self.max_iter is not None and self.max_iter < 1:

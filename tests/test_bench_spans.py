@@ -4,7 +4,8 @@
 ``nndiff.transient.assemble``.  A call that bypasses the rebound name would
 read as zero time in that layer without any error, so this runs one
 transient and one steady ``solve`` under the tracer and checks that every
-layer the two paths go through recorded a call.
+layer the two paths go through recorded a call, the methods it rebinds on
+``CsrMatrix`` and ``Ilu0Preconditioner`` among them.
 """
 
 from pathlib import Path
@@ -42,8 +43,9 @@ def test_transient_and_steady_solves_fire_every_layer_span(tracer, tmp_path):
     )
     calls = traced_calls(tracer, ["solve", "--config", str(transient), "--solver", "tron",
                                   "--vtk", str(tmp_path / "t.vtk")])
-    for name in ("fem.assemble", "fem.assemble_load", "sparse.spmv", "qp.solve",
-                 "transient.run", "transient.write_step_csv", "mesh_io.write_vtk"):
+    for name in ("fem.assemble", "fem.assemble_load", "sparse.spmv", "sparse.submatrix",
+                 "qp.solve", "transient.run", "transient.write_step_csv",
+                 "mesh_io.write_vtk"):
         assert calls.get(name, 0) >= 1, name
     assert calls["fem.assemble_load"] >= 3  # one load per level
     assert calls["mesh_io.write_vtk"] == 2  # the step-2 snapshot and the final field
@@ -52,5 +54,6 @@ def test_transient_and_steady_solves_fire_every_layer_span(tracer, tmp_path):
     steady.write_text(HOLE_CONFIG)
     calls = traced_calls(tracer, ["solve", "--config", str(steady), "--solver", "galerkin",
                                   "--report", str(tmp_path / "report.json")])
-    for name in ("fem.assemble", "fem.apply_dirichlet", "sparse.cg", "transient.run"):
+    for name in ("fem.assemble", "fem.apply_dirichlet", "sparse.submatrix", "sparse.cg",
+                 "sparse.ilu0_setup", "sparse.ilu0_apply", "transient.run"):
         assert calls.get(name, 0) >= 1, name

@@ -272,6 +272,48 @@ class TestSolve:
         assert named in err
         assert list(tmp_path.glob("*.vtk")) == []
 
+    # each used to run on, fail as a solver failure, or exit 1 with a message
+    # that did not name the setting (LAPACK's "Eigenvalues did not converge")
+    @pytest.mark.parametrize("old, new, named", [
+        ("rtol = 1e-6", "rtol = nan", "rtol must be"),
+        ("rtol = 1e-6", "rtol = 0.0", "rtol must be"),
+        ("[perf]", "[transient]\ndt = nan\nn_steps = 2\n\n[perf]", "dt must be"),
+        ("[perf]", "[transient]\ndt = inf\nn_steps = 2\n\n[perf]", "dt must be"),
+        ("[perf]", "[transient]\ndt = 0.5\ninitial_value = nan\n\n[perf]",
+         "initial_value must be"),
+        ("c_min = 0.0", "c_min = nan", "c_min and c_max"),
+        ("c_max = 1.0", "c_max = nan", "c_min and c_max"),
+        ("d_m = 0.0", "d_m = nan", "diffusivity tensor has a non-finite entry"),
+        ("tpp = 9.2e9", "tpp = inf", "envelope rates"),
+    ])
+    def test_non_finite_setting_exit_1(self, old, new, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace(old, new))
+        assert main(["solve", "--config", str(cfg), "--vtk", str(tmp_path / "t.vtk")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+        assert list(tmp_path.glob("*.vtk")) == []
+
+    def test_infinite_bound_is_legal(self, tmp_path):
+        cfg = tmp_path / "open.toml"
+        cfg.write_text(HOLE_CONFIG.replace("c_max = 1.0", "c_max = inf"))
+        assert main(["solve", "--config", str(cfg), "--solver", "tron"]) == 0
+
+    @pytest.mark.parametrize("section, kept", [("$Nodes", 3), ("$Elements", 3)])
+    def test_truncated_mesh_file_is_parse_error(self, section, kept, tmp_path, capsys):
+        """The file ends ``kept`` lines into ``section``, short of its declared count."""
+        write_gmsh(generate_box(1, 1, 1, "tet4"), tmp_path / "m.msh")
+        lines = (tmp_path / "m.msh").read_text().splitlines()
+        lines = lines[:lines.index(section) + kept]
+        (tmp_path / "m.msh").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "file.toml"
+        cfg.write_text(HOLE_CONFIG.replace(
+            'generator = "cube_with_hole"\nn = 9\nkind = "tet4"', 'path = "m.msh"'))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'm.msh'}:{len(lines)}: file ends inside {section}\n"
+
     @pytest.mark.parametrize("fail_at", [None, 3])
     def test_failed_run_writes_no_snapshot_and_no_report(self, fail_at, tmp_path, monkeypatch):
         """``max_iter = 1`` fails the first level; a failure forced at the last level
@@ -542,6 +584,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["qp", "--random-dim", "3", "--lower", "1", "--upper", "0"],  # DimensionError
         ["perf-report", "--kernels", "REPORT", "--tpp", "0", "--bw", "1e9"],  # PerfModelError
+        ["perf-report", "--kernels", "REPORT", "--tpp", "nan", "--bw", "1e9"],
+        ["perf-report", "--kernels", "REPORT", "--tpp", "1e9", "--bw", "inf"],
         ["perf-report", "--kernels", "NO_BYTES", "--tpp", "1e9", "--bw", "1e9"],
         ["solve", "--config", "DIR"],  # IsADirectoryError
         ["solve", "--config", "CONFIG", "--solver", "tron:"],  # ValueError

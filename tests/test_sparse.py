@@ -188,9 +188,58 @@ class TestCsrMatrix:
         assert c.nnz == 3
         assert c.to_dense()[1, 2] == 4.0
 
+    def test_submatrix_repeated_index(self):
+        a = CsrMatrix.from_dense([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+        assert np.array_equal(a.submatrix([0, 0]).to_dense(), [[4.0, 4.0], [4.0, 4.0]])
+        assert np.array_equal(a.submatrix([2, 1, 2]).to_dense(),
+                              [[6.0, 2.0, 6.0], [2.0, 5.0, 2.0], [6.0, 2.0, 6.0]])
+
     def test_validation_rejects_bad_offsets(self):
         with pytest.raises(DimensionError):
             CsrMatrix(2, [0, 1], [0], [1.0])
+
+    @pytest.mark.parametrize("n, offsets, cols, vals", [
+        (2, [0, 1], [0], [1.0]),
+        (2, [1, 1, 2], [0, 1], [1.0, 2.0]),
+        (3, [0, 2, 1, 2], [0, 1], [1.0, 2.0]),
+        (2, [0, 1, 1], [0, 1], [1.0, 2.0]),
+        (2, [0, 1, 3], [0, 1], [1.0, 2.0]),
+        (2, [0, 1, 2], [0, 2], [1.0, 2.0]),
+        (2, [0, 1, 2], [0, -1], [1.0, 2.0]),
+        (2, [0, 2, 2], [1, 0], [1.0, 2.0]),
+        (2, [0, 2, 2], [1, 1], [1.0, 2.0]),
+        (2, [0, 1, 2], [0, 1], [1.0]),
+    ], ids=["offsets-length", "offsets-start", "offsets-decrease", "offsets-end-before-nnz",
+            "offsets-end-after-nnz", "column-too-large", "column-negative",
+            "columns-unsorted", "columns-repeated", "values-length"])
+    def test_constructor_rejects_malformed_csr(self, n, offsets, cols, vals):
+        """Offsets ending before nnz are the case scipy itself drops silently."""
+        with pytest.raises(DimensionError):
+            CsrMatrix(n, offsets, cols, vals)
+
+    def test_as_scipy_holds_the_very_arrays(self):
+        pattern = CooPattern(3, [0, 1, 1, 2, 0], [0, 1, 2, 2, 0])
+        a = pattern.matrix([1.0, 2.0, 3.0, 4.0, 5.0])
+        b = pattern.matrix([1.0, 1.0, 1.0, 1.0, 1.0])
+        built = {
+            "constructor": CsrMatrix(3, [0, 1, 3, 4], [0, 1, 2, 2], [1.0, 2.0, 3.0, 4.0]),
+            "from_coo": CsrMatrix.from_coo(3, [2, 0], [1, 1], [1.0, 2.0]),
+            "pattern": a,
+            "submatrix": a.submatrix([2, 0, 2]),
+            "add_scaled-same-pattern": add_scaled(2.0, a, 1.0, b),
+            "add_scaled-union": add_scaled(2.0, a, 1.0, CsrMatrix.identity(3)),
+        }
+        for name, m in built.items():
+            s = m.as_scipy()
+            assert s.indptr is m.row_offsets, name
+            assert s.indices is m.col_indices, name
+            assert s.data is m.values, name
+            assert m.row_offsets.dtype == m.col_indices.dtype == np.int32, name
+        # one pattern's matrices, and their sum on it, store its index arrays once
+        same = built["add_scaled-same-pattern"]
+        for m in (a, b, same):
+            assert np.shares_memory(m.col_indices, pattern.col_indices)
+            assert np.shares_memory(m.row_offsets, pattern.row_offsets)
 
     def test_validation_accepts_leading_empty_rows(self):
         a = CsrMatrix(3, [0, 0, 1, 3], [2, 0, 1], [1.0, 2.0, 3.0])
@@ -570,21 +619,21 @@ class TestCsrOracle:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(coo_triplets(), st.data())
     def test_submatrix_sorted_and_unsorted_keep(self, coo, data):
+        """``keep`` in any order with repeats, or sorted and unique."""
         n, rows, cols, vals = coo
         a = CsrMatrix.from_coo(n, rows, cols, vals)
-        keep = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True)),
+        keep = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
                         dtype=np.int64)
         if data.draw(st.booleans()):
-            keep.sort()
+            keep = np.unique(keep)
         sub = a.submatrix(keep)
         sub._validate()
         assert np.array_equal(sub.to_dense(), a.to_dense()[np.ix_(keep, keep)])
-        # the sorting path, applied to the kept entries, builds the same arrays
-        new_id = np.full(n, -1)
-        new_id[keep] = np.arange(len(keep))
-        r, c = new_id[a._row_index()], new_id[a.col_indices]
-        m = (r >= 0) & (c >= 0)
-        assert same_csr(sub, CsrMatrix.from_coo(len(keep), r[m], c[m], a.values[m]))
+        # stored entries (explicit zeros too) are exactly those of the kept pairs
+        stored, sub_stored = np.zeros((n, n), bool), np.zeros((len(keep),) * 2, bool)
+        stored[a._row_index(), a.col_indices] = True
+        sub_stored[sub._row_index(), sub.col_indices] = True
+        assert np.array_equal(sub_stored, stored[np.ix_(keep, keep)])
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(coo_triplets(dyadic=False), st.data())
@@ -790,7 +839,7 @@ class TestCooPatternOracle:
         assert np.array_equal(pattern._starts, starts)
         assert np.array_equal(pattern.row_offsets, row_offsets)
         assert np.array_equal(pattern.col_indices, col_indices)
-        assert pattern.col_indices.dtype == np.int64
+        assert pattern.col_indices.dtype == np.int32
         a = pattern.matrix(vals)
         assert a.values.tobytes() == summed.tobytes()
         a._validate()

@@ -105,6 +105,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_iter"):
             TransientConfig(max_iter=max_iter)
 
+    @pytest.mark.parametrize("setting, named", [
+        ({"dt": np.nan}, "dt"), ({"dt": np.inf}, "dt"), ({"rtol": np.nan}, "rtol"),
+        ({"rtol": np.inf}, "rtol"), ({"rtol": 0.0}, "rtol"), ({"rtol": -1e-6}, "rtol"),
+        ({"initial_value": np.inf}, "initial_value"), ({"c_min": np.nan}, "c_min"),
+        ({"c_max": np.nan}, "c_max"),
+    ])
+    def test_non_finite_or_non_positive_settings_rejected(self, setting, named):
+        with pytest.raises(ConfigError, match=named):
+            TransientConfig(**setting)
+
+    @pytest.mark.parametrize("solver", ["galerkin", "tron"])
+    def test_infinite_bounds_accepted(self, solver):
+        TransientConfig(solver=solver, c_min=-np.inf, c_max=np.inf)
+
 
 class TestRun:
     def test_zero_everything_stays_zero(self):
