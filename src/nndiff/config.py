@@ -203,22 +203,21 @@ def build_diffusivity(cfg: dict, mesh: Mesh, base_dir: Path | None = None) -> Di
 
 
 def build_bc(cfg: dict) -> BoundarySpec:
-    def marker_table(table: dict) -> dict:
+    def marker_table(kind: str) -> dict:
         out = {}
-        for key, value in table.items():
+        for key, value in cfg.get(kind, {}).items():
             try:
                 marker = int(key)
             except ValueError:
                 raise ConfigError(f"boundary marker {key!r} is not an integer")
             if not isinstance(value, (int, float)):
                 raise ConfigError(f"boundary value for marker {key} must be a number")
+            if not np.isfinite(value):
+                raise ConfigError(f"[bc.{kind}] {key} must be finite, not {value}")
             out[marker] = float(value)
         return out
 
-    return BoundarySpec(
-        dirichlet=marker_table(cfg.get("dirichlet", {})),
-        neumann=marker_table(cfg.get("neumann", {})),
-    )
+    return BoundarySpec(dirichlet=marker_table("dirichlet"), neumann=marker_table("neumann"))
 
 
 def build_transient_config(run: RunConfig, solver_override: str | None = None,

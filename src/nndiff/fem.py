@@ -179,15 +179,28 @@ def _check_tensor_batch(d: np.ndarray) -> None:
 # Scalar fields (sources, boundary values)
 # ---------------------------------------------------------------------------
 
-def scalar_field(value) -> Callable[[np.ndarray, float], np.ndarray]:
+def _finite_constant(value, name: str) -> float:
+    """``value`` (None is 0) as a float; a non-number, NaN or an infinity is an
+    input error."""
+    try:
+        const = 0.0 if value is None else float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, not {value!r}") from None
+    if not np.isfinite(const):
+        raise ConfigError(f"{name} must be finite, got {const}")
+    return const
+
+
+def scalar_field(value, name: str = "scalar field") -> Callable[[np.ndarray, float], np.ndarray]:
     """Normalize a constant or a callable ``fn(points, t)`` into ``fn(points, t) -> (m,)``.
 
-    ``points`` is an (m, 3) array; a callable may return a scalar.
+    ``points`` is an (m, 3) array; a callable may return a scalar.  A
+    non-finite constant is a :class:`ConfigError` here, and a callable's
+    non-finite result is one when it is evaluated; ``name`` names the field
+    in the message.
     """
-    if value is None:
-        value = 0.0
     if not callable(value):
-        const = float(value)
+        const = _finite_constant(value, name)
 
         def const_fn(points, t=0.0):
             return np.full(len(points), const)
@@ -197,11 +210,13 @@ def scalar_field(value) -> Callable[[np.ndarray, float], np.ndarray]:
     def fn(points, t=0.0):
         out = np.asarray(value(points, t), dtype=np.float64)
         if out.ndim == 0:
-            return np.full(len(points), float(out))
-        if out.shape != (len(points),):
+            out = np.full(len(points), float(out))
+        elif out.shape != (len(points),):
             raise ConfigError(
-                f"scalar field returned shape {out.shape} for {len(points)} points"
+                f"{name} returned shape {out.shape} for {len(points)} points"
             )
+        if not np.isfinite(out).all():
+            raise ConfigError(f"{name} is not finite at t = {t:g}")
         return out
 
     return fn
@@ -387,7 +402,7 @@ def neumann_load(mesh: Mesh, bc: BoundarySpec, t: float = 0.0) -> np.ndarray:
     """
     f = np.zeros(mesh.n_vertices)
     for marker, flux in bc.neumann.items():
-        fn = scalar_field(flux)
+        fn = scalar_field(flux, f"Neumann flux on marker {marker}")
         facets = mesh.boundary_facets[mesh.boundary_markers == int(marker)]
         if len(facets) == 0:
             continue
@@ -427,7 +442,7 @@ def dirichlet_values(mesh: Mesh, bc: BoundarySpec, t: float = 0.0):
     """Vertex indices and prescribed values over all Dirichlet markers."""
     idx_parts, val_parts = [], []
     for marker, value in bc.dirichlet.items():
-        fn = scalar_field(value)
+        fn = scalar_field(value, f"Dirichlet value on marker {marker}")
         facets = mesh.boundary_facets[mesh.boundary_markers == int(marker)]
         verts = np.unique(facets)
         idx_parts.append(verts)
@@ -461,10 +476,10 @@ def assemble_load(
         geometry = cell_geometry(mesh)
     det, m = geometry.det, mesh.n_cells
     if callable(source):
-        fvals = scalar_field(source)(geometry.qpts.reshape(-1, 3), t).reshape(m, -1)
+        fvals = scalar_field(source, "source")(geometry.qpts.reshape(-1, 3), t).reshape(m, -1)
     else:  # a constant needs no quadrature points
         n_points = len(TET_QUAD_BARY) if mesh.kind == TET4 else len(_HEX_N)
-        fvals = np.full((m, n_points), float(source or 0.0))
+        fvals = np.full((m, n_points), _finite_constant(source, "source"))
     if mesh.kind == TET4:
         fe = det[:, None] * _TET_W * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)
     else:
@@ -539,10 +554,15 @@ def expand(n: int, free, x, idx, vals) -> np.ndarray:
     return full
 
 
+def dirichlet_lift(matrix: CsrMatrix, free, idx, vals) -> np.ndarray:
+    """The Dirichlet coupling on the free dofs: the ``free`` rows of
+    ``matrix`` times the field that is ``vals`` on ``idx`` and 0 elsewhere."""
+    return matrix.matvec_raw(expand(matrix.n, free, 0.0, idx, vals))[free]
+
+
 def reduce_rhs(matrix: CsrMatrix, rhs, free, idx, vals) -> np.ndarray:
     """rhs restricted to free dofs with the Dirichlet coupling moved over."""
-    lift = expand(matrix.n, free, 0.0, idx, vals)
-    return rhs[free] - matrix.matvec_raw(lift)[free]
+    return rhs[free] - dirichlet_lift(matrix, free, idx, vals)
 
 
 def apply_dirichlet(system: AssembledSystem) -> ReducedSystem:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import io as _scipy_io
 from scipy.sparse import csr_matrix as _scipy_csr
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .errors import (
@@ -252,13 +253,20 @@ class CsrMatrix:
         return self._a
 
     def matvec_raw(self, x) -> np.ndarray:
-        """Unlogged y = A x; use :func:`spmv` inside instrumented code.
+        """Unlogged y = A x into a fresh array; use :func:`spmv` inside
+        instrumented code.
 
-        Each row is summed left to right from 0.0 by scipy's CSR product.
+        Calls scipy's compiled ``_sparsetools.csr_matvec``, the kernel that
+        ``A @ x`` reaches, directly: the operator dispatch in front of it
+        costs more than the product itself on the solvers' small matrices.
+        Each row is summed left to right from 0.0, as ``A @ x`` sums it.
         """
         if len(x) != self.n:
             raise DimensionError(f"matvec dimension mismatch: {len(x)} != {self.n}")
-        return self._a @ np.asarray(x, dtype=np.float64)
+        a, y = self._a, np.zeros(self.n)
+        _csr_matvec(self.n, self.n, a.indptr, a.indices, a.data,
+                    np.asarray(x, dtype=np.float64), y)
+        return y
 
     def __repr__(self) -> str:
         return f"CsrMatrix(n={self.n}, nnz={self.nnz})"
@@ -316,6 +324,12 @@ def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
     return order.astype(np.int64), np.flatnonzero(new_run)
 
 
+def _stored(a: np.ndarray) -> np.ndarray:
+    """``a`` with each zero-stride (broadcast) axis cut to length 1: the same
+    set of values, each stored element read once."""
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
 class CooPattern:
     """The CSR pattern of fixed (rows, cols) triplets, sorted once.
 
@@ -332,8 +346,8 @@ class CooPattern:
         rows, cols = np.asarray(rows), np.asarray(cols)
         if rows.size != cols.size:
             raise DimensionError("coo triplet arrays must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0
-                          or cols.max() >= n):
+        # checked before the narrowing cast below, so no index wraps into range
+        if rows.size and any(v.min() < 0 or v.max() >= n for v in map(_stored, (rows, cols))):
             raise DimensionError("coo index out of range")
         self.n = int(n)
         # int32 while indices and offsets fit: half the sort's memory traffic,

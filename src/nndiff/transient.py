@@ -9,7 +9,12 @@ problem: one solve of K c = f, through the same solvers.
 
 :func:`prepare` assembles and reduces one problem: a fixed time step keeps
 the operator constant, and the cell geometry is computed once for every
-level's load.  :func:`solve` runs one solver configuration on it and
+level's load.  When the source and every boundary value are constants, no
+level's data depends on time, and every level reuses the load, the
+Dirichlet table and the Dirichlet lift that :func:`prepare` computed once;
+a level then costs M c_n / dt + f, one subtraction and its solve.  A
+callable source or boundary value is evaluated at each level's time
+instead.  :func:`solve` runs one solver configuration on it and
 builds its own preconditioner and ledger, so several solvers can share one
 prepared problem; :func:`run` is one prepare followed by one solve.  The
 result keeps every level's field; output is written from it after the run,
@@ -32,9 +37,9 @@ from .fem import (
     assemble,
     assemble_load,
     cell_geometry,
+    dirichlet_lift,
     dirichlet_values,
     expand,
-    reduce_rhs,
 )
 from .mesh import BoundarySpec, Mesh
 from .qp import QpProblem, project, solve_blmvm, solve_tron
@@ -183,7 +188,8 @@ class PreparedProblem:
     """One assembled and reduced problem; solves only read it.  ``dt`` is None
     when steady.  ``operator`` is the free-dof block of K (steady, with its
     ``rhs``) or of ``full_operator`` = M/dt + K (transient, with ``geometry``
-    for the loads of later levels)."""
+    for the loads of later levels).  ``lift`` is the free-dof Dirichlet lift
+    of ``full_operator`` when no level's data depends on time, else None."""
 
     mesh: Mesh
     bc: BoundarySpec
@@ -194,6 +200,17 @@ class PreparedProblem:
     rhs: np.ndarray | None = None
     geometry: CellGeometry | None = None
     full_operator: CsrMatrix | None = None
+    lift: np.ndarray | None = None
+
+    def level_data(self, t: float):
+        """(load, Dirichlet indices, Dirichlet values, lift) of the level at time ``t``:
+        the ones assembled at t = 0 when no data depends on time."""
+        if self.lift is not None:
+            s = self.system
+            return s.load, s.dirichlet_idx, s.dirichlet_values, self.lift
+        load = assemble_load(self.mesh, self.source, self.bc, t, self.geometry)
+        idx, vals = dirichlet_values(self.mesh, self.bc, t)
+        return load, idx, vals, dirichlet_lift(self.full_operator, self.system.free, idx, vals)
 
 
 def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
@@ -205,9 +222,12 @@ def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
     if dt is None:
         reduced = apply_dirichlet(system)
         return PreparedProblem(mesh, bc, source, None, system, reduced.matrix, reduced.rhs)
-    full = build_transient_operator(system.stiffness, system.mass, dt)
-    return PreparedProblem(mesh, bc, source, float(dt), system, full.submatrix(system.free),
-                           geometry=geometry, full_operator=full)
+    full, free = build_transient_operator(system.stiffness, system.mass, dt), system.free
+    lift = None
+    if not any(map(callable, (source, *bc.dirichlet.values(), *bc.neumann.values()))):
+        lift = dirichlet_lift(full, free, system.dirichlet_idx, system.dirichlet_values)
+    return PreparedProblem(mesh, bc, source, float(dt), system, full.submatrix(free),
+                           geometry=geometry, full_operator=full, lift=lift)
 
 
 def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult:
@@ -233,11 +253,9 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     rhs = p.rhs  # the steady problem's; each transient level builds its own
     for step in [0] if dt is None else range(1, config.n_steps + 1):
         if dt is not None:
-            f_full = assemble_load(p.mesh, p.source, p.bc, step * dt, p.geometry)
-            ftilde = build_transient_rhs(f_full, system.mass, c_full, dt)
-            idx, vals = dirichlet_values(p.mesh, p.bc, step * dt)
+            load, idx, vals, lift = p.level_data(step * dt)
             _check_bounds(vals, config)
-            rhs = reduce_rhs(p.full_operator, ftilde, free, idx, vals)
+            rhs = build_transient_rhs(load, system.mass, c_full, dt)[free] - lift
         x, report = _solve_level(operator, rhs, config, c_full[free], precond, result.ledger, step)
         c_full = expand(n, free, x, idx, vals)
         result.fields.append(c_full)

@@ -295,6 +295,23 @@ class TestSolve:
         assert named in err
         assert list(tmp_path.glob("*.vtk")) == []
 
+    # each non-finite value used to run and exit 2 ("linear solve failed to
+    # converge at step 0"), and a list source to crash with a TypeError
+    @pytest.mark.parametrize("old, new, named", [
+        ("source = 0.0", "source = nan", "source must be finite"),
+        ("source = 0.0", "source = [1.0, 2.0]", "source must be a number"),
+        ("2 = 1.0", "2 = inf", "[bc.dirichlet] 2 must be finite"),
+        ("2 = 1.0", "2 = nan", "[bc.dirichlet] 2 must be finite"),
+        ("2 = 1.0\n", "\n[bc.neumann]\n2 = -inf\n", "[bc.neumann] 2 must be finite"),
+    ])
+    def test_bad_source_or_boundary_value_exit_1(self, old, new, named, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace(old, new))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
     def test_infinite_bound_is_legal(self, tmp_path):
         cfg = tmp_path / "open.toml"
         cfg.write_text(HOLE_CONFIG.replace("c_max = 1.0", "c_max = inf"))

@@ -681,6 +681,25 @@ class TestCsrOracle:
         bound = 1e-12 * (np.abs(dense) @ np.abs(x) + 1e-300)
         assert np.all(np.abs(y - dense @ x) <= bound)
 
+    def test_scipy_private_entry_points_and_matvec_raw(self):
+        """The two private scipy kernels nndiff binds still import, and
+        ``matvec_raw`` through one of them is ``as_scipy() @ x`` to the byte."""
+        from scipy.sparse._sparsetools import csr_matvec  # noqa: F401
+        from scipy.sparse.linalg._dsolve._superlu import gstrs  # noqa: F401
+
+        rng = np.random.default_rng(4)
+        a = CsrMatrix.from_coo(6, [0, 0, 2, 3, 3, 5, 5], [1, 4, 2, 0, 5, 5, 3],
+                               rng.standard_normal(7))
+        assert np.diff(a.row_offsets)[[1, 4]].tolist() == [0, 0]  # empty rows
+        strided = rng.standard_normal(12)[::2]
+        for x in (strided, strided.tolist()):
+            y = a.matvec_raw(x)
+            assert y.tobytes() == (a.as_scipy() @ np.asarray(x)).tobytes()
+            assert y.dtype == np.float64 and y.flags.owndata
+            assert not np.shares_memory(y, strided)
+        with pytest.raises(DimensionError):
+            a.matvec_raw(np.zeros(5))
+
     def test_matvec_on_assembled_operator_matches_old_scatter(self):
         from nndiff import generate_cube_with_hole
         from nndiff.fem import DiffusivityField, DispersionParams, assemble
@@ -858,6 +877,22 @@ class TestCooPatternOracle:
     def test_index_out_of_range(self, rows, cols):
         with pytest.raises(DimensionError, match="out of range"):
             CooPattern(3, np.array(rows), np.array(cols))
+
+    @pytest.mark.parametrize("bad", [2**32 + 3, 2**31, -(2**32) + 1])
+    def test_index_that_would_wrap_into_int32_range_rejected(self, bad):
+        # 2**32 + 3 narrows to 3, inside [0, 10): only a check before the cast sees it
+        rows = np.array([0, bad], dtype=np.int64)
+        for r, c in ((rows, rows[::-1]), (rows[::-1], rows)):
+            with pytest.raises(DimensionError, match="out of range"):
+                CooPattern(10, r, c)
+
+    def test_broadcast_index_out_of_range(self):
+        cells = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+        rows = np.broadcast_to(cells[:, :, None], (2, 4, 4))
+        cols = np.broadcast_to(cells[:, None, :], (2, 4, 4))
+        CooPattern(5, rows, cols)
+        with pytest.raises(DimensionError, match="out of range"):
+            CooPattern(4, rows, cols)
 
 
 # ---------------------------------------------------------------------------

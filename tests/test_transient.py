@@ -1,9 +1,11 @@
+import dataclasses
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 import nndiff.fem as fem
+import nndiff.transient as transient
 from nndiff.errors import ConfigError, SolverFailure
 from nndiff.fem import (
     DiffusivityField,
@@ -346,3 +348,64 @@ class TestPrepareBuildsOnlyWhatTheSolveReads:
             source = lambda p, t: 1.0 + p[:, 0] * t  # noqa: E731
         run(mesh, bc, d, source, TransientConfig(dt=0.5, n_steps=3))
         assert built == {"qpts": 1, "mass": 1}
+
+
+class TestTimeIndependentLevels:
+    """Constant data is assembled once in prepare; callables at every level."""
+
+    @staticmethod
+    def hole_problem(constant: bool):
+        """A source, a Dirichlet value and a Neumann flux, as constants or as
+        callables returning the same constants."""
+        given = lambda v: v if constant else (lambda p, t: v)  # noqa: E731
+        mesh = generate_cube_with_hole(9, "tet4")
+        d = DiffusivityField.dispersion(
+            DispersionParams(1.0, 0.001, 0.0), np.array([1.0, 1.0, 1.0])
+        )
+        bc = BoundarySpec(dirichlet={1: given(0.0)}, neumann={2: given(-0.5)})
+        return mesh, bc, d, given(0.5)
+
+    def test_constant_problem_assembles_its_level_data_once(self, monkeypatch):
+        calls = {"assemble_load": 0, "dirichlet_values": 0}
+        for module in (fem, transient):
+            for name in calls:
+                def counted(*args, raw=getattr(module, name), name=name, **kwargs):
+                    calls[name] += 1
+                    return raw(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        mesh, bc, d, source = self.hole_problem(constant=True)
+        result = run(mesh, bc, d, source, TransientConfig(dt=0.5, n_steps=4))
+        assert len(result.reports) == 4
+        assert calls == {"assemble_load": 1, "dirichlet_values": 1}
+
+    @pytest.mark.parametrize("solver", ["galerkin", "tron", "blmvm"])
+    def test_callables_of_constants_match_the_constant_run(self, solver, tmp_path):
+        cfg = TransientConfig(dt=0.5, n_steps=3, solver=solver)
+        runs = {}
+        for constant in (True, False):
+            mesh, bc, d, source = self.hole_problem(constant)
+            prepared = prepare(mesh, bc, d, source, cfg.dt)
+            assert (prepared.lift is not None) == constant
+            result = solve(prepared, cfg)
+            csv = tmp_path / f"{constant}.csv"
+            write_step_csv(result, csv, cfg.c_min, cfg.c_max)
+            runs[constant] = (
+                [f.tobytes() for f in result.fields],
+                [dataclasses.replace(r, wall_time=0.0) for r in result.reports],
+                (result.ledger.flops, result.ledger.bytes),
+                csv.read_bytes(),
+            )
+        assert runs[True] == runs[False]
+
+    @pytest.mark.parametrize("where, marker", [("source", None), ("dirichlet", 1),
+                                               ("neumann", 2)])
+    def test_callable_non_finite_after_the_first_level_rejected(self, where, marker):
+        nan_later = lambda p, t: np.nan if t > 0 else 0.0  # noqa: E731
+        mesh, bc, d, source = self.hole_problem(constant=True)
+        if where == "source":
+            source = nan_later
+        else:
+            getattr(bc, where)[marker] = nan_later
+        prepared = prepare(mesh, bc, d, source, 0.5)  # t = 0 is finite
+        with pytest.raises(ConfigError, match="not finite at t = 0.5"):
+            solve(prepared, TransientConfig(dt=0.5, n_steps=2))
