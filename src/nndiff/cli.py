@@ -35,9 +35,9 @@ from .errors import (
 from .mesh import generate_box, generate_cube_with_hole
 from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import arithmetic_intensity, efficiency, report_as_dict
-from .qp import QpProblem, kkt_check, solve_blmvm, solve_tron
+from .qp import QpProblem, kkt_check
 from .sparse import CsrMatrix, read_matrix_market
-from .transient import prepare, solve, write_step_csv
+from .transient import SOLVERS, prepare, solve, write_step_csv
 from .transient import run as run_transient
 
 logger = logging.getLogger("nndiff")
@@ -47,8 +47,6 @@ _SOLVER_ERRORS = (SolverFailure, SolverBreakdownError, FactorizationError)
 _INPUT_ERRORS = (NndiffError, OSError, ValueError)
 
 DEFAULT_COMPARE_SOLVERS = ["galerkin", "tron:1e-1", "tron:1e-2", "tron:1e-3", "blmvm"]
-# [solver] keys a solver has no use for; --solver may override a config written for another
-_IGNORED_SOLVER_KEYS = {"galerkin": ("inner_rtol",), "blmvm": ("precond", "inner_rtol")}
 
 
 def _setup_logging() -> None:
@@ -71,6 +69,13 @@ def _build_problem(run_cfg, config_path):
     bc = build_bc(run_cfg.bc)
     source = run_cfg.physics.get("source", 0.0)
     return mesh, diffusivity, bc, source
+
+
+def _check_inner_rtol_flag(inner_rtol, names) -> None:
+    """``--inner-rtol`` must reach a solver that reads it; ``names`` are the ones it reaches."""
+    if inner_rtol is not None and not any(SOLVERS[name].reads_inner_rtol for name in names):
+        raise ConfigError("--inner-rtol reaches no solver with an inner tolerance: "
+                          + (", ".join(names) or "no plain entry"))
 
 
 def _summary(result, tcfg, envelope) -> dict:
@@ -102,10 +107,10 @@ def cmd_solve(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
     envelope = build_envelope(run_cfg)
-    if args.inner_rtol is not None and tcfg.solver != "tron":
-        raise ConfigError(f"--inner-rtol sets tron's inner CG; {tcfg.solver} has none")
-    for key in _IGNORED_SOLVER_KEYS.get(tcfg.solver, ()):
-        if key in run_cfg.solver:
+    _check_inner_rtol_flag(args.inner_rtol, [tcfg.solver])
+    spec = SOLVERS[tcfg.solver]
+    for key, read in (("precond", spec.precond), ("inner_rtol", spec.reads_inner_rtol)):
+        if key in run_cfg.solver and not read:  # --solver may override another's config
             logger.warning("[solver] %s is ignored: %s does not use it", key, tcfg.solver)
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
 
@@ -169,13 +174,13 @@ def _cell(flat: dict, key: str, fmt: str, missing: str) -> str:
 
 def cmd_compare(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
-    solvers = [str(s) for s in (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)]
+    solvers = (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
     tcfgs = [build_transient_config(run_cfg, s, args.rtol, args.inner_rtol) for s in solvers]
-    if args.inner_rtol is not None and not any(
-            t.solver == "tron" and ":" not in spec for spec, t in zip(solvers, tcfgs)):
-        raise ConfigError("--inner-rtol sets a plain tron entry's inner CG; [compare] has none")
+    # an entry such as tron:1e-3 keeps its own inner tolerance
+    _check_inner_rtol_flag(args.inner_rtol,
+                           [t.solver for spec, t in zip(solvers, tcfgs) if ":" not in spec])
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
     # the entries differ only in solver settings, so one prepared problem serves all
@@ -192,8 +197,8 @@ def cmd_compare(args) -> int:
         columns.append((spec, {**summary.get("perf", {}), **summary["dmp"], **summary}))
 
     ai = {spec: flat.get("ai", float("nan")) for spec, flat in columns if flat is not None}
-    if "galerkin" in ai and "blmvm" in ai:
-        g, b = ai["galerkin"], ai["blmvm"]
+    g, b = ai.get("galerkin"), ai.get("blmvm")  # the paper: Galerkin's AI >= blmvm's
+    if g is not None and b is not None:
         if g >= b:
             logger.info("AI ordering holds: galerkin %.4f >= blmvm %.4f", g, b)
         else:
@@ -233,8 +238,7 @@ def _load_bound(text, n):
 
 
 def cmd_qp(args) -> int:
-    if args.inner_rtol is not None and args.solver == "blmvm":
-        raise ConfigError("--inner-rtol sets tron's inner CG; blmvm has none")
+    _check_inner_rtol_flag(args.inner_rtol, [args.solver])
     if args.seed is not None and not args.random_dim:
         raise ConfigError("--seed applies only to --random-dim instances")
     if args.random_dim:
@@ -256,11 +260,9 @@ def cmd_qp(args) -> int:
         lower=_load_bound(args.lower, hessian.n),
         upper=_load_bound(args.upper, hessian.n),
     )
-    if args.solver == "blmvm":
-        c, report = solve_blmvm(problem, rtol=args.rtol)
-    else:
-        inner_rtol = 1e-2 if args.inner_rtol is None else args.inner_rtol
-        c, report = solve_tron(problem, rtol=args.rtol, inner_rtol=inner_rtol)
+    # the library's own defaults, max_outer and inner_rtol among them, apply
+    settings = {} if args.inner_rtol is None else {"inner_rtol": args.inner_rtol}
+    c, report = SOLVERS[args.solver](problem, rtol=args.rtol, **settings)
 
     g0 = problem.hessian.matvec_raw(
         np.clip(np.zeros(problem.n), problem.lower, problem.upper)
@@ -368,8 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--rtol", type=float, help="override solver rtol")
-    common.add_argument("--inner-rtol", type=float,
-                        help="override tron's inner CG rtol (solve: tron only)")
+    common.add_argument("--inner-rtol", type=float, help="override [solver] inner_rtol")
     common.add_argument("--report", help="override report output path")
 
     p_solve = sub.add_parser("solve", parents=[common], help="run one configured solve")
@@ -386,10 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qp.add_argument("--q", help="linear term, one value per line")
     p_qp.add_argument("--lower", help="scalar or file")
     p_qp.add_argument("--upper", help="scalar or file")
-    p_qp.add_argument("--solver", choices=["tron", "blmvm"], default="tron")
+    bounded = [name for name, spec in SOLVERS.items() if spec.bounded]
+    p_qp.add_argument("--solver", choices=bounded, default=bounded[0])
     p_qp.add_argument("--rtol", type=float, default=1e-6)
-    p_qp.add_argument("--inner-rtol", type=float,
-                      help="tron inner CG rtol (default 1e-2; not for blmvm)")
+    p_qp.add_argument("--inner-rtol", type=float, help="inner CG rtol (default 1e-2)")
     p_qp.add_argument("--random-dim", type=int, help="generate a seeded SPD instance")
     p_qp.add_argument("--seed", type=int, help="--random-dim seed (default 0)")
     p_qp.add_argument("--out", help="write the solution vector")

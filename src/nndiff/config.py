@@ -2,9 +2,10 @@
 
 Configs are TOML, read by :mod:`tomllib`.  Sections are the keys of
 ``_SCHEMA``; ``[bc.dirichlet]`` and ``[bc.neumann]`` map integer boundary
-markers (bare keys such as ``1 = 0.0``) to numbers.  Every value must be a
-string, a number or a flat array of them: booleans, dates and inline
-tables are rejected, as are unknown sections and keys, before any
+markers (bare keys such as ``1 = 0.0``) to numbers.  The keys in
+``_STRING_KEYS`` take a string or a flat array of strings, every other key a
+number or a flat array of numbers: a quoted number, a boolean, a date or an
+inline table is rejected, as are unknown sections and keys, before any
 computation runs.
 """
 
@@ -22,7 +23,7 @@ from .fem import DiffusivityField, DispersionParams
 from .mesh import BoundarySpec, Mesh, generate_box, generate_cube_with_hole, refine_uniform
 from .mesh_io import read_gmsh
 from .perf import PerfEnvelope
-from .transient import TransientConfig
+from .transient import SOLVERS, TransientConfig
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -65,6 +66,9 @@ _SCHEMA = {
 }
 
 
+# the keys that take strings (solvers: an array of them); the rest take numbers
+_STRING_KEYS = {"generator", "kind", "path", "mode", "velocity_file", "choice", "precond",
+                "vtk", "report", "csv", "solvers"}
 # counts, which float() or int() would otherwise round or truncate silently
 _INTEGER_KEYS = {"n_steps", "refine", "cadence", "max_iter"}
 
@@ -72,10 +76,10 @@ _INTEGER_KEYS = {"n_steps", "refine", "cadence", "max_iter"}
 def _check_value(section: str, key: str, value) -> None:
     items = value if isinstance(value, list) else [value]
     # bool is an int subclass, but no schema key is boolean
-    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+    kind, types = ("string", str) if key in _STRING_KEYS else ("number", (int, float))
+    if any(isinstance(v, bool) or not isinstance(v, types) for v in items):
         raise ConfigError(
-            f"[{section}] {key} must be a string, a number or a flat array of them, "
-            f"not {value!r}"
+            f"[{section}] {key} must be a {kind} or a flat array of them, not {value!r}"
         )
     if key in _INTEGER_KEYS and type(value) is not int:
         raise ConfigError(f"[{section}] {key} must be an integer, not {value!r}")
@@ -227,8 +231,8 @@ def build_transient_config(run: RunConfig, solver_override: str | None = None,
     present (its field names; ``choice`` is ``solver``) and the overrides.  A
     solver spec ``name:inner_rtol`` such as ``tron:1e-3`` sets both."""
     settings = {**run.solver, **(run.transient or {}), **run.bounds}
-    choice = settings.pop("choice", "galerkin")
-    settings["solver"], colon, tail = str(solver_override or choice).partition(":")
+    choice = settings.pop("choice", TransientConfig.solver)
+    settings["solver"], colon, tail = (solver_override or choice).partition(":")
     if rtol is not None:
         settings["rtol"] = rtol
     if inner_rtol is not None:
@@ -237,7 +241,10 @@ def build_transient_config(run: RunConfig, solver_override: str | None = None,
         settings["inner_rtol"] = float(tail)
     if run.transient is None:
         settings["dt"] = None  # no [transient] section: one steady solve
-    return TransientConfig(**settings)
+    config = TransientConfig(**settings)
+    if colon and not SOLVERS[config.solver].reads_inner_rtol:
+        raise ConfigError(f"{config.solver} reads no inner_rtol, so ':{tail}' sets nothing")
+    return config
 
 
 def build_envelope(run: RunConfig) -> PerfEnvelope | None:

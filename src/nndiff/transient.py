@@ -46,16 +46,33 @@ from .qp import QpProblem, project, solve_blmvm, solve_tron
 from .sparse import (PRECONDITIONERS, CsrMatrix, OpLedger, add_scaled, cg_solve,
                      make_preconditioner, spmv)
 
-SOLVER_CHOICES = ("galerkin", "tron", "blmvm")
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """What nndiff knows of one solver; :data:`SOLVERS` holds them."""
+
+    function: str  # looked up here at each call, so rebinding it (bench/tracer.py) reaches all
+    bounded: bool
+    precond: str | None  # the default preconditioner; None: the solver takes none
+    reads_inner_rtol: bool
+    cap: int  # default iteration cap for n free dofs: max(cap, cap_per_dof * n)
+    cap_per_dof: int = 0
+
+    def __call__(self, *args, **kwargs):
+        return globals()[self.function](*args, **kwargs)
+
+
+SOLVERS = {  # function, bounded, precond, reads_inner_rtol, cap, cap_per_dof
+    "galerkin": SolverSpec("cg_solve", False, "ilu0", False, 1000, 10),
+    "tron": SolverSpec("solve_tron", True, "jacobi", True, 500),
+    "blmvm": SolverSpec("solve_blmvm", True, None, False, 20000),
+}
 
 
 @dataclass
 class TransientConfig:
-    """Time-stepping and solver parameters.
-
-    ``dt = None`` replaces the time loop with a single solve of the
-    stationary problem.  Bounds apply only to the constrained solvers.
-    """
+    """Time-stepping and solver parameters; ``dt = None`` is one steady solve.
+    Bounds apply only to the solvers that :data:`SOLVERS` marks bounded."""
 
     dt: float | None = 1.0
     n_steps: int = 1
@@ -66,7 +83,7 @@ class TransientConfig:
     rtol: float = 1e-6
     inner_rtol: float = 1e-2
     max_iter: int | None = None
-    precond: str | None = None  # galerkin/inner CG; None picks per-solver default
+    precond: str | None = None  # None: the solver's default in SOLVERS
 
     def __post_init__(self):
         # stored as floats, so an integer initial value still gives a float field
@@ -74,8 +91,8 @@ class TransientConfig:
             setattr(self, name, float(getattr(self, name)))
         if self.dt is not None:
             self.dt = float(self.dt)
-        if self.solver not in SOLVER_CHOICES:
-            raise ConfigError(f"unknown solver {self.solver!r}; use {SOLVER_CHOICES}")
+        if self.solver not in SOLVERS:
+            raise ConfigError(f"unknown solver {self.solver!r}; use {tuple(SOLVERS)}")
         if self.precond is not None and self.precond not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
         if self.steady and self.n_steps != 1:
@@ -93,13 +110,11 @@ class TransientConfig:
             raise ConfigError("n_steps must be at least 1")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.solver != "galerkin":
-            if not self.c_min <= self.initial_value <= self.c_max:
-                raise ConfigError(
-                    "initial value must lie within [c_min, c_max] on the bounded path"
-                )
-            if self.c_min > self.c_max:
-                raise ConfigError("c_min must not exceed c_max")
+        if SOLVERS[self.solver].reads_inner_rtol and not 0.0 < self.inner_rtol < 1.0:
+            raise ConfigError(f"inner_rtol must lie in (0, 1), got {self.inner_rtol}")
+        # c_min > c_max leaves no initial value inside, so this rejects it too
+        if SOLVERS[self.solver].bounded and not self.c_min <= self.initial_value <= self.c_max:
+            raise ConfigError("initial value must lie within [c_min, c_max] on the bounded path")
 
     @property
     def steady(self) -> bool:
@@ -137,9 +152,8 @@ def build_transient_rhs(f_next, mass: CsrMatrix, c_n, dt: float,
 
 
 def _check_bounds(values, config: TransientConfig) -> None:
-    if config.solver == "galerkin" or len(values) == 0:
-        return
-    if values.min() < config.c_min - 1e-12 or values.max() > config.c_max + 1e-12:
+    outside = (values < config.c_min - 1e-12) | (values > config.c_max + 1e-12)
+    if SOLVERS[config.solver].bounded and outside.any():
         raise ConfigError(
             "prescribed Dirichlet values fall outside [c_min, c_max]; "
             "the bound-constrained path cannot satisfy them"
@@ -148,38 +162,25 @@ def _check_bounds(values, config: TransientConfig) -> None:
 
 def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     """One reduced-system solve; raises SolverFailure on non-convergence."""
-    default_cap = {"galerkin": max(1000, 10 * operator.n), "tron": 500, "blmvm": 20000}
-    maxit = default_cap[config.solver] if config.max_iter is None else config.max_iter
-    if config.solver == "galerkin":
-        x, report = cg_solve(
-            operator, rhs, precond=precond, rtol=config.rtol,
-            maxit=maxit, x0=warm, ledger=ledger,
-        )
-        if not report.converged:
-            raise SolverFailure(
-                f"linear solve failed to converge at step {step} "
-                f"({report.iterations} iterations)", step, report,
-            )
-        return x, report
-    problem = QpProblem(operator, -rhs, lower=config.c_min, upper=config.c_max)
-    x0 = project(warm, problem.lower, problem.upper) if warm is not None else None
-    # warm starts shrink pg(x0); anchor the target to the cold-start gradient
-    # so the stopping test matches the linear path's ||r|| <= rtol ||b||
-    atol = config.rtol * float(np.linalg.norm(rhs))
-    if config.solver == "tron":
-        x, report = solve_tron(
-            problem, rtol=config.rtol, inner_rtol=config.inner_rtol,
-            max_outer=maxit, x0=x0, precond=precond, atol=atol, ledger=ledger,
-        )
+    spec = SOLVERS[config.solver]
+    maxit = config.max_iter or max(spec.cap, spec.cap_per_dof * operator.n)
+    if not spec.bounded:
+        x, report = spec(operator, rhs, precond=precond, rtol=config.rtol,
+                         maxit=maxit, x0=warm, ledger=ledger)
     else:
-        x, report = solve_blmvm(
-            problem, rtol=config.rtol, max_outer=maxit, x0=x0, atol=atol, ledger=ledger,
-        )
+        problem = QpProblem(operator, -rhs, lower=config.c_min, upper=config.c_max)
+        x0 = project(warm, problem.lower, problem.upper)
+        # warm starts shrink pg(x0); anchor the target to the cold-start gradient
+        # so the stopping test matches the linear path's ||r|| <= rtol ||b||
+        atol = config.rtol * float(np.linalg.norm(rhs))
+        settings = {"inner_rtol": config.inner_rtol} if spec.reads_inner_rtol else {}
+        if spec.precond is not None:
+            settings["precond"] = precond
+        x, report = spec(problem, rtol=config.rtol, max_outer=maxit, x0=x0, atol=atol,
+                         ledger=ledger, **settings)
     if not report.converged:
-        raise SolverFailure(
-            f"{config.solver} failed at step {step} (status {report.status})",
-            step, report,
-        )
+        raise SolverFailure(f"{config.solver} failed at step {step} (status {report.status}, "
+                            f"{report.iterations} iterations)", step, report)
     return x, report
 
 
@@ -246,8 +247,8 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     c_full = expand(n, free, config.initial_value, idx, vals)
     result = TransientResult(fields=[] if dt is None else [c_full])  # level 0 if transient
 
-    precond = config.precond or ("ilu0" if config.solver == "galerkin" else "jacobi")
-    if config.solver == "galerkin":
+    precond = config.precond or SOLVERS[config.solver].precond
+    if not SOLVERS[config.solver].bounded:  # a fixed operator: CG's is built once
         precond = make_preconditioner(operator, precond, result.ledger)
 
     rhs = p.rhs  # the steady problem's; each transient level builds its own

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nndiff.cli
+from nndiff.transient import SOLVERS
 from test_cli import HOLE_CONFIG
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -57,3 +58,15 @@ def test_transient_and_steady_solves_fire_every_layer_span(tracer, tmp_path):
     for name in ("fem.assemble", "fem.apply_dirichlet", "sparse.submatrix", "sparse.cg",
                  "sparse.ilu0_setup", "sparse.ilu0_apply", "transient.run"):
         assert calls.get(name, 0) >= 1, name
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_every_solver_fires_its_solve_span(tracer, solver, tmp_path):
+    """The table calls each solve function by its module name, so the
+    tracer's rebinding reaches it: ``qp.solve`` for a bounded solver,
+    ``sparse.cg`` for the others."""
+    config = tmp_path / "steady.toml"
+    config.write_text(HOLE_CONFIG)
+    calls = traced_calls(tracer, ["solve", "--config", str(config), "--solver", solver])
+    span = "qp.solve" if SOLVERS[solver].bounded else "sparse.cg"
+    assert calls.get(span, 0) == 1  # one steady level

@@ -15,6 +15,7 @@ from nndiff.mesh import boundary_faces, generate_box
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
 from nndiff.qp import QpProblem, brute_force_qp
 from nndiff.sparse import CsrMatrix, write_matrix_market
+from nndiff.transient import SOLVERS
 
 HOLE_CONFIG = """
 [mesh]
@@ -48,6 +49,7 @@ tpp = 9.2e9
 streams_bw = 5.65e9
 """
 
+NO_INNER_RTOL = [name for name, spec in SOLVERS.items() if not spec.reads_inner_rtol]
 
 QP_STDOUT_DIM10 = """\
 status: converged after 3 outer iterations
@@ -163,24 +165,44 @@ class TestSolve:
                     "dmp", "flops", "bytes", "ai"):
             assert da[key] == db[key], key
 
-    @pytest.mark.parametrize("solver", ["galerkin", "blmvm"])
+    @pytest.mark.parametrize("solver", NO_INNER_RTOL)
     def test_inner_rtol_without_tron_exit_1(self, hole_config, solver, capsys):
         argv = ["solve", "--config", str(hole_config), "--solver", solver, "--inner-rtol", "1e-3"]
         assert main(argv) == 1
         assert "--inner-rtol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver,ignored", [("galerkin", ["inner_rtol"]),
-                                                ("blmvm", ["precond", "inner_rtol"]),
-                                                ("tron", [])])
-    def test_ignored_solver_keys_warn_and_run(self, solver, ignored, tmp_path, caplog):
+    @pytest.mark.parametrize("solver", NO_INNER_RTOL)
+    def test_spec_inner_rtol_without_one_exit_1(self, hole_config, solver, capsys):
+        """``galerkin:1e-3`` used to run and drop the 1e-3."""
+        assert main(["solve", "--config", str(hole_config), "--solver", f"{solver}:1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {solver} reads no inner_rtol, so ':1e-3' sets nothing\n"
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_ignored_solver_keys_warn_and_run(self, solver, tmp_path, caplog):
         cfg = tmp_path / "keys.toml"
         cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu0"\ninner_rtol = 1e-3'))
         with caplog.at_level(logging.WARNING, logger="nndiff"):
             assert main(["solve", "--config", str(cfg), "--solver", solver]) == 0
         warned = [r.getMessage() for r in caplog.records
                   if r.name == "nndiff" and r.levelno == logging.WARNING]
+        spec = SOLVERS[solver]
+        ignored = [key for key, read in (("precond", spec.precond is not None),
+                                         ("inner_rtol", spec.reads_inner_rtol)) if not read]
         assert warned == [f"[solver] {key} is ignored: {solver} does not use it"
                           for key in ignored]
+
+    def test_inner_rtol_out_of_range_exit_1_before_the_mesh(self, tmp_path, monkeypatch, capsys):
+        """A tron config with ``inner_rtol = 5`` used to build the mesh first."""
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu0"\ninner_rtol = 5'))
+
+        def build_mesh(*args):
+            raise AssertionError("mesh built before the config was checked")
+
+        monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
+        assert main(["solve", "--config", str(cfg), "--solver", "tron"]) == 1
+        assert capsys.readouterr().err == "error: inner_rtol must lie in (0, 1), got 5.0\n"
 
     def test_inner_rtol_sets_tron_inner_tolerance(self, hole_config, tmp_path):
         reports = []
@@ -227,6 +249,10 @@ class TestSolve:
 
     # each value used to be coerced or truncated, or to crash, instead of rejected
     @pytest.mark.parametrize("old, new, named", [
+        ("source = 0.0", 'source = "0.5"', "[physics] source must be a number"),
+        ("[bounds]", '[transient]\ndt = "0.5"\n\n[bounds]', "[transient] dt must be a number"),
+        ("alpha_t = 0.001", 'alpha_t = "0.001"', "[physics] alpha_t must be a number"),
+        ("rtol = 1e-6", 'rtol = "1e-6"', "[solver] rtol must be a number"),
         ("[bounds]", "[transient]\ndt = true\n\n[bounds]", "[transient] dt"),
         ("[bounds]", "[transient]\ndt = 2020-01-01\n\n[bounds]", "[transient] dt"),
         ("[bounds]", "[transient]\ndt = {a = 1}\n\n[bounds]", "[transient] dt"),
@@ -472,6 +498,27 @@ class TestCompare:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --inner-rtol") and err.count("\n") == 1
+
+    # "blmvm:1e-3" used to run and drop the 1e-3; "tron:0" to run the other
+    # entries and exit 2 with a FAILED column
+    @pytest.mark.parametrize("entry, message", [
+        ("blmvm:1e-3", "blmvm reads no inner_rtol, so ':1e-3' sets nothing"),
+        ("galerkin:1e-3", "galerkin reads no inner_rtol, so ':1e-3' sets nothing"),
+        ("tron:0", "inner_rtol must lie in (0, 1), got 0.0"),
+        ("tron:1.5", "inner_rtol must lie in (0, 1), got 1.5"),
+    ])
+    def test_bad_entry_inner_rtol_exit_1_before_any_entry(self, entry, message, tmp_path,
+                                                          monkeypatch, capsys):
+        cfg = tmp_path / "cmp.toml"
+        cfg.write_text(HOLE_CONFIG + f'\n[compare]\nsolvers = ["galerkin", "{entry}", "blmvm"]\n')
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("assembled before every entry was checked")
+
+        monkeypatch.setattr(nndiff.transient, "assemble", assemble)
+        assert main(["compare", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
     def test_inner_rtol_sets_plain_tron_entry(self, tmp_path):
         cfg = tmp_path / "cmp.toml"

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from nndiff.config import (
+    _SCHEMA,
+    _STRING_KEYS,
     RunConfig,
     build_bc,
     build_diffusivity,
@@ -116,6 +118,30 @@ class TestSchema:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be")):
             RunConfig.from_raw(parse_config_text(f"{MINIMAL}\n[{section}]\n{line}\n"))
+
+    # a quoted number used to be accepted: source = "0.5" ran as 0.5
+    @pytest.mark.parametrize("section, key", sorted(
+        [(s, k) for s, keys in _SCHEMA.items() if s != "bc" for k in keys - _STRING_KEYS]
+        + [("bc.dirichlet", "1"), ("bc.neumann", "2")]
+    ))
+    @pytest.mark.parametrize("value", ["0.5", [1.0, "2"]], ids=["string", "array"])
+    def test_numeric_key_rejects_a_string(self, section, key, value):
+        raw = parse_config_text(MINIMAL)
+        table = raw
+        for part in section.split("."):
+            table = table.setdefault(part, {})
+        table[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be a number")):
+            RunConfig.from_raw(raw)
+
+    @pytest.mark.parametrize("section, key", sorted(
+        (s, k) for s, keys in _SCHEMA.items() for k in keys & _STRING_KEYS
+    ))
+    def test_string_key_rejects_a_number(self, section, key):
+        raw = parse_config_text(MINIMAL)
+        raw.setdefault(section, {})[key] = 1
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be a string")):
+            RunConfig.from_raw(raw)
 
     @pytest.mark.parametrize("section, key", [
         ("transient", "n_steps"), ("mesh", "refine"), ("output", "cadence"),

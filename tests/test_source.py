@@ -1,13 +1,25 @@
-"""Static checks on the package source, read with :mod:`ast`."""
+"""Static checks on the package source, read with :mod:`ast`, and on the README."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nndiff"
-# bench/tracer.py rebinds qp.aypx, so qp keeps importing it
-KEPT = {("qp.py", "aypx")}
+from nndiff.transient import SOLVERS
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "nndiff"
+# bench/tracer.py rebinds qp.aypx and transient's three solve functions, so
+# those modules keep importing them; SOLVERS calls the latter by name
+KEPT = {("qp.py", "aypx"), ("transient.py", "cg_solve"), ("transient.py", "solve_tron"),
+        ("transient.py", "solve_blmvm")}
+# the only owners that may spell a solver name as a string constant
+SOLVER_TABLES = {("transient.py", "SOLVERS"), ("cli.py", "DEFAULT_COMPARE_SOLVERS")}
+# (file, owner, constant) of the solver names allowed outside those tables:
+# TransientConfig's default solver and compare's log of the paper's claim
+# that the Galerkin solve has at least blmvm's arithmetic intensity
+NAMES_KEPT = [("cli.py", "cmd_compare", "blmvm"), ("cli.py", "cmd_compare", "galerkin"),
+              ("transient.py", "TransientConfig", "galerkin")]
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +48,62 @@ def test_finds_an_unused_import():
 def test_no_unused_import(path):
     unused = [name for name in unused_imports(path.read_text()) if (path.name, name) not in KEPT]
     assert unused == []
+
+
+def solver_name_constants(source: str, names) -> list:
+    """(owner, constant) of every string constant that is a solver name or a
+    ``name:inner_rtol`` spec.  The owner is the innermost enclosing function or
+    class, or else the name a module-level assignment binds."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        elif owner is None and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            owner = getattr(target, "id", None)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.partition(":")[0] in names:
+                found.append((owner, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_stray_solver_name():
+    source = (
+        'SOLVERS = {"tron": 1}\nDEFAULT = ["tron:1e-3"]\n'
+        'def f(config):\n    """Runs tron."""\n    return config.solver == "tron"\n'
+    )
+    assert solver_name_constants(source, {"tron"}) == [
+        ("SOLVERS", "tron"), ("DEFAULT", "tron:1e-3"), ("f", "tron")]
+
+
+def test_solver_names_only_in_the_tables():
+    """A site that names a solver instead of reading SOLVERS can miss a setting
+    that no solver reads; every such fact is stated once, in the table."""
+    stray = sorted(
+        (path.name, owner, value)
+        for path in SRC.glob("*.py")
+        for owner, value in solver_name_constants(path.read_text(), set(SOLVERS))
+        if (path.name, owner) not in SOLVER_TABLES
+    )
+    assert stray == NAMES_KEPT
+
+
+def test_readme_solver_table_mirrors_solvers():
+    rows = {}
+    for line in (REPO / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] in SOLVERS:
+            rows[cells[0]] = cells[1:]
+    expected = {}
+    for name, spec in SOLVERS.items():
+        cap = f"max({spec.cap}, {spec.cap_per_dof} n)" if spec.cap_per_dof else str(spec.cap)
+        keys = ["rtol", "max_iter"] + ["precond"] * (spec.precond is not None)
+        keys += ["inner_rtol"] * spec.reads_inner_rtol
+        expected[name] = ["yes" if spec.bounded else "no",
+                          f"`{spec.precond}`" if spec.precond else "none", cap, ", ".join(keys)]
+    assert rows == expected
