@@ -105,6 +105,9 @@ def _summary(result, tcfg, envelope) -> dict:
 
 def cmd_solve(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
+    spec = args.solver or run_cfg.solver.get("choice", "")
+    if args.inner_rtol is not None and ":" in spec:  # compare sets only its plain entries
+        raise ConfigError(f"--inner-rtol and solver spec {spec!r} both set inner_rtol")
     tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
     envelope = build_envelope(run_cfg)
     _check_inner_rtol_flag(args.inner_rtol, [tcfg.solver])
@@ -175,6 +178,8 @@ def _cell(flat: dict, key: str, fmt: str, missing: str) -> str:
 def cmd_compare(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
     solvers = (run_cfg.compare or {}).get("solvers", DEFAULT_COMPARE_SOLVERS)
+    if isinstance(solvers, str):  # the schema lets one solver be a bare string
+        solvers = [solvers]
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
     tcfgs = [build_transient_config(run_cfg, s, args.rtol, args.inner_rtol) for s in solvers]

@@ -178,6 +178,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == f"error: {solver} reads no inner_rtol, so ':1e-3' sets nothing\n"
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_inner_rtol_flag_and_spec_tolerance_exit_1(self, where, tmp_path, monkeypatch,
+                                                        capsys):
+        """``--solver tron:1e-1 --inner-rtol 1e-3`` used to run at 0.1 and exit 0."""
+        cfg = tmp_path / "spec.toml"
+        cfg.write_text(HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "tron:1e-1"'))
+        solver = ["--solver", "tron:1e-1"] if where == "flag" else []
+
+        def build_mesh(*args):
+            raise AssertionError("mesh built before the flags were checked")
+
+        monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
+        assert main(["solve", "--config", str(cfg), *solver, "--inner-rtol", "1e-3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --inner-rtol and solver spec 'tron:1e-1' both set inner_rtol\n"
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_ignored_solver_keys_warn_and_run(self, solver, tmp_path, caplog):
         cfg = tmp_path / "keys.toml"
@@ -530,6 +547,18 @@ class TestCompare:
             rows.append(self.csv_rows(path)["tron"])
         flag, default = rows
         assert flag[3:5] != default[3:5]  # outer and inner iterations
+
+    def test_bare_string_solvers_is_one_entry(self, tmp_path, capsys):
+        """``solvers = "tron"`` used to exit 1 with ``unknown solver 't'``."""
+        rows = {}
+        for tag, value in (("bare", '"tron"'), ("list", '["tron"]')):
+            cfg, path = tmp_path / f"{tag}.toml", tmp_path / f"{tag}.csv"
+            cfg.write_text(HOLE_CONFIG + f"\n[compare]\nsolvers = {value}\n")
+            assert main(["compare", "--config", str(cfg), "--report", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[0].split() == ["metric", "tron"]
+            rows[tag] = self.csv_rows(path)
+        assert list(rows["bare"]) == ["tron"]
+        assert rows["bare"]["tron"][:5] == rows["list"]["tron"][:5]
 
     def test_unknown_marker_exit_1_once(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.toml"

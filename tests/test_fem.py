@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nndiff.fem
 from nndiff.errors import AssemblyError, ConfigError, SingularTensorError
 from nndiff.fem import (
     _STIFFNESS_BLOCK,
@@ -11,13 +14,21 @@ from nndiff.fem import (
     apply_dirichlet,
     assemble,
     assemble_load,
+    cell_geometry,
     dirichlet_values,
     dispersion_tensor,
     neumann_load,
     _tet_batch,
     _tet_stiffness,
 )
-from nndiff.mesh import BoundarySpec, Mesh, boundary_faces, generate_box, with_boundary_markers
+from nndiff.mesh import (
+    BoundarySpec,
+    Mesh,
+    boundary_faces,
+    generate_box,
+    generate_cube_with_hole,
+    with_boundary_markers,
+)
 from nndiff.sparse import cg_solve
 
 UNIT_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -219,6 +230,148 @@ class TestTetStiffnessOracle:
             d = np.broadcast_to(_random_spd(rng, ()), (m, 3, 3))
         ke = _tet_stiffness(det, grads, d)
         assert ke.tobytes() == _tet_stiffness_reference(det, grads, d).tobytes()
+
+
+_LAPACK_INV = np.linalg.inv  # unpatched, for the reference
+
+
+def _per_cell_tet_geometry(vertices, cells):
+    """Determinants and gradients from one LAPACK det and inv per cell: the
+    reference for ``_tet_batch``, which calls them once per distinct Jacobian.
+    Also returns the cell an ``AssemblyError`` names, or None."""
+    x = vertices[cells]
+    e = x[:, 1:, :] - x[:, :1, :]
+    det = np.linalg.det(e)
+    if np.any(det <= 0.0):
+        return det, None, int(np.argmin(det))
+    inv = _LAPACK_INV(e)
+    grads = np.empty((len(cells), 4, 3))
+    grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return det, grads, None
+
+
+def _assert_geometry_matches_per_cell(vertices, cells):
+    det, grads, bad = _per_cell_tet_geometry(vertices, cells)
+    if bad is not None:
+        with pytest.raises(AssemblyError, match=f"determinant in cell {bad}$"):
+            _tet_batch(vertices, cells)
+        return
+    got_det, got_grads = _tet_batch(vertices, cells)
+    assert got_det.tobytes() == det.tobytes()
+    assert got_grads.tobytes() == grads.tobytes()
+
+
+def _lapack_inv_sizes(monkeypatch):
+    """Patch ``np.linalg.inv`` as ``fem`` calls it; the list gets the number
+    of matrices of every call."""
+    sizes, inv = [], np.linalg.inv
+
+    def counting_inv(a):
+        sizes.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(nndiff.fem.np.linalg, "inv", counting_inv)
+    return sizes
+
+
+def _jittered_hole_mesh(n, seed=0):
+    """The cube with a hole with every vertex moved by up to 2 % of the
+    spacing: orientation is kept and no two Jacobians are equal."""
+    mesh = generate_cube_with_hole(n, "tet4")
+    jitter = np.random.default_rng(seed).uniform(-0.02, 0.02, mesh.vertices.shape) / n
+    return mesh.vertices + jitter, mesh.cells
+
+
+class TestTetGeometryOncePerShape:
+    @pytest.mark.parametrize("n", [9, 18])
+    def test_cube_with_hole_bit_equal_to_per_cell(self, n):
+        mesh = generate_cube_with_hole(n, "tet4")
+        _assert_geometry_matches_per_cell(mesh.vertices, mesh.cells)
+
+    def test_all_distinct_jacobians_bit_equal(self, monkeypatch):
+        vertices, cells = _jittered_hole_mesh(9)
+        e = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+        assert len(np.unique(e.reshape(len(e), 9), axis=0)) == len(cells)
+        sizes = _lapack_inv_sizes(monkeypatch)
+        _assert_geometry_matches_per_cell(vertices, cells)
+        assert sizes == [len(cells)]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60),
+           st.integers(1, 3))
+    def test_repeated_cells_bit_equal_or_same_error(self, seed, n_shapes, n_cells, copies):
+        """Cells drawn from a few tets, each tet's vertices stored ``copies``
+        times, so equal Jacobians arise from repeated and from distinct
+        vertex indices; a negative or zero volume must name the same cell."""
+        rng = np.random.default_rng(seed)
+        shapes = rng.standard_normal((n_shapes, 4, 3)) * 10.0 ** rng.uniform(-2, 2, (n_shapes, 1, 1))
+        flip = np.linalg.det(shapes[:, 1:] - shapes[:, :1]) < 0
+        flip ^= rng.random(n_shapes) < 0.1  # mostly positive volumes, some inverted
+        shapes[flip] = shapes[flip][:, [0, 2, 1, 3]]
+        flat = rng.random(n_shapes) < 0.1
+        shapes[flat, 3] = shapes[flat, 0]
+        vertices = np.tile(shapes.reshape(-1, 3), (copies, 1))
+        which = rng.integers(0, n_shapes, n_cells)
+        copy = rng.integers(0, copies, n_cells)
+        cells = (4 * (copy * n_shapes + which))[:, None] + np.arange(4)
+        _assert_geometry_matches_per_cell(vertices, cells)
+
+    def test_hash_collision_treats_every_cell_as_distinct(self, monkeypatch):
+        mesh = generate_cube_with_hole(9, "tet4")
+        monkeypatch.setattr(nndiff.fem, "_JACOBIAN_HASH", np.zeros(9, dtype=np.uint64))
+        sizes = _lapack_inv_sizes(monkeypatch)
+        _assert_geometry_matches_per_cell(mesh.vertices, mesh.cells)
+        assert sizes == [mesh.n_cells]
+
+    @staticmethod
+    def two_cells_of_one_shape(vertices, cells):
+        e = (vertices[cells[:, 1:]] - vertices[cells[:, :1]]).reshape(len(cells), 9)
+        same = np.flatnonzero((e == e[7]).all(axis=1))
+        assert len(same) >= 2
+        return same[:2]
+
+    def test_inverted_cells_name_the_same_cell(self, monkeypatch):
+        """Two inverted cells of one shape tie at the smallest determinant:
+        the lower index is named, and no inverse is formed."""
+        mesh = generate_box(3, 3, 3, "tet4")
+        cells = mesh.cells.copy()
+        j, k = self.two_cells_of_one_shape(mesh.vertices, cells)
+        cells[[k, j]] = cells[[k, j]][:, [0, 2, 1, 3]]
+        sizes = _lapack_inv_sizes(monkeypatch)
+        assert _per_cell_tet_geometry(mesh.vertices, cells)[2] == j
+        _assert_geometry_matches_per_cell(mesh.vertices, cells)
+        assert sizes == []
+
+    def test_flat_cell_names_the_same_cell(self, monkeypatch):
+        """A repeated vertex gives det = 0: the cell is named, and LAPACK's
+        inverse never sees the singular matrix."""
+        mesh = generate_box(3, 3, 3, "tet4")
+        cells = mesh.cells.copy()
+        j = self.two_cells_of_one_shape(mesh.vertices, cells)[1]
+        cells[j, 3] = cells[j, 0]
+        sizes = _lapack_inv_sizes(monkeypatch)
+        assert _per_cell_tet_geometry(mesh.vertices, cells)[2] == j
+        _assert_geometry_matches_per_cell(mesh.vertices, cells)
+        assert sizes == []
+
+    def test_lapack_sees_each_distinct_jacobian_once(self, monkeypatch):
+        mesh = generate_cube_with_hole(27, "tet4")
+        sizes = _lapack_inv_sizes(monkeypatch)
+        geometry = cell_geometry(mesh)
+        assert mesh.n_cells == 117_936 and sizes == [162]
+        assert geometry.grads.shape == (117_936, 4, 3)
+
+    def test_peak_memory_at_most_twice_what_is_kept(self):
+        mesh = generate_cube_with_hole(18, "tet4")
+        tracemalloc.start()
+        try:
+            geometry = cell_geometry(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = geometry.det.nbytes + geometry.grads.nbytes
+        assert peak <= 2 * kept, (peak, kept)
 
 
 @pytest.fixture
