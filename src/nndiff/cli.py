@@ -37,7 +37,7 @@ from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import arithmetic_intensity, efficiency, report_as_dict
 from .qp import QpProblem, kkt_check
 from .sparse import CsrMatrix, read_matrix_market
-from .transient import SOLVERS, prepare, solve, write_step_csv
+from .transient import SOLVERS, check_positive_finite, prepare, solve, write_step_csv
 from .transient import run as run_transient
 
 logger = logging.getLogger("nndiff")
@@ -244,9 +244,12 @@ def _load_bound(text, n):
 
 def cmd_qp(args) -> int:
     _check_inner_rtol_flag(args.inner_rtol, [args.solver])
-    if args.seed is not None and not args.random_dim:
+    check_positive_finite("rtol", args.rtol)
+    if args.seed is not None and args.random_dim is None:
         raise ConfigError("--seed applies only to --random-dim instances")
-    if args.random_dim:
+    if args.random_dim is not None:
+        if args.random_dim < 1:
+            raise ConfigError(f"--random-dim must be at least 1, got {args.random_dim}")
         seed = 0 if args.seed is None else args.seed
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((args.random_dim, args.random_dim))

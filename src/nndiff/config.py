@@ -1,12 +1,12 @@
 """Experiment configuration: TOML files, a schema check, and builders.
 
-Configs are TOML, read by :mod:`tomllib`.  Sections are the keys of
-``_SCHEMA``; ``[bc.dirichlet]`` and ``[bc.neumann]`` map integer boundary
-markers (bare keys such as ``1 = 0.0``) to numbers.  The keys in
-``_STRING_KEYS`` take a string or a flat array of strings, every other key a
-number or a flat array of numbers: a quoted number, a boolean, a date or an
-inline table is rejected, as are unknown sections and keys, before any
-computation runs.
+Configs are TOML, read by :mod:`tomllib`.  ``_SCHEMA`` gives every key of
+every section its one kind: a string, a number, a non-negative integer, a
+flat array of numbers, or a string or flat array of strings.  ``[bc.dirichlet]``
+and ``[bc.neumann]`` map integer boundary markers (bare keys such as
+``1 = 0.0``) to finite numbers.  Any other value, and any unknown section or
+key, is a :class:`ConfigError` naming ``[section] key``, raised before anything
+is built.
 """
 
 from __future__ import annotations
@@ -50,41 +50,52 @@ def load_config_file(path) -> dict:
 # Schema
 # ---------------------------------------------------------------------------
 
+# the kinds of value a key takes, worded as the error messages and README say them
+STRING, NUMBER, INTEGER = "a string", "a number", "an integer"
+NUMBERS, STRINGS = "a flat array of numbers", "a string or a flat array of strings"
+MARKERS = "a table of integer boundary markers to finite numbers"
+_IS_KIND = {  # bool is an int subclass, but no key takes a boolean
+    STRING: lambda value: isinstance(value, str),
+    NUMBER: lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    INTEGER: lambda value: type(value) is int,  # float() or int() would round a count silently
+    NUMBERS: lambda value: isinstance(value, list) and all(map(_IS_KIND[NUMBER], value)),
+    STRINGS: lambda value: _IS_KIND[STRING](value) or (
+        isinstance(value, list) and all(map(_IS_KIND[STRING], value))),
+    MARKERS: lambda value: isinstance(value, dict),
+}
+
 _SCHEMA = {
-    "mesh": {"generator", "n", "nx", "ny", "nz", "kind", "path", "refine"},
-    "physics": {
-        "mode", "alpha_l", "alpha_t", "d_m", "velocity", "velocity_file",
-        "tensor", "source",
-    },
-    "bc": {"dirichlet", "neumann"},
-    "solver": {"choice", "rtol", "inner_rtol", "max_iter", "precond"},
-    "transient": {"dt", "n_steps", "initial_value"},
-    "bounds": {"c_min", "c_max"},
-    "perf": {"tpp", "streams_bw"},
-    "output": {"vtk", "report", "csv", "cadence"},
-    "compare": {"solvers"},
+    "mesh": {"generator": STRING, "n": INTEGER, "nx": INTEGER, "ny": INTEGER, "nz": INTEGER,
+             "kind": STRING, "path": STRING, "refine": INTEGER},
+    "physics": {"mode": STRING, "alpha_l": NUMBER, "alpha_t": NUMBER, "d_m": NUMBER,
+                "velocity": NUMBERS, "velocity_file": STRING, "tensor": NUMBERS,
+                "source": NUMBER},
+    "bc": {"dirichlet": MARKERS, "neumann": MARKERS},
+    "solver": {"choice": STRING, "rtol": NUMBER, "inner_rtol": NUMBER, "max_iter": INTEGER,
+               "precond": STRING},
+    "transient": {"dt": NUMBER, "n_steps": INTEGER, "initial_value": NUMBER},
+    "bounds": {"c_min": NUMBER, "c_max": NUMBER},
+    "perf": {"tpp": NUMBER, "streams_bw": NUMBER},
+    "output": {"vtk": STRING, "report": STRING, "csv": STRING, "cadence": INTEGER},
+    "compare": {"solvers": STRINGS},
 }
 
 
-# the keys that take strings (solvers: an array of them); the rest take numbers
-_STRING_KEYS = {"generator", "kind", "path", "mode", "velocity_file", "choice", "precond",
-                "vtk", "report", "csv", "solvers"}
-# counts, which float() or int() would otherwise round or truncate silently
-_INTEGER_KEYS = {"n_steps", "refine", "cadence", "max_iter"}
-
-
-def _check_value(section: str, key: str, value) -> None:
-    items = value if isinstance(value, list) else [value]
-    # bool is an int subclass, but no schema key is boolean
-    kind, types = ("string", str) if key in _STRING_KEYS else ("number", (int, float))
-    if any(isinstance(v, bool) or not isinstance(v, types) for v in items):
-        raise ConfigError(
-            f"[{section}] {key} must be a {kind} or a flat array of them, not {value!r}"
-        )
-    if key in _INTEGER_KEYS and type(value) is not int:
-        raise ConfigError(f"[{section}] {key} must be an integer, not {value!r}")
-    if key in ("refine", "cadence") and value < 0:
+def _check_value(section: str, key: str, value, kind: str) -> None:
+    if not _IS_KIND[kind](value):
+        raise ConfigError(f"[{section}] {key} must be {kind}, not {value!r}")
+    if kind == INTEGER and value < 0:
         raise ConfigError(f"[{section}] {key} must not be negative, not {value}")
+    if kind == MARKERS:
+        for marker, number in value.items():
+            try:
+                int(marker)
+            except ValueError:
+                raise ConfigError(
+                    f"[{section}.{key}] boundary marker {marker!r} is not an integer") from None
+            _check_value(f"{section}.{key}", marker, number, NUMBER)
+            if not np.isfinite(number):
+                raise ConfigError(f"[{section}.{key}] {marker} must be finite, not {number}")
 
 
 def _check_schema(raw: dict) -> None:
@@ -93,19 +104,10 @@ def _check_schema(raw: dict) -> None:
             raise ConfigError(f"unknown config section [{section}]")
         if not isinstance(content, dict):
             raise ConfigError(f"[{section}] must be a section, not a key")
-        if section == "bc":
-            for sub, table in content.items():
-                if sub not in _SCHEMA["bc"]:
-                    raise ConfigError(f"unknown config section [bc.{sub}]")
-                if not isinstance(table, dict):
-                    raise ConfigError(f"[bc.{sub}] must be a marker table")
-                for key, value in table.items():
-                    _check_value(f"bc.{sub}", key, value)
-            continue
         for key, value in content.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            _check_value(section, key, value)
+            _check_value(section, key, value, _SCHEMA[section][key])
 
 
 @dataclass
@@ -207,21 +209,11 @@ def build_diffusivity(cfg: dict, mesh: Mesh, base_dir: Path | None = None) -> Di
 
 
 def build_bc(cfg: dict) -> BoundarySpec:
-    def marker_table(kind: str) -> dict:
-        out = {}
-        for key, value in cfg.get(kind, {}).items():
-            try:
-                marker = int(key)
-            except ValueError:
-                raise ConfigError(f"boundary marker {key!r} is not an integer")
-            if not isinstance(value, (int, float)):
-                raise ConfigError(f"boundary value for marker {key} must be a number")
-            if not np.isfinite(value):
-                raise ConfigError(f"[bc.{kind}] {key} must be finite, not {value}")
-            out[marker] = float(value)
-        return out
-
-    return BoundarySpec(dirichlet=marker_table("dirichlet"), neumann=marker_table("neumann"))
+    """The ``[bc]`` tables, which the schema checked, keyed by integer marker."""
+    return BoundarySpec(**{
+        table: {int(marker): float(value) for marker, value in cfg.get(table, {}).items()}
+        for table in _SCHEMA["bc"]
+    })
 
 
 def build_transient_config(run: RunConfig, solver_override: str | None = None,

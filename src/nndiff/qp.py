@@ -57,7 +57,7 @@ TRON_ACCEPT_RATIO = 1e-4
 
 @dataclass
 class QpProblem:
-    """SPD quadratic form with componentwise bounds (+-inf allowed)."""
+    """SPD quadratic form with componentwise bounds (+-inf allowed, NaN not)."""
 
     hessian: CsrMatrix
     linear: np.ndarray
@@ -72,6 +72,8 @@ class QpProblem:
             raise DimensionError("linear term length must match the operator")
         self.lower = self._bound(lower, n, -np.inf)
         self.upper = self._bound(upper, n, np.inf)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise DimensionError("a bound is NaN")
         if np.any(self.lower > self.upper):
             raise DimensionError("lower bound exceeds upper bound")
 
@@ -429,7 +431,8 @@ def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
     """First-order optimality: |g| small at interior points, signed at bounds.
 
     A variable pinned at lower == upper takes a multiplier of either sign,
-    so only its feasibility is checked.
+    so only its feasibility is checked.  A NaN in ``c`` or in the gradient
+    fails the check with a NaN ``max_violation``.
     """
     g = problem.hessian.matvec_raw(c) + problem.linear
     lo, hi = problem.lower, problem.upper
@@ -449,4 +452,6 @@ def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
         float(np.maximum(c - hi, 0.0).max(initial=0.0)),
     )
     viol = max(viol, feas)
+    if np.isnan(c).any() or np.isnan(g).any():  # max() above keeps 0.0 over a NaN
+        viol = np.nan
     return KktCertificate(viol <= tol_abs, viol, tol_abs)

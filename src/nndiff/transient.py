@@ -42,7 +42,7 @@ from .fem import (
     expand,
 )
 from .mesh import BoundarySpec, Mesh
-from .qp import QpProblem, project, solve_blmvm, solve_tron
+from .qp import QpProblem, solve_blmvm, solve_tron
 from .sparse import (PRECONDITIONERS, CsrMatrix, OpLedger, add_scaled, cg_solve,
                      make_preconditioner, spmv)
 
@@ -67,6 +67,13 @@ SOLVERS = {  # function, bounded, precond, reads_inner_rtol, cap, cap_per_dof
     "tron": SolverSpec("solve_tron", True, "jacobi", True, 500),
     "blmvm": SolverSpec("solve_blmvm", True, None, False, 20000),
 }
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """The rule for ``dt`` and ``rtol``: a ConfigError unless 0 < value < inf.
+    NaN fails every comparison, so it is rejected too."""
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -97,11 +104,9 @@ class TransientConfig:
             raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
         if self.steady and self.n_steps != 1:
             raise ConfigError(f"a steady solve (dt = None) takes one step, not {self.n_steps}")
-        # NaN fails every comparison, so the range checks reject it too
-        if not self.steady and not 0.0 < self.dt < np.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 < self.rtol < np.inf:
-            raise ConfigError(f"rtol must be positive and finite, got {self.rtol}")
+        if not self.steady:
+            check_positive_finite("dt", self.dt)
+        check_positive_finite("rtol", self.rtol)
         if not np.isfinite(self.initial_value):
             raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
         if np.isnan(self.c_min) or np.isnan(self.c_max):
@@ -169,14 +174,13 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
                          maxit=maxit, x0=warm, ledger=ledger)
     else:
         problem = QpProblem(operator, -rhs, lower=config.c_min, upper=config.c_max)
-        x0 = project(warm, problem.lower, problem.upper)
         # warm starts shrink pg(x0); anchor the target to the cold-start gradient
         # so the stopping test matches the linear path's ||r|| <= rtol ||b||
         atol = config.rtol * float(np.linalg.norm(rhs))
         settings = {"inner_rtol": config.inner_rtol} if spec.reads_inner_rtol else {}
         if spec.precond is not None:
             settings["precond"] = precond
-        x, report = spec(problem, rtol=config.rtol, max_outer=maxit, x0=x0, atol=atol,
+        x, report = spec(problem, rtol=config.rtol, max_outer=maxit, x0=warm, atol=atol,
                          ledger=ledger, **settings)
     if not report.converged:
         raise SolverFailure(f"{config.solver} failed at step {step} (status {report.status}, "

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ kkt certificate: PASS (violation 1.107e-06, tol 9.010e-06)
 solution[:8]: [-0.0174284, -0.0348297, -0.1, -0.0220508, -0.0340798, 0.00148055, \
 -0.0764914, 0.0296081, ...]
 """
+
+
+def with_setting(section: str, key: str, value: str) -> str:
+    """HOLE_CONFIG with the TOML line ``key = value`` in ``[section]``."""
+    line = f"{key} = {value}"
+    if re.search(f"^{key} = ", HOLE_CONFIG, re.M):
+        return re.sub(f"^{key} = .*$", line, HOLE_CONFIG, flags=re.M)
+    if f"[{section}]\n" in HOLE_CONFIG:
+        return HOLE_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return f"{HOLE_CONFIG}\n[{section}]\n{line}\n"
 
 
 def box_with_interior_facet():
@@ -281,6 +292,34 @@ class TestSolve:
         cfg.write_text(HOLE_CONFIG.replace(old, new))
         assert main(["solve", "--config", str(cfg)]) == 1
         assert named in capsys.readouterr().err
+
+    # each used to crash with a TypeError, OverflowError or AttributeError traceback
+    # (vtk, report and csv only after the solve), or, n = 9.0, to run as n = 9
+    @pytest.mark.parametrize("section, key, value", [
+        *(("mesh", key, value) for key in ("n", "nx", "ny", "nz") for value in ("[9]", "inf")),
+        ("mesh", "n", "9.0"),
+        *(("physics", key, "[1.0]") for key in ("alpha_l", "alpha_t", "d_m")),
+        *(("solver", key, "[0.1]") for key in ("rtol", "inner_rtol")),
+        *(("transient", key, "[0.5]") for key in ("dt", "initial_value")),
+        *(("bounds", key, "[0.0]") for key in ("c_min", "c_max")),
+        *(("perf", key, "[1e9]") for key in ("tpp", "streams_bw")),
+        *(("output", key, '["out"]') for key in ("vtk", "report", "csv")),
+        ("physics", "velocity_file", '["v.txt"]'),
+        ("solver", "choice", '["tron"]'),
+    ])
+    def test_value_of_another_kind_exit_1_before_the_mesh(self, section, key, value, tmp_path,
+                                                           monkeypatch, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(with_setting(section, key, value))
+
+        def build_mesh(*args):
+            raise AssertionError("mesh built before the config was checked")
+
+        monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: [{section}] {key} must be ") and err.count("\n") == 1
 
     def test_mesh_file_with_interior_facet_exit_1(self, tmp_path, capsys):
         write_gmsh(box_with_interior_facet(), tmp_path / "m.msh")
@@ -634,6 +673,28 @@ class TestQp:
                      "--q", str(tmp_path / "q.txt"), "--seed", "4"])
         assert code == 1
         assert "--seed" in capsys.readouterr().err
+
+    # --rtol 0, -1 and nan ran 200 outer iterations and exited 2, --lower nan ran to
+    # an all-NaN solution and exited 2, and --random-dim 0 read as no --random-dim
+    @pytest.mark.parametrize("argv, named", [
+        (["--rtol", "0"], "rtol must be positive and finite, got 0.0"),
+        (["--rtol", "-1"], "rtol must be positive and finite, got -1.0"),
+        (["--rtol", "nan"], "rtol must be positive and finite, got nan"),
+        (["--lower", "nan"], "a bound is NaN"),
+        (["--upper", "nan"], "a bound is NaN"),
+        (["--random-dim", "0"], "--random-dim must be at least 1, got 0"),
+        (["--random-dim", "-2"], "--random-dim must be at least 1, got -2"),
+    ])
+    def test_input_solve_would_reject_exit_1_before_the_solve(self, argv, named, monkeypatch,
+                                                              capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(nndiff.transient, "solve_tron", solve)
+        assert main(["qp", "--random-dim", "3", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {named}\n"
 
     # standard output recorded before --inner-rtol and --seed lost their defaults
     @pytest.mark.parametrize("argv, expected", [

@@ -1,15 +1,23 @@
 import dataclasses
 import importlib
+import math
 import re
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nndiff.config import (
     _SCHEMA,
-    _STRING_KEYS,
+    INTEGER,
+    MARKERS,
+    NUMBER,
+    NUMBERS,
+    STRING,
+    STRINGS,
     RunConfig,
     build_bc,
     build_diffusivity,
@@ -18,6 +26,7 @@ from nndiff.config import (
     build_transient_config,
     parse_config_text,
 )
+from nndiff.cli import _INPUT_ERRORS
 from nndiff.errors import ConfigError, ParseError
 from nndiff.fem import dispersion_tensor, DispersionParams
 from nndiff.mesh import generate_box
@@ -74,6 +83,59 @@ class TestParser:
         assert err.value.line == 3
 
 
+def set_value(raw: dict, section: str, key: str, value) -> None:
+    """``raw[section][key] = value``, where ``section`` may be ``bc.dirichlet``; a
+    table on the way that an earlier edit made a value becomes a table again."""
+    table = raw
+    for part in section.split("."):
+        if not isinstance(table.get(part), dict):
+            table[part] = {}
+        table = table[part]
+    table[key] = value
+
+
+# (section, key, kind) of every schema key and of one marker in each boundary table
+SCHEMA_KEYS = [(s, k, kind) for s, kinds in _SCHEMA.items() for k, kind in kinds.items()]
+SCHEMA_KEYS += [("bc.dirichlet", "1", NUMBER), ("bc.neumann", "2", NUMBER)]
+# an array of a value each kind takes, or a nested array for the array kinds
+BAD_ARRAY = {STRING: ["tet4"], NUMBER: [1.0], INTEGER: [1], NUMBERS: [[1.0, 1.0, 1.0]],
+             STRINGS: [["tron"]], MARKERS: [1.0]}
+
+EDITABLE = SCHEMA_KEYS + [("bc.dirichlet", "x", NUMBER), ("bc.neumann", "-1", NUMBER)]
+# names the builders act on, so draws reach past their first check
+WORDS = st.sampled_from([
+    "box", "cube_with_hole", "file", "tet4", "hex8", "constant", "dispersion", "galerkin",
+    "tron", "tron:1e-3", "tron:0", "tron:x", "blmvm", "blmvm:1e-3", "jacobi", "ilu0", "none",
+    "m.msh", "",
+])
+# small integers keep every drawn box mesh small; a path is a name in an empty directory
+NUMBERS_DRAWN = st.integers(-2, 3) | st.floats()
+STRINGS_DRAWN = WORDS | st.text(alphabet="abc.:_-09 ", max_size=6)
+OF_KIND = {
+    STRING: STRINGS_DRAWN,
+    NUMBER: NUMBERS_DRAWN,
+    INTEGER: st.integers(-2, 3),
+    NUMBERS: st.lists(NUMBERS_DRAWN, max_size=10),
+    STRINGS: STRINGS_DRAWN | st.lists(WORDS, max_size=3),
+    MARKERS: st.dictionaries(st.sampled_from(["1", "2", "x"]), NUMBERS_DRAWN, max_size=2),
+}
+TOML_VALUES = st.recursive(
+    st.booleans() | NUMBERS_DRAWN | STRINGS_DRAWN | st.dates(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["1", "2", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+# an edit sets one key to a value of its own kind or to any TOML value
+EDITS = st.lists(st.sampled_from(EDITABLE).flatmap(
+    lambda key: st.tuples(st.just(key[:2]), OF_KIND[key[2]] | TOML_VALUES)
+), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
 MINIMAL = """
 [mesh]
 generator = "box"
@@ -121,21 +183,21 @@ class TestSchema:
 
     # a quoted number used to be accepted: source = "0.5" ran as 0.5
     @pytest.mark.parametrize("section, key", sorted(
-        [(s, k) for s, keys in _SCHEMA.items() if s != "bc" for k in keys - _STRING_KEYS]
+        [(s, k) for s, kinds in _SCHEMA.items() if s != "bc"
+         for k, kind in kinds.items() if kind not in (STRING, STRINGS)]
         + [("bc.dirichlet", "1"), ("bc.neumann", "2")]
     ))
     @pytest.mark.parametrize("value", ["0.5", [1.0, "2"]], ids=["string", "array"])
     def test_numeric_key_rejects_a_string(self, section, key, value):
         raw = parse_config_text(MINIMAL)
-        table = raw
-        for part in section.split("."):
-            table = table.setdefault(part, {})
-        table[key] = value
-        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be a number")):
+        set_value(raw, section, key, value)
+        kind = _SCHEMA.get(section, {}).get(key, NUMBER)  # a boundary value is a number
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be {kind}")):
             RunConfig.from_raw(raw)
 
     @pytest.mark.parametrize("section, key", sorted(
-        (s, k) for s, keys in _SCHEMA.items() for k in keys & _STRING_KEYS
+        (s, k) for s, kinds in _SCHEMA.items() for k, kind in kinds.items()
+        if kind in (STRING, STRINGS)
     ))
     def test_string_key_rejects_a_number(self, section, key):
         raw = parse_config_text(MINIMAL)
@@ -143,10 +205,9 @@ class TestSchema:
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be a string")):
             RunConfig.from_raw(raw)
 
-    @pytest.mark.parametrize("section, key", [
-        ("transient", "n_steps"), ("mesh", "refine"), ("output", "cadence"),
-        ("solver", "max_iter"),
-    ])
+    @pytest.mark.parametrize("section, key", sorted(
+        (s, k) for s, kinds in _SCHEMA.items() for k, kind in kinds.items() if kind == INTEGER
+    ))
     def test_count_must_be_integer(self, section, key):
         raw = parse_config_text(MINIMAL)
         raw.setdefault(section, {})[key] = 2.5
@@ -154,6 +215,44 @@ class TestSchema:
             RunConfig.from_raw(raw)
         raw[section][key] = 2
         RunConfig.from_raw(raw)
+
+    # each array, inf or float count used to pass the schema and crash a builder
+    # with a TypeError, an OverflowError or an AttributeError
+    @pytest.mark.parametrize("section, key, value", [
+        (section, key, value)
+        for section, key, kind in SCHEMA_KEYS
+        for value in [True, BAD_ARRAY[kind]] + ([math.inf, 2.5, -1] if kind == INTEGER else [])
+    ])
+    def test_every_key_rejects_a_value_of_another_kind(self, section, key, value):
+        raw = parse_config_text(MINIMAL)
+        set_value(raw, section, key, value)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must")):
+            RunConfig.from_raw(raw)
+
+    @pytest.mark.parametrize("marker", ["x", "1.5", ""])
+    def test_boundary_marker_must_be_an_integer(self, marker):
+        raw = parse_config_text(MINIMAL)
+        raw["bc"]["dirichlet"][marker] = 0.0
+        named = f"[bc.dirichlet] boundary marker '{marker}' is not an integer"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig.from_raw(raw)
+
+    # every edit builds, or fails with an error the command line reports with exit 1
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(edits=EDITS)
+    def test_any_toml_value_builds_or_is_an_input_error(self, edits, empty_dir):
+        raw = parse_config_text(MINIMAL)
+        for (section, key), value in edits:
+            set_value(raw, section, key, value)
+        try:
+            run = RunConfig.from_raw(raw)
+            mesh = build_mesh(run.mesh, empty_dir)
+            build_diffusivity(run.physics, mesh, empty_dir)
+            build_bc(run.bc)
+            build_transient_config(run)
+            build_envelope(run)
+        except _INPUT_ERRORS:
+            pass
 
 
 class TestBuilders:

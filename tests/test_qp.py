@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nndiff.qp as qp
+from nndiff.errors import DimensionError
 from nndiff.sparse import CsrMatrix, OpLedger, cg_solve, norm2, spmv
 from nndiff.qp import (
     QpProblem,
@@ -274,6 +275,26 @@ class TestSolverProperties:
                       lower=[-0.0, -1.0], upper=[0.0, 2.0])
         assert kkt_check(p, np.array([0.0, 1.0]), 1e-12).ok
         assert not kkt_check(p, np.array([0.0, 0.5]), 1e-12).ok
+
+    # max(0.0, nan) is 0.0, so each of these used to pass with violation 0.0
+    @pytest.mark.parametrize("c", [[0.0, np.nan, 0.5], [np.nan] * 3, [np.nan, 1.0, 0.5]],
+                             ids=["interior", "all", "pinned"])
+    def test_kkt_nan_is_a_violation(self, c):
+        p = QpProblem(CsrMatrix.identity(3), [0.0, -1.0, -0.5],
+                      lower=[0.0, 0.0, 0.0], upper=[0.0, 2.0, 2.0])  # component 0 pinned
+        cert = kkt_check(p, np.array(c), 1e-8)
+        assert not cert.ok
+        assert not np.isfinite(cert.max_violation)
+
+    def test_kkt_nan_gradient_at_a_pinned_variable_is_a_violation(self):
+        p = QpProblem(CsrMatrix.identity(2), [np.nan, -1.0], lower=[0.0, 0.0], upper=[0.0, 2.0])
+        assert not kkt_check(p, np.array([0.0, 1.0]), 1e-8).ok
+
+    @pytest.mark.parametrize("lower, upper", [(np.nan, 1.0), (0.0, np.nan),
+                                              ([0.0, np.nan], 1.0)])
+    def test_nan_bound_rejected(self, lower, upper):
+        with pytest.raises(DimensionError, match="a bound is NaN"):
+            QpProblem(CsrMatrix.identity(2), [0.0, 0.0], lower=lower, upper=upper)
 
     def test_unconstrained_reduction_both_solvers(self):
         rng = np.random.default_rng(71)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nndiff.config import _SCHEMA
 from nndiff.transient import SOLVERS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -107,3 +108,14 @@ def test_readme_solver_table_mirrors_solvers():
         expected[name] = ["yes" if spec.bounded else "no",
                           f"`{spec.precond}`" if spec.precond else "none", cap, ", ".join(keys)]
     assert rows == expected
+
+
+def test_readme_config_table_mirrors_schema():
+    rows = {}
+    for line in (REPO / "README.md").read_text().splitlines():
+        if not line.startswith("| `["):
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        table = rows.setdefault(cells[0].strip("`[]"), {})
+        table.update({key.strip("`"): cells[2] for key in cells[1].split(", ")})
+    assert rows == _SCHEMA
