@@ -74,6 +74,10 @@ class DispersionParams:
     d_m: float
 
     def __post_init__(self):
+        for name in ("alpha_l", "alpha_t", "d_m"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} = {getattr(self, name)} is not finite, so the "
+                                  "diffusivity tensor has a non-finite entry")
         if not (self.alpha_l >= self.alpha_t >= 0.0):
             raise ConfigError("dispersivities must satisfy alpha_l >= alpha_t >= 0")
         if self.d_m < 0.0:

@@ -206,13 +206,25 @@ def _groups(keys) -> tuple[np.ndarray, np.ndarray]:
     return inverse, order[starts]
 
 
+# compare-exchange pairs that sort 3 or 4 keys (Knuth, TAOCP vol. 3, 5.3.4)
+SORT_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
 def boundary_faces(cells, kind) -> tuple[np.ndarray, np.ndarray]:
-    """Faces appearing in exactly one cell, with their owning cell indices."""
+    """Faces appearing in exactly one cell, with their owning cell indices.
+
+    Each face's key, its sorted vertex ids, is built by a min/max sorting
+    network on contiguous key columns, int32 while the ids fit.
+    """
     local = TET_FACES if kind == TET4 else HEX_FACES
     faces = cells[:, np.asarray(local)]  # (m, nf, k)
     m, nf, k = faces.shape
     flat = faces.reshape(m * nf, k)
-    order, starts = sorted_runs(np.sort(flat, axis=1).T)
+    itype = np.int32 if cells.size == 0 or cells.max() < 2**31 else np.int64
+    keys = [np.ascontiguousarray(flat[:, j], dtype=itype) for j in range(k)]
+    for i, j in SORT_NETWORKS[k]:
+        keys[i], keys[j] = np.minimum(keys[i], keys[j]), np.maximum(keys[i], keys[j])
+    order, starts = sorted_runs(keys)
     single = starts[np.diff(starts, append=len(order)) == 1]
     once = np.zeros(len(flat), dtype=bool)
     once[order[single]] = True

@@ -9,10 +9,13 @@ system solved by preconditioned CG truncated at the trust radius), and
 an exhaustive active-set oracle for small dimensions.  Feasibility is maintained by exact
 componentwise clamping, so every iterate satisfies the bounds.
 
-All linear algebra runs through the instrumented kernels in
-:mod:`nndiff.sparse`; each solve owns its ledger.  Every evaluated point
-pays for one H c: the solvers form the product once and pass it to both
-``objective`` and ``gradient`` (TAO's objective-and-gradient evaluation).
+All linear algebra is charged to the solve's own ledger at the costs of
+:mod:`nndiff.sparse`'s kernels.  The two-loop recursion, the trial point
+and the pair update are numpy expressions that charge, in bulk, the
+kernel calls they are specified in; the rest calls the kernels.  Every
+evaluated point pays for one H c: the solvers form the product once and
+pass it to both ``objective`` and ``gradient`` (TAO's
+objective-and-gradient evaluation).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from .errors import DimensionError, SolverBreakdownError
 from .sparse import (
     CsrMatrix,
-    FLOAT_BYTES,
     OpLedger,
     SolveReport,
     axpy,
@@ -40,6 +42,7 @@ from .sparse import (
 )
 
 ABS_FLOOR = 1e-50  # convergence floor when the initial projected gradient is 0
+EPS = float(np.finfo(float).eps)
 
 # blmvm: curvature pairs kept, Armijo constant, step cut per backtrack, and
 # the backtracks tried before the memory is dropped
@@ -109,17 +112,15 @@ def gradient(problem: QpProblem, c, ledger: OpLedger | None = None, hc=None) -> 
 
 def project(c, lower, upper, ledger: OpLedger | None = None) -> np.ndarray:
     """Componentwise clamp onto [lower, upper]."""
-    n = len(c)
     if ledger is not None:
-        ledger.record("median", 0, FLOAT_BYTES * 4 * n)
+        ledger.count("median", len(c))
     return np.minimum(np.maximum(c, lower), upper)
 
 
 def projected_gradient(g, c, lower, upper, ledger: OpLedger | None = None) -> np.ndarray:
     """Zero the gradient components that push outward at active bounds."""
-    n = len(g)
     if ledger is not None:
-        ledger.record("proj_grad", 0, FLOAT_BYTES * 5 * n)
+        ledger.count("proj_grad", len(g))
     pg = np.array(g, dtype=np.float64)
     pg[(c <= lower) & (g > 0.0)] = 0.0
     pg[(c >= upper) & (g < 0.0)] = 0.0
@@ -129,18 +130,29 @@ def projected_gradient(g, c, lower, upper, ledger: OpLedger | None = None) -> np
 def _start_point(problem, x0, ledger):
     if x0 is None:
         x0 = np.zeros(problem.n)
+    elif np.shape(x0) != (problem.n,):
+        raise DimensionError(f"x0 has shape {np.shape(x0)}, need ({problem.n},)")
     return project(x0, problem.lower, problem.upper, ledger)
 
 
+def _charge(ledger, n, **calls):
+    """Charge ``calls[kernel]`` calls of each kernel on length-n vectors."""
+    for kernel, k in calls.items():
+        if k:
+            ledger.count(kernel, n, calls=k)
+
+
 def _trial_point(problem, c, alpha, d, g, ledger):
-    """c_new = P(c + alpha d) with s = c_new - c, g.s, H c_new and f(c_new)."""
-    c_new = vec_copy(c, ledger)
-    axpy(c_new, alpha, d, ledger)
-    c_new = project(c_new, problem.lower, problem.upper, ledger)
-    s = vec_copy(c_new, ledger)
-    axpy(s, -1.0, c, ledger)
+    """c_new = P(c + alpha d) with s = c_new - c, g.s, H c_new and f(c_new).
+
+    Charged as copy + axpy, median, copy + axpy and dot.
+    """
+    c_new = project(c + alpha * d, problem.lower, problem.upper)
+    s = c_new - c
+    _charge(ledger, len(c), copy=2, axpy=2, median=1, dot=1)
     hc_new = spmv(problem.hessian, c_new, ledger)
-    return c_new, s, dot(g, s, ledger), hc_new, objective(problem, c_new, ledger, hc_new)
+    gs = float(np.dot(g, s))
+    return c_new, s, gs, hc_new, objective(problem, c_new, ledger, hc_new)
 
 
 def _gradients(problem, c, hc, ledger):
@@ -155,20 +167,26 @@ def _gradients(problem, c, hc, ledger):
 # ---------------------------------------------------------------------------
 
 def _two_loop(pg, pairs, ledger):
-    """Apply the limited-memory inverse-Hessian estimate to pg."""
-    d = vec_copy(pg, ledger)
+    """The search direction: minus the limited-memory inverse-Hessian
+    estimate applied to pg.
+
+    Charged as a copy, two dots and two axpys per pair, two dots and a
+    scale (the initial scaling) when there are pairs, and a scale (the sign).
+    """
+    d = pg.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * dot(s, d, ledger)
+        a = rho * float(np.dot(s, d))
         alphas.append(a)
-        axpy(d, -a, y, ledger)
+        d -= a * y
     if pairs:
-        s, y, rho = pairs[-1]
-        gamma = dot(s, y, ledger) / dot(y, y, ledger)
-        scale(d, gamma, ledger)
+        s, y, _ = pairs[-1]
+        d *= float(np.dot(s, y)) / float(np.dot(y, y))
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * dot(y, d, ledger)
-        axpy(d, a - b, s, ledger)
+        d += (a - rho * float(np.dot(y, d))) * s
+    d *= -1.0
+    k = len(pairs)
+    _charge(ledger, len(pg), copy=1, dot=2 * k + 2 * (k > 0), axpy=2 * k, scale=1 + (k > 0))
     return d
 
 
@@ -211,18 +229,16 @@ def solve_blmvm(
         if outer >= max_outer:
             break
         d = _two_loop(pg, pairs, ledger)
-        scale(d, -1.0, ledger)
         if dot(d, pg, ledger) >= 0.0:
             # not a descent direction: drop the memory, fall back to -pg
             pairs.clear()
-            d = vec_copy(pg, ledger)
-            scale(d, -1.0, ledger)
+            d = scale(vec_copy(pg, ledger), -1.0, ledger)
 
         alpha = 1.0
         accepted = False
         # reductions near convergence fall below the resolution of f itself;
         # the eps-scaled allowance keeps rounding noise from failing the test
-        noise = 4.0 * np.finfo(float).eps * abs(fc)
+        noise = 4.0 * EPS * abs(fc)
         for _ in range(MAX_BACKTRACKS):
             c_new, step, g_step, hc_new, f_new = _trial_point(problem, c, alpha, d, g, ledger)
             if g_step < 0.0 and f_new <= fc + ARMIJO * g_step + noise:
@@ -237,9 +253,9 @@ def solve_blmvm(
             break
 
         g_new, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
-        y = vec_copy(pg_new, ledger)
-        axpy(y, -1.0, pg, ledger)
-        sy = dot(step, y, ledger)
+        y = pg_new - pg
+        sy = float(np.dot(step, y))
+        _charge(ledger, problem.n, copy=1, axpy=1, dot=1)
         if sy > 0.0:
             pairs.append((step, y, 1.0 / sy))
             if len(pairs) > BLMVM_MEMORY:
@@ -333,7 +349,7 @@ def solve_tron(
             continue
         # below the resolution of f(c) - f(c_trial) the measured reduction is
         # rounding noise; the model is exact for a quadratic, so trust it
-        if predicted <= 1e4 * np.finfo(float).eps * max(abs(fc), 1.0):
+        if predicted <= 1e4 * EPS * max(abs(fc), 1.0):
             ratio = 1.0
         else:
             ratio = actual / predicted

@@ -1,24 +1,9 @@
 """Instrumented CSR matrices, vector kernels, preconditioners, and CG.
 
 Every kernel reports its FLOP count and its modeled main-memory traffic to
-an :class:`OpLedger`.  Byte counts follow a perfect-cache streaming model
-(each matrix/vector element fetched from memory exactly once; integers are
-4 bytes, doubles 8 bytes):
-
-    kernel           flops     bytes
-    ---------------  --------  ------------------------
-    norm             2N        8(N + 1)
-    dot              2N        8(2N + 1)
-    copy             0         8(2N)
-    scale            N         8(2N)
-    axpy             2N        8(3N)
-    aypx             2N        8(3N)
-    spmv             2 nz      4(N + nz) + 8(2N + nz)
-    jacobi_apply     N         8(3N)
-    ilu0_apply       2 nz      4(N + nz) + 8(2N + nz)
-    median           0         8(4N)
-    proj_grad        0         8(5N)
-
+an :class:`OpLedger`, from one table, :data:`KERNEL_COSTS`.  Byte counts
+follow a perfect-cache streaming model (each matrix/vector element fetched
+from memory exactly once; integers are 4 bytes, doubles 8 bytes).
 ``ilu0_apply`` covers one forward plus one backward triangular solve; the
 factors live in the matrix pattern, so the streamed volume is modeled with
 the spmv formula.  ``median`` (bound clamping) and ``proj_grad`` are
@@ -40,10 +25,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import io as _scipy_io
 from scipy.sparse import csr_matrix as _scipy_csr
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .errors import (
     DimensionError,
@@ -54,6 +37,24 @@ from .errors import (
 
 INT_BYTES = 4
 FLOAT_BYTES = 8
+
+
+# kernel -> (FLOPs, modeled bytes) of one call on length-n vectors and, for
+# the matrix kernels, a matrix with nz stored entries
+KERNEL_COSTS = {
+    "norm": lambda n, nz: (2 * n, FLOAT_BYTES * (n + 1)),
+    "dot": lambda n, nz: (2 * n, FLOAT_BYTES * (2 * n + 1)),
+    "copy": lambda n, nz: (0, FLOAT_BYTES * 2 * n),
+    "scale": lambda n, nz: (n, FLOAT_BYTES * 2 * n),
+    "axpy": lambda n, nz: (2 * n, FLOAT_BYTES * 3 * n),
+    "aypx": lambda n, nz: (2 * n, FLOAT_BYTES * 3 * n),
+    "spmv": lambda n, nz: (2 * nz, INT_BYTES * (n + nz) + FLOAT_BYTES * (2 * n + nz)),
+    "jacobi_setup": lambda n, nz: (n, FLOAT_BYTES * 2 * n),
+    "jacobi_apply": lambda n, nz: (n, FLOAT_BYTES * 3 * n),
+    "ilu0_apply": lambda n, nz: KERNEL_COSTS["spmv"](n, nz),
+    "median": lambda n, nz: (0, FLOAT_BYTES * 4 * n),
+    "proj_grad": lambda n, nz: (0, FLOAT_BYTES * 5 * n),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -68,92 +69,112 @@ class KernelTally:
 
 
 class OpLedger:
-    """Accumulates FLOP and modeled-byte counts, per kernel and in total."""
+    """Accumulates FLOP and modeled-byte counts, per kernel and in total.
+
+    :meth:`count` charges ``calls`` calls of a :data:`KERNEL_COSTS` kernel
+    by their sizes alone, one dict increment; the counts are priced and
+    folded into the tallies when the ledger is read.  :meth:`record` adds
+    one call whose cost is given, for costs that depend on the data.
+    """
 
     def __init__(self):
         self._tally: dict[str, KernelTally] = {}
+        self._counts: dict[tuple, int] = {}
+
+    def count(self, kernel: str, n: int, nz: int = 0, calls: int = 1) -> None:
+        key = (kernel, n, nz)
+        self._counts[key] = self._counts.get(key, 0) + calls
 
     def record(self, kernel: str, flops: int, nbytes: int) -> None:
+        self._add(kernel, 1, int(flops), int(nbytes))
+
+    def _add(self, kernel, calls, flops, nbytes) -> None:
         t = self._tally.get(kernel)
         if t is None:
             t = self._tally[kernel] = KernelTally()
-        t.calls += 1
-        t.flops += int(flops)
-        t.bytes += int(nbytes)
+        t.calls += calls
+        t.flops += flops
+        t.bytes += nbytes
+
+    def _folded(self) -> dict[str, KernelTally]:
+        for (kernel, n, nz), calls in self._counts.items():
+            flops, nbytes = KERNEL_COSTS[kernel](n, nz)
+            self._add(kernel, calls, calls * flops, calls * nbytes)
+        self._counts.clear()
+        return self._tally
 
     @property
     def flops(self) -> int:
-        return sum(t.flops for t in self._tally.values())
+        return sum(t.flops for t in self._folded().values())
 
     @property
     def bytes(self) -> int:
-        return sum(t.bytes for t in self._tally.values())
+        return sum(t.bytes for t in self._folded().values())
 
     def breakdown(self) -> dict[str, KernelTally]:
-        return {k: KernelTally(t.calls, t.flops, t.bytes) for k, t in self._tally.items()}
+        return {k: KernelTally(t.calls, t.flops, t.bytes) for k, t in self._folded().items()}
 
     def totals(self) -> tuple[int, int]:
         return self.flops, self.bytes
 
     def __repr__(self) -> str:
-        return f"OpLedger(flops={self.flops}, bytes={self.bytes}, kernels={len(self._tally)})"
+        return f"OpLedger(flops={self.flops}, bytes={self.bytes}, kernels={len(self._folded())})"
 
 
 # ---------------------------------------------------------------------------
 # Vector kernels
 # ---------------------------------------------------------------------------
 
-def _check_same_length(*vecs) -> int:
-    n = len(vecs[0])
-    for v in vecs[1:]:
-        if len(v) != n:
-            raise DimensionError(f"vector length mismatch: {len(v)} != {n}")
-    return n
+def _mismatch(m, n) -> DimensionError:
+    return DimensionError(f"vector length mismatch: {m} != {n}")
 
 
 def norm2(x, ledger: OpLedger | None = None) -> float:
-    n = len(x)
     if ledger is not None:
-        ledger.record("norm", 2 * n, FLOAT_BYTES * (n + 1))
+        ledger.count("norm", len(x))
     return float(np.sqrt(np.dot(x, x)))
 
 
 def dot(x, y, ledger: OpLedger | None = None) -> float:
-    n = _check_same_length(x, y)
+    n = len(x)
+    if len(y) != n:
+        raise _mismatch(len(y), n)
     if ledger is not None:
-        ledger.record("dot", 2 * n, FLOAT_BYTES * (2 * n + 1))
+        ledger.count("dot", n)
     return float(np.dot(x, y))
 
 
 def vec_copy(x, ledger: OpLedger | None = None) -> np.ndarray:
-    n = len(x)
     if ledger is not None:
-        ledger.record("copy", 0, FLOAT_BYTES * 2 * n)
+        ledger.count("copy", len(x))
     return np.array(x, dtype=np.float64)
 
 
 def scale(y, a: float, ledger: OpLedger | None = None) -> np.ndarray:
-    n = len(y)
     if ledger is not None:
-        ledger.record("scale", n, FLOAT_BYTES * 2 * n)
+        ledger.count("scale", len(y))
     y *= a
     return y
 
 
 def axpy(y, a: float, x, ledger: OpLedger | None = None) -> np.ndarray:
     """y <- a*x + y (in place)."""
-    n = _check_same_length(y, x)
+    n = len(y)
+    if len(x) != n:
+        raise _mismatch(len(x), n)
     if ledger is not None:
-        ledger.record("axpy", 2 * n, FLOAT_BYTES * 3 * n)
+        ledger.count("axpy", n)
     y += a * x
     return y
 
 
 def aypx(y, a: float, x, ledger: OpLedger | None = None) -> np.ndarray:
     """y <- x + a*y (in place)."""
-    n = _check_same_length(y, x)
+    n = len(y)
+    if len(x) != n:
+        raise _mismatch(len(x), n)
     if ledger is not None:
-        ledger.record("aypx", 2 * n, FLOAT_BYTES * 3 * n)
+        ledger.count("aypx", n)
     y *= a
     y += x
     return y
@@ -388,10 +409,7 @@ def spmv(a: CsrMatrix, x, ledger: OpLedger | None = None) -> np.ndarray:
     """y = A x with 2*nz FLOPs and the CSR streaming byte model."""
     y = a.matvec_raw(x)
     if ledger is not None:
-        n, nz = a.n, a.nnz
-        ledger.record(
-            "spmv", 2 * nz, INT_BYTES * (n + nz) + FLOAT_BYTES * (2 * n + nz)
-        )
+        ledger.count("spmv", a.n, a.nnz)
     return y
 
 
@@ -414,12 +432,14 @@ class JacobiPreconditioner:
             raise FactorizationError(f"zero diagonal entry in row {zero[0]}")
         self._inv_diag = 1.0 / d
         if ledger is not None:
-            ledger.record("jacobi_setup", a.n, FLOAT_BYTES * 2 * a.n)
+            ledger.count("jacobi_setup", a.n)
 
     def apply(self, r, ledger: OpLedger | None = None) -> np.ndarray:
-        n = _check_same_length(r, self._inv_diag)
+        n = len(self._inv_diag)
+        if len(r) != n:
+            raise _mismatch(len(r), n)
         if ledger is not None:
-            ledger.record("jacobi_apply", n, FLOAT_BYTES * 3 * n)
+            ledger.count("jacobi_apply", n)
         return r * self._inv_diag
 
 
@@ -521,6 +541,10 @@ class Ilu0Preconditioner:
     """
 
     def __init__(self, a: CsrMatrix, ledger: OpLedger | None = None):
+        # imported on first use: no other solve path loads scipy.sparse.linalg
+        from scipy.sparse.linalg._dsolve._superlu import gstrs
+
+        self._gstrs = gstrs
         val, flops = ilu0_factor(a)
         n, cols, row_idx = a.n, a.col_indices, a._row_index()
         on_diag = cols == row_idx
@@ -542,27 +566,19 @@ class Ilu0Preconditioner:
         u_val = val * self._inv_diag[cols]
         upper = (cols >= row_idx) & (u_val != 0)
         self._u_solve = operand(upper, u_val[upper]) + operand(np.zeros_like(upper), np.empty(0))
-        if ledger is not None:
-            ledger.record(
-                "ilu0_setup",
-                flops,
-                INT_BYTES * (n + self.nnz) + FLOAT_BYTES * (2 * n + self.nnz),
-            )
+        if ledger is not None:  # the factors stream like one spmv
+            ledger.record("ilu0_setup", flops, KERNEL_COSTS["spmv"](n, self.nnz)[1])
 
     def apply(self, r, ledger: OpLedger | None = None) -> np.ndarray:
         if len(r) != self.n:
             raise DimensionError("preconditioner dimension mismatch")
         # both solves are of the transposed CSC factors ("T"), as in scipy
-        y, info_l = _gstrs("T", *self._l_solve, np.array(r, dtype=np.float64))
-        z, info_u = _gstrs("T", *self._u_solve, y)
+        y, info_l = self._gstrs("T", *self._l_solve, np.array(r, dtype=np.float64))
+        z, info_u = self._gstrs("T", *self._u_solve, y)
         if info_l or info_u:
             raise FactorizationError("triangular solve failed")
         if ledger is not None:
-            n, nz = self.n, self.nnz
-            ledger.record(
-                "ilu0_apply", 2 * nz,
-                INT_BYTES * (n + nz) + FLOAT_BYTES * (2 * n + nz),
-            )
+            ledger.count("ilu0_apply", self.n, self.nnz)
         return z * self._inv_diag
 
 
@@ -727,8 +743,10 @@ def cg_solve(
 
 def write_matrix_market(a: CsrMatrix, path) -> None:
     """Write every stored entry as ``coordinate real general``; values round-trip exactly."""
+    from scipy import io as scipy_io  # loaded only where MatrixMarket is used
+
     with open(path, "wb") as fh:  # given a name, scipy would add ".mtx" to it
-        _scipy_io.mmwrite(fh, a.as_scipy(), symmetry="general")
+        scipy_io.mmwrite(fh, a.as_scipy(), symmetry="general")
 
 
 _BLANK = np.frombuffer(b" \t\r\n\v\f", dtype=np.uint8)
@@ -752,10 +770,12 @@ def _first_wide_entry_line(raw: bytes, nnz: int) -> int:
 
 def read_matrix_market(path) -> CsrMatrix:
     """Read a square ``coordinate real general|symmetric`` file; duplicates are summed."""
+    from scipy import io as scipy_io  # loaded only where MatrixMarket is used
+
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        nrows, ncols, nnz, layout, field, symmetry = _scipy_io.mminfo(io.BytesIO(raw))
+        nrows, ncols, nnz, layout, field, symmetry = scipy_io.mminfo(io.BytesIO(raw))
         kind = f"{layout} {field} {symmetry}"
         if kind not in ("coordinate real general", "coordinate real symmetric") or nrows != ncols:
             raise ParseError(
@@ -763,7 +783,7 @@ def read_matrix_market(path) -> CsrMatrix:
                 f"{nrows}x{ncols} '{kind}'", str(path), 1
             )
         # a symmetric file comes back with its off-diagonal entries mirrored
-        coo = _scipy_io.mmread(io.BytesIO(raw))
+        coo = scipy_io.mmread(io.BytesIO(raw))
     except ValueError as exc:
         # scipy names the line, if at all, only in the message: "Line N: ..."
         at = re.match(r"Line (\d+): ", str(exc))

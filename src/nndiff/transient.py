@@ -109,15 +109,16 @@ class TransientConfig:
         check_positive_finite("rtol", self.rtol)
         if not np.isfinite(self.initial_value):
             raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
-        if np.isnan(self.c_min) or np.isnan(self.c_max):
-            raise ConfigError("c_min and c_max must not be NaN")
+        # NaN fails every comparison, so this rejects it too
+        if not (self.c_min <= self.c_max and self.c_min < np.inf and self.c_max > -np.inf):
+            raise ConfigError("c_min and c_max must have a finite value between them, "
+                              f"got [{self.c_min}, {self.c_max}]")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if SOLVERS[self.solver].reads_inner_rtol and not 0.0 < self.inner_rtol < 1.0:
             raise ConfigError(f"inner_rtol must lie in (0, 1), got {self.inner_rtol}")
-        # c_min > c_max leaves no initial value inside, so this rejects it too
         if SOLVERS[self.solver].bounded and not self.c_min <= self.initial_value <= self.c_max:
             raise ConfigError("initial value must lie within [c_min, c_max] on the bounded path")
 

@@ -2,7 +2,11 @@ import dataclasses
 import itertools
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,10 @@ class TestSolve:
         ("c_min = 0.0", "c_min = nan", "c_min and c_max"),
         ("c_max = 1.0", "c_max = nan", "c_min and c_max"),
         ("d_m = 0.0", "d_m = nan", "diffusivity tensor has a non-finite entry"),
+        ("d_m = 0.0", "d_m = inf", "d_m = inf is not finite"),
+        ("alpha_l = 1.0", "alpha_l = inf", "alpha_l = inf is not finite"),
+        ("c_min = 0.0", "c_min = inf", "c_min and c_max"),
+        ("c_max = 1.0", "c_max = -inf", "c_min and c_max"),
         ("tpp = 9.2e9", "tpp = inf", "envelope rates"),
     ])
     def test_non_finite_setting_exit_1(self, old, new, named, tmp_path, capsys):
@@ -376,6 +384,16 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
         assert list(tmp_path.glob("*.vtk")) == []
+
+    # galerkin used to run and report every node outside the empty bounds
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_c_min_above_c_max_exit_1(self, solver, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(HOLE_CONFIG.replace("c_min = 0.0", "c_min = 2.0"))
+        assert main(["solve", "--config", str(cfg), "--solver", solver]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "c_min and c_max must have a finite value between them" in err
 
     # each non-finite value used to run and exit 2 ("linear solve failed to
     # converge at step 0"), and a list source to crash with a TypeError
@@ -781,3 +799,41 @@ class TestPerfReport:
                      "--tpp", "1e9", "--bw", "1e9"]) == 1
         assert main(["perf-report", "--kernels", str(path), "--wall-time", "0.5",
                      "--tpp", "1e9", "--bw", "1e9"]) == 0
+
+
+LAZY_MODULES = ("scipy.sparse.linalg", "scipy.io")
+
+
+def modules_loaded_by(script: str) -> dict:
+    """Which of LAZY_MODULES a fresh interpreter holds after running ``script``."""
+    probe = script + f"\nimport sys\nprint(*[m in sys.modules for m in {LAZY_MODULES!r}])\n"
+    src = str(Path(nndiff.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return dict(zip(LAZY_MODULES, (w == "True" for w in done.stdout.split()[-2:])))
+
+
+class TestLazyImports:
+    """A solve loads only the SciPy packages it uses: SuperLU's triangular solve
+    with the first ILU(0), and scipy.io with a MatrixMarket file."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_solve_loads_superlu_only_for_ilu0(self, solver, tmp_path):
+        """Each solver with its default preconditioner: ILU(0) for galerkin only."""
+        cfg = tmp_path / "default_precond.toml"
+        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"\n', ""))
+        script = ("from nndiff.cli import main\n"
+                  f"assert main(['solve', '--config', {str(cfg)!r}, '--solver', {solver!r}]) == 0")
+        ilu0 = SOLVERS[solver].precond == "ilu0"
+        assert modules_loaded_by(script) == {"scipy.sparse.linalg": ilu0, "scipy.io": False}
+
+    def test_matrix_market_round_trip_loads_scipy_io(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        script = ("import numpy as np\n"
+                  "from nndiff.sparse import CsrMatrix, read_matrix_market, write_matrix_market\n"
+                  "a = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])\n"
+                  f"write_matrix_market(a, {str(path)!r})\n"
+                  f"assert np.array_equal(read_matrix_market({str(path)!r}).to_dense(), "
+                  "a.to_dense())")
+        assert modules_loaded_by(script)["scipy.io"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nndiff.qp as qp
 from nndiff.errors import DimensionError
-from nndiff.sparse import CsrMatrix, OpLedger, cg_solve, norm2, spmv
+from nndiff.sparse import CsrMatrix, OpLedger, axpy, cg_solve, dot, norm2, scale, spmv, vec_copy
 from nndiff.qp import (
     QpProblem,
     brute_force_qp,
@@ -296,6 +296,20 @@ class TestSolverProperties:
         with pytest.raises(DimensionError, match="a bound is NaN"):
             QpProblem(CsrMatrix.identity(2), [0.0, 0.0], lower=lower, upper=upper)
 
+    # the bounded solvers used to broadcast a one-entry x0 and converge, and to
+    # raise numpy's ValueError for any other wrong length
+    @pytest.mark.parametrize("solver", [solve_blmvm, solve_tron])
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.5], [0.5] * 4])
+    def test_start_point_of_wrong_length_rejected(self, solver, x0):
+        p = random_box_qp(3, np.random.default_rng(5))
+        with pytest.raises(DimensionError, match=r"x0 has shape"):
+            solver(p, x0=x0)
+
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.5]])
+    def test_cg_start_point_of_wrong_length_rejected(self, x0):
+        with pytest.raises(DimensionError):
+            cg_solve(CsrMatrix.identity(3), np.ones(3), x0=x0)
+
     def test_unconstrained_reduction_both_solvers(self):
         rng = np.random.default_rng(71)
         a = rng.standard_normal((20, 20))
@@ -339,6 +353,65 @@ def spd_box_qps(draw):
 
 def bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def two_loop_reference(pg, pairs, ledger):
+    """The search direction, one instrumented kernel per step."""
+    d = vec_copy(pg, ledger)
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * dot(s, d, ledger)
+        alphas.append(a)
+        axpy(d, -a, y, ledger)
+    if pairs:
+        s, y, _ = pairs[-1]
+        scale(d, dot(s, y, ledger) / dot(y, y, ledger), ledger)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        axpy(d, a - rho * dot(y, d, ledger), s, ledger)
+    return scale(d, -1.0, ledger)
+
+
+def trial_point_reference(problem, c, alpha, d, g, ledger):
+    """P(c + alpha d), s, g.s, H c_new and f(c_new), one instrumented kernel per step."""
+    c_new = vec_copy(c, ledger)
+    axpy(c_new, alpha, d, ledger)
+    c_new = project(c_new, problem.lower, problem.upper, ledger)
+    s = vec_copy(c_new, ledger)
+    axpy(s, -1.0, c, ledger)
+    hc_new = spmv(problem.hessian, c_new, ledger)
+    return c_new, s, dot(g, s, ledger), hc_new, objective(problem, c_new, ledger, hc_new)
+
+
+def tallies(ledger) -> dict:
+    return {k: (t.calls, t.flops, t.bytes) for k, t in ledger.breakdown().items()}
+
+
+class TestFusedSteps:
+    """blmvm's numpy-expression steps give the bits and the ledger tallies of
+    the instrumented kernel sequence they are specified in."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_two_loop(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(rng.standard_normal(n), rng.standard_normal(n), rng.random() + 0.1)
+                 for _ in range(k)]
+        pg = rng.standard_normal(n)
+        fused, ref = OpLedger(), OpLedger()
+        assert bits(qp._two_loop(pg, pairs, fused)) == bits(two_loop_reference(pg, pairs, ref))
+        assert tallies(fused) == tallies(ref)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(spd_box_qps(), st.sampled_from([1.0, 0.5, 2.0**-20]), st.integers(0, 2**32 - 1))
+    def test_trial_point(self, p, alpha, seed):
+        rng = np.random.default_rng(seed)
+        c = project(rng.standard_normal(p.n), p.lower, p.upper)
+        d, g = rng.standard_normal(p.n), rng.standard_normal(p.n)
+        fused, ref = OpLedger(), OpLedger()
+        got = qp._trial_point(p, c, alpha, d, g, fused)
+        want = trial_point_reference(p, c, alpha, d, g, ref)
+        assert [bits(x) for x in got] == [bits(x) for x in want]
+        assert tallies(fused) == tallies(ref)
 
 
 class TestOneProductPerPoint:

@@ -1,11 +1,13 @@
 """Static checks on the package source, read with :mod:`ast`, and on the README."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from nndiff.config import _SCHEMA
+from nndiff.sparse import KERNEL_COSTS
 from nndiff.transient import SOLVERS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,3 +121,24 @@ def test_readme_config_table_mirrors_schema():
         table = rows.setdefault(cells[0].strip("`[]"), {})
         table.update({key.strip("`"): cells[2] for key in cells[1].split(", ")})
     assert rows == _SCHEMA
+
+
+def readme_formula(text: str):
+    """A README cost formula such as ``4(N + nz) + 8(2N + nz)`` as a function of (n, nz)."""
+    expr = re.sub(r"(\d)\s*(?=[A-Za-z(])", r"\1*", text)
+    return lambda n, nz: eval(expr, {}, {"N": n, "nz": nz})
+
+
+def test_readme_kernel_table_mirrors_kernel_costs():
+    """Each formula of the "Performance model" table, evaluated at enough
+    (N, nz) points to fix a linear form, is the one KERNEL_COSTS charges."""
+    rows = {}
+    for line in (REPO / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for name in cells[0].split(" / "):
+            if name in KERNEL_COSTS:
+                rows[name] = [readme_formula(cell) for cell in cells[1:3]]
+    assert rows.keys() == KERNEL_COSTS.keys()
+    for name, (flops, nbytes) in rows.items():
+        for n, nz in [(0, 0), (1, 0), (0, 1), (17, 45)]:
+            assert (flops(n, nz), nbytes(n, nz)) == KERNEL_COSTS[name](n, nz), name
