@@ -399,17 +399,20 @@ class AssembledSystem:
     """Global stiffness/capacity operators, load vector, Dirichlet table.
 
     The capacity (mass) matrix is built on first access from ``mass_fn``:
-    a steady solve never reads it.
+    a steady solve never reads it, and a steady ``prepare`` sets ``mass_fn``
+    to None to drop the sorted pattern it holds.
     """
 
     stiffness: CsrMatrix
-    mass_fn: Callable[[], CsrMatrix] = field(repr=False)
+    mass_fn: Callable[[], CsrMatrix] | None = field(repr=False)
     load: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
 
     @cached_property
     def mass(self) -> CsrMatrix:
+        if self.mass_fn is None:
+            raise ValueError("this system's capacity was dropped: it was prepared steady")
         return self.mass_fn()
 
     @property
@@ -556,6 +559,9 @@ def assemble(
     share one sorted pattern; the capacity is built when first read.
     """
     _check_markers(mesh, bc)
+    # the pattern is sorted first, and each temporary is dropped before the
+    # next stage, so the peak is one stage's working set, not their sum
+    pattern = _cell_pattern(mesh.n_vertices, mesh.cells)
     if geometry is None:
         geometry = cell_geometry(mesh)
     det, grads = geometry.det, geometry.grads
@@ -564,8 +570,8 @@ def assemble(
         ke = _tet_stiffness(det, grads, d)
     else:
         ke = _hex_stiffness(det, grads, d)
-    pattern = _cell_pattern(mesh.n_vertices, mesh.cells)
     stiffness = pattern.matrix(ke)
+    del ke
 
     def mass():
         if mesh.kind == TET4:

@@ -214,21 +214,23 @@ def boundary_faces(cells, kind) -> tuple[np.ndarray, np.ndarray]:
     """Faces appearing in exactly one cell, with their owning cell indices.
 
     Each face's key, its sorted vertex ids, is built by a min/max sorting
-    network on contiguous key columns, int32 while the ids fit.
+    network on key columns gathered straight from ``cells``, int32 while the
+    ids fit; the faces found once are gathered from ``cells`` by index.
     """
-    local = TET_FACES if kind == TET4 else HEX_FACES
-    faces = cells[:, np.asarray(local)]  # (m, nf, k)
-    m, nf, k = faces.shape
-    flat = faces.reshape(m * nf, k)
+    local = np.asarray(TET_FACES if kind == TET4 else HEX_FACES)
+    nf, k = local.shape
     itype = np.int32 if cells.size == 0 or cells.max() < 2**31 else np.int64
-    keys = [np.ascontiguousarray(flat[:, j], dtype=itype) for j in range(k)]
+    narrow = cells.astype(itype, copy=False)
+    keys = [narrow[:, local[:, j]].ravel() for j in range(k)]
+    del narrow
     for i, j in SORT_NETWORKS[k]:
         keys[i], keys[j] = np.minimum(keys[i], keys[j]), np.maximum(keys[i], keys[j])
     order, starts = sorted_runs(keys)
     single = starts[np.diff(starts, append=len(order)) == 1]
-    once = np.zeros(len(flat), dtype=bool)
+    once = np.zeros(len(order), dtype=bool)
     once[order[single]] = True
-    return flat[once], np.flatnonzero(once) // nf
+    owners, face = np.divmod(np.flatnonzero(once), nf)
+    return cells[owners[:, None], local[face]], owners
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +302,10 @@ def generate_cube_with_hole(n: int, kind: str = TET4) -> Mesh:
     n = int(n)
     vertices, hexes = _structured_hexes(n, n, n)
     lo, hi = 4 * n // 9, 5 * n // 9
-    k, j, i = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    inside = (
-        (i.ravel() >= lo) & (i.ravel() < hi)
-        & (j.ravel() >= lo) & (j.ravel() < hi)
-        & (k.ravel() >= lo) & (k.ravel() < hi)
-    )
+    kji = np.indices((n, n, n)).reshape(3, -1)  # hex grid indices, i fastest
+    inside = np.all((kji >= lo) & (kji < hi), axis=0)
     vertices, kept = _compact_vertices(vertices, hexes[~inside])
+    del hexes, kji  # only the kept hexes reach the tet split and the face sort
 
     def classify(centroids):
         eps = 1e-12

@@ -151,30 +151,32 @@ def write_gmsh(mesh: Mesh, path) -> None:
     )
     cells = np.column_stack((np.arange(n_facets + 1, n_elems + 1), mesh.cells + 1))
     cell_width = mesh.cells.shape[1]
-    text = "".join([
-        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n",
-        f"$Nodes\n{mesh.n_vertices}\n",
-        _format_rows("%d %.17g %.17g %.17g\n", nodes),
-        "$EndNodes\n",
-        f"$Elements\n{n_elems}\n",
-        _format_rows(f"%d {facet_type} 2 %d %d" + " %d" * facet_width + "\n", facets),
-        _format_rows(f"%d {cell_type} 2 0 0" + " %d" * cell_width + "\n", cells),
-        "$EndElements\n",
-    ])
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{mesh.n_vertices}\n")
+        fh.writelines(_format_rows("%d %.17g %.17g %.17g\n", nodes))
+        fh.write(f"$EndNodes\n$Elements\n{n_elems}\n")
+        fh.writelines(_format_rows(f"%d {facet_type} 2 %d %d" + " %d" * facet_width + "\n",
+                                   facets))
+        fh.writelines(_format_rows(f"%d {cell_type} 2 0 0" + " %d" * cell_width + "\n", cells))
+        fh.write("$EndElements\n")
 
 
-def _format_rows(fmt: str, array) -> str:
-    """``fmt`` applied to each row of ``array``, as one string."""
+# Rows per formatted block: the Python numbers of one block stay small
+_FORMAT_BLOCK = 4096
+
+
+def _format_rows(fmt: str, array):
+    """``fmt`` applied to each row of ``array``, yielded one block of rows at a time."""
     array = np.asarray(array)
-    return (fmt * len(array)) % tuple(array.ravel().tolist())
+    for start in range(0, len(array), _FORMAT_BLOCK):
+        block = array[start:start + _FORMAT_BLOCK]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 class VtkGeometry:
     """The header, POINTS, CELLS and CELL_TYPES block of a mesh's VTK files.
 
-    ``text`` is formatted at its first use and kept, so a run that writes
+    ``parts`` are formatted at their first use and kept, so a run that writes
     several fields of one mesh formats its geometry once.
     """
 
@@ -182,21 +184,18 @@ class VtkGeometry:
         self.mesh = mesh
 
     @cached_property
-    def text(self) -> str:
+    def parts(self) -> list[str]:
         mesh = self.mesh
         width = mesh.cells.shape[1]
-        return "".join([
-            "# vtk DataFile Version 3.0\n",
-            "nndiff output\n",
-            "ASCII\n",
-            "DATASET UNSTRUCTURED_GRID\n",
+        return [
+            "# vtk DataFile Version 3.0\nnndiff output\nASCII\nDATASET UNSTRUCTURED_GRID\n",
             f"POINTS {mesh.n_vertices} double\n",
-            _format_rows("%.17g %.17g %.17g\n", mesh.vertices),
+            *_format_rows("%.17g %.17g %.17g\n", mesh.vertices),
             f"CELLS {mesh.n_cells} {mesh.n_cells * (width + 1)}\n",
-            _format_rows(f"{width}" + " %d" * width + "\n", mesh.cells),
+            *_format_rows(f"{width}" + " %d" * width + "\n", mesh.cells),
             f"CELL_TYPES {mesh.n_cells}\n",
             f"{_VTK_CELL_TYPE[mesh.kind]}\n" * mesh.n_cells,
-        ])
+        ]
 
 
 def write_vtk(mesh: Mesh, nodal_fields, path, geometry: VtkGeometry | None = None) -> None:
@@ -211,19 +210,18 @@ def write_vtk(mesh: Mesh, nodal_fields, path, geometry: VtkGeometry | None = Non
         geometry = VtkGeometry(mesh)
     elif geometry.mesh is not mesh:
         raise ValueError("geometry was built for another mesh")
-    nodal_fields = dict(nodal_fields or {})
-    for name, values in nodal_fields.items():
+    fields = {name: np.asarray(values, dtype=np.float64)
+              for name, values in dict(nodal_fields or {}).items()}
+    for name, values in fields.items():
         if len(values) != mesh.n_vertices:
             raise ValueError(
                 f"field {name!r} has {len(values)} values for "
                 f"{mesh.n_vertices} vertices"
             )
-    parts = [geometry.text]
-    if nodal_fields:
-        parts.append(f"POINT_DATA {mesh.n_vertices}\n")
-        for name, values in nodal_fields.items():
-            parts.append(f"SCALARS {name} double 1\n")
-            parts.append("LOOKUP_TABLE default\n")
-            parts.append(_format_rows("%.17g\n", np.asarray(values, dtype=np.float64)))
     with open(path, "w") as fh:
-        fh.write("".join(parts))
+        fh.writelines(geometry.parts)
+        if fields:
+            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+        for name, values in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.writelines(_format_rows("%.17g\n", values))

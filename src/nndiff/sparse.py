@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_sample_offsets as _csr_sample_offsets
 
 from .errors import (
     DimensionError,
@@ -37,6 +38,12 @@ from .errors import (
 
 INT_BYTES = 4
 FLOAT_BYTES = 8
+
+# Block sizes: sorted positions (sorted_runs) or runs (CooPattern.matrix)
+# per block, and steps per block of ILU(0)'s symbolic pass (about 7
+# candidate pairs each at n = 27); one block's temporaries stay a few MiB.
+_BLOCK = 1 << 14
+_ILU0_BLOCK = 1 << 13
 
 
 # kernel -> (FLOPs, modeled bytes) of one call on length-n vectors and, for
@@ -307,6 +314,8 @@ def _counting_pass(keys, order) -> tuple[np.ndarray, np.ndarray]:
     if hi - lo >= 4 * len(keys):
         uniq, keys = np.unique(keys, return_inverse=True)
         lo, hi = 0, len(uniq) - 1
+    elif 0 < lo and hi < 4 * len(keys):
+        lo = 0  # empty buckets below lo cost less than a shifted copy of the keys
     itype = np.int32 if max(len(keys), hi - lo + 1) < 2**31 else np.int64
     if lo:
         keys = np.subtract(keys, lo, out=np.empty(len(keys), dtype=itype), casting="unsafe")
@@ -318,31 +327,40 @@ def _counting_pass(keys, order) -> tuple[np.ndarray, np.ndarray]:
 def sorted_runs(columns) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of integer key columns by their stable lexicographic order.
 
-    ``columns`` holds equal-length integer arrays, the most significant
-    first: the sorted vertex tuples of the mesh callers, or ``CooPattern``'s
-    rows and columns.  Returns ``order``, the stable sort of the rows (the
-    permutation ``np.lexsort(columns[::-1])`` gives), and ``starts``, the
-    positions in ``order`` where each run of equal rows begins: run ``j``
-    is ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
+    ``columns`` holds integer arrays of one size, each read in C order, the
+    most significant first: the sorted vertex tuples of the mesh callers, or
+    ``CooPattern``'s rows and columns.  Returns ``order``, the stable sort of
+    the rows (the permutation ``np.lexsort(columns[::-1])`` gives) in int32
+    while the rows fit, else int64, and ``starts`` (int64), the positions in
+    ``order`` where each run of equal rows begins: run ``j`` is
+    ``order[starts[j]:starts[j + 1]]``, its rows in input order, so
     ``order[starts]`` are the first occurrences.
 
     The sort is a least-significant-first radix sort with one stable
     counting pass per column, O(rows + range) each instead of a comparison
-    sort; the last pass's buckets mark where the first column changes.
+    sort; the last pass's buckets mark where the first column changes, and
+    the other columns' changes are found ``_BLOCK`` positions at a time.  A
+    column that is not one contiguous array (a broadcast view, say) is
+    copied only while its pass, or that check, reads it.
     """
     columns = tuple(columns)
-    n = len(columns[0]) if columns else 0
-    if not n:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    n = columns[0].size if columns else 0
     order = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    if not n:
+        return order, np.zeros(0, dtype=np.int64)
     for k, col in enumerate(reversed(columns)):
-        order, buckets = _counting_pass(col[order] if k else col, order)
+        keys = np.ravel(col)
+        if k:
+            keys = keys[order]  # the copy of a strided column is dropped here
+        order, buckets = _counting_pass(keys, order)
     new_run = np.zeros(n, dtype=bool)
     new_run[buckets[buckets < n]] = True
     for col in columns[1:]:
-        c = col[order]
-        new_run[1:] |= c[1:] != c[:-1]
-    return order.astype(np.int64), np.flatnonzero(new_run)
+        keys = np.ravel(col)
+        for s in range(1, n, _BLOCK):
+            c = keys[order[s - 1:s + _BLOCK]]
+            new_run[s:s + _BLOCK] |= c[1:] != c[:-1]
+    return order, np.flatnonzero(new_run)
 
 
 def _stored(a: np.ndarray) -> np.ndarray:
@@ -372,20 +390,34 @@ class CooPattern:
             raise DimensionError("coo index out of range")
         self.n = int(n)
         # int32 while indices and offsets fit: half the sort's memory traffic,
-        # and the CSR arrays are in the index type scipy keeps uncopied
+        # and the CSR arrays are in the index type scipy keeps uncopied.  The
+        # rows stay a view of their stored values, copied whole only while
+        # the rows' pass runs; the columns are read by every step.
         itype = np.int32 if max(self.n, rows.size) < 2**31 else np.int64
-        rows, cols = (a.astype(itype, order="C").ravel() for a in (rows, cols))
+        stored = _stored(rows).astype(itype, copy=False)
+        rows = np.broadcast_to(stored, rows.shape)
+        cols = cols.astype(itype, order="C", copy=False).ravel()
         self._order, self._starts = sorted_runs((rows, cols))
-        first = self._order[self._starts]
-        self.col_indices = cols[first]
-        self.row_offsets = np.zeros(self.n + 1, dtype=itype)
-        np.cumsum(np.bincount(rows[first], minlength=self.n), out=self.row_offsets[1:])
+        self.col_indices = cols[self._order[self._starts]]
+        # row i's runs begin at the run of its first triplet, which follows the
+        # triplets of the rows below i, counted on the stored rows (a
+        # broadcast view repeats each of them evenly)
+        before = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(stored.ravel(), minlength=self.n), out=before[1:])
+        before *= rows.size // max(stored.size, 1)
+        self.row_offsets = np.searchsorted(self._starts, before).astype(itype)
 
     def matrix(self, vals) -> CsrMatrix:
+        """The matrix of one value per triplet; duplicates are summed ``_BLOCK`` runs at a time."""
         vals = np.asarray(vals, dtype=np.float64).ravel()
-        if len(vals) != len(self._order):
+        order, starts = self._order, self._starts
+        if len(vals) != len(order):
             raise DimensionError("coo triplet arrays must have equal length")
-        summed = np.add.reduceat(vals[self._order], self._starts)
+        summed = np.empty(len(starts))
+        for j in range(0, len(starts), _BLOCK):
+            e0, e1 = starts[j], starts[j + _BLOCK] if j + _BLOCK < len(starts) else len(vals)
+            block = vals[order[e0:e1].astype(np.intp)]  # numpy gathers fastest by intp
+            summed[j:j + _BLOCK] = np.add.reduceat(block, starts[j:j + _BLOCK] - e0)
         return CsrMatrix(self.n, self.row_offsets, self.col_indices, summed, validate=False)
 
 
@@ -493,21 +525,28 @@ def ilu0_factor(a: CsrMatrix) -> tuple[np.ndarray, int]:
         raise FactorizationError(f"missing diagonal entry in row {missing[0]}")
 
     # symbolic pass: one step per lower entry (row i, position p in the row),
-    # ordered by (level of i, p); one (target, source) pair per u_kj it uses
+    # ordered by (level of i, p); one (target, source) pair per u_kj it uses,
+    # for a block of steps at a time.  scipy's csr_sample_offsets finds each
+    # a_ij by a search in row i alone, or -1 when row i holds no entry j.
     step = np.flatnonzero(cols < row_idx)
     step_row = row_idx[step]
     level = _wavefronts(n, step_row, cols[step])
     order, starts = sorted_runs((level[step_row], step - offs[step_row]))
-    step, step_row = step[order], step_row[order]
-    pivot = diag_pos[cols[step]]
-    source = _ranges(pivot + 1, offs[cols[step] + 1])
-    owner = np.repeat(np.arange(len(step)), offs[cols[step] + 1] - pivot - 1)
-    key = row_idx * n + cols  # increasing along the CSR order
-    want = step_row[owner] * n + cols[source]
-    target = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    hit = key[target] == want
-    source, owner, target = source[hit], owner[hit], target[hit]
-    del key, want, hit
+    itype = cols.dtype  # positions in the CSR arrays fit their index type
+    step, step_row = step[order], step_row[order].astype(itype)
+    pivot, stop = diag_pos[cols[step]], offs[cols[step] + 1]
+    pairs = [(np.zeros(0, dtype=itype),) * 3]
+    for s0 in range(0, len(step), _ILU0_BLOCK):
+        blk = slice(s0, s0 + _ILU0_BLOCK)
+        source = _ranges(pivot[blk] + 1, stop[blk])
+        owner = np.repeat(np.arange(s0, s0 + len(pivot[blk]), dtype=itype),
+                          stop[blk] - pivot[blk] - 1)
+        target = np.empty(len(source), dtype=itype)
+        _csr_sample_offsets(n, n, offs, cols, len(source), step_row[owner], cols[source], target)
+        hit = target >= 0
+        pairs.append((source[hit].astype(itype), owner[hit], target[hit]))
+    source, owner, target = (np.concatenate(p) for p in zip(*pairs))
+    del pairs
     starts = np.append(starts, len(step))
     pair_starts = np.searchsorted(owner, starts)
 

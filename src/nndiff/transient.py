@@ -23,7 +23,7 @@ so a failed run writes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -223,11 +223,13 @@ def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
             dt: float | None = None) -> PreparedProblem:
     """Assemble and reduce once; steady when ``dt`` is None.  ``source`` is a
     constant or ``fn(points, t)``."""
-    geometry = cell_geometry(mesh)  # kept only for a transient problem's later loads
-    system = assemble(mesh, None, bc, diffusivity, source, geometry=geometry)
-    if dt is None:
+    if dt is None:  # the capacity is never read: its pattern goes with mass_fn
+        system = assemble(mesh, None, bc, diffusivity, source)
         reduced = apply_dirichlet(system)
+        system = replace(system, mass_fn=None)
         return PreparedProblem(mesh, bc, source, None, system, reduced.matrix, reduced.rhs)
+    geometry = cell_geometry(mesh)  # every level's load reads it
+    system = assemble(mesh, None, bc, diffusivity, source, geometry=geometry)
     full, free = build_transient_operator(system.stiffness, system.mass, dt), system.free
     lift = None
     if not any(map(callable, (source, *bc.dirichlet.values(), *bc.neumann.values()))):

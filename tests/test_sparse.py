@@ -776,7 +776,7 @@ class TestSortedRunsWideKeys:
     @staticmethod
     def check(keys):
         order, starts = sorted_runs(keys.T)
-        assert order.dtype == np.int64 and starts.dtype == np.int64
+        assert order.dtype == np.int32 and starts.dtype == np.int64  # order in its sort's index type
         assert np.array_equal(order, np.lexsort(keys.T[::-1]))
         uniq, counts = np.unique(keys, axis=0, return_counts=True)
         assert np.array_equal(keys[order[starts]], uniq)
