@@ -26,7 +26,7 @@ from .mesh import (
     with_boundary_markers,
 )
 from .mesh_io import read_gmsh, write_gmsh, write_vtk
-from .perf import PerfEnvelope, PerfReport, arithmetic_intensity, efficiency
+from .perf import PerfEnvelope, arithmetic_intensity, efficiency
 from .qp import (
     QpProblem,
     brute_force_qp,
@@ -69,7 +69,6 @@ __all__ = [
     "Mesh",
     "OpLedger",
     "PerfEnvelope",
-    "PerfReport",
     "QpProblem",
     "ReducedSystem",
     "SolveReport",

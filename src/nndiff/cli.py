@@ -34,9 +34,9 @@ from .errors import (
 )
 from .mesh import generate_box, generate_cube_with_hole
 from .mesh_io import VtkGeometry, write_gmsh, write_vtk
-from .perf import arithmetic_intensity, efficiency, report_as_dict
+from .perf import PerfEnvelope, arithmetic_intensity, efficiency
 from .qp import QpProblem, kkt_check
-from .sparse import CsrMatrix, read_matrix_market
+from .sparse import CsrMatrix, OpLedger, read_matrix_market
 from .transient import SOLVERS, check_positive_finite, prepare, solve, write_step_csv
 from .transient import run as run_transient
 
@@ -97,9 +97,7 @@ def _summary(result, tcfg, envelope) -> dict:
     if result.ledger.bytes > 0:
         summary["ai"] = arithmetic_intensity(result.ledger)
     if envelope is not None and result.solver_wall_time > 0:
-        summary["perf"] = report_as_dict(
-            efficiency(result.ledger, result.solver_wall_time, envelope)
-        )
+        summary["perf"] = efficiency(result.ledger, result.solver_wall_time, envelope)
     return summary
 
 
@@ -268,9 +266,9 @@ def cmd_qp(args) -> int:
         lower=_load_bound(args.lower, hessian.n),
         upper=_load_bound(args.upper, hessian.n),
     )
-    # the library's own defaults, max_outer and inner_rtol among them, apply
+    spec = SOLVERS[args.solver]  # its iteration cap is the one solve and compare use
     settings = {} if args.inner_rtol is None else {"inner_rtol": args.inner_rtol}
-    c, report = SOLVERS[args.solver](problem, rtol=args.rtol, **settings)
+    c, report = spec(problem, rtol=args.rtol, max_outer=spec.iteration_cap(problem.n), **settings)
 
     g0 = problem.hessian.matvec_raw(
         np.clip(np.zeros(problem.n), problem.lower, problem.upper)
@@ -323,9 +321,6 @@ def cmd_perf_report(args) -> int:
     for key in ("flops", "bytes"):
         if key not in data:
             raise ConfigError(f"report file lacks {key!r}")
-    from .perf import PerfEnvelope
-    from .sparse import OpLedger
-
     ledger = OpLedger()
     if data.get("kernels"):
         for k in data["kernels"]:
@@ -335,13 +330,12 @@ def cmd_perf_report(args) -> int:
     wall = args.wall_time if args.wall_time else data.get("wall_time_s", 0.0)
     if wall <= 0:
         raise ConfigError("need --wall-time or a wall_time_s field")
-    envelope = PerfEnvelope(tpp=args.tpp, streams_bw=args.bw)
-    rep = efficiency(ledger, wall, envelope)
-    print(f"flops: {rep.flops}  bytes: {rep.bytes}  AI: {rep.ai:.4f}")
+    rep = efficiency(ledger, wall, PerfEnvelope(tpp=args.tpp, streams_bw=args.bw))
+    print(f"flops: {rep['flops']}  bytes: {rep['bytes']}  AI: {rep['ai']:.4f}")
     print(
-        f"measured {rep.measured_rate:.4e} flops/s vs ideal {rep.ideal_rate:.4e} "
-        f"({rep.bound}-bound): {rep.efficiency_pct:.2f}%"
-        + ("  [exceeds perfect-cache bound]" if rep.over_unity else "")
+        f"measured {rep['measured_flops_per_s']:.4e} flops/s vs ideal "
+        f"{rep['ideal_flops_per_s']:.4e} ({rep['bound']}-bound): {rep['efficiency_pct']:.2f}%"
+        + ("  [exceeds perfect-cache bound]" if rep["over_unity"] else "")
     )
     return 0
 

@@ -43,21 +43,8 @@ def arithmetic_intensity(ledger: OpLedger) -> float:
     return ledger.flops / nbytes
 
 
-@dataclass(frozen=True)
-class PerfReport:
-    flops: int
-    bytes: int
-    ai: float
-    wall_time: float
-    measured_rate: float
-    ideal_rate: float
-    efficiency_pct: float
-    bound: str  # "memory" | "compute"
-    over_unity: bool
-    kernels: tuple
-
-
-def efficiency(ledger: OpLedger, wall_time: float, envelope: PerfEnvelope) -> PerfReport:
+def efficiency(ledger: OpLedger, wall_time: float, envelope: PerfEnvelope) -> dict:
+    """The roofline report of one solve, as report.json's ``perf`` section holds it."""
     if wall_time <= 0.0:
         raise PerfModelError("wall time must be positive")
     ai = arithmetic_intensity(ledger)
@@ -74,35 +61,16 @@ def efficiency(ledger: OpLedger, wall_time: float, envelope: PerfEnvelope) -> Pe
             "efficiency %.1f%% exceeds the perfect-cache bound "
             "(cache reuse beats the model)", pct,
         )
-    kernels = tuple(
-        {"name": name, "calls": t.calls, "flops": t.flops, "bytes": t.bytes}
-        for name, t in sorted(ledger.breakdown().items())
-    )
-    return PerfReport(
-        flops=ledger.flops,
-        bytes=ledger.bytes,
-        ai=ai,
-        wall_time=wall_time,
-        measured_rate=measured,
-        ideal_rate=ideal,
-        efficiency_pct=pct,
-        bound=bound,
-        over_unity=over,
-        kernels=kernels,
-    )
-
-
-def report_as_dict(report: PerfReport) -> dict:
     return {
-        "flops": report.flops,
-        "bytes": report.bytes,
-        "ai": report.ai,
-        "wall_time_s": report.wall_time,
-        "measured_flops_per_s": report.measured_rate,
-        "ideal_flops_per_s": report.ideal_rate,
-        "efficiency_pct": report.efficiency_pct,
-        "bound": report.bound,
-        "over_unity": report.over_unity,
-        "kernels": list(report.kernels),
+        "flops": ledger.flops,
+        "bytes": ledger.bytes,
+        "ai": ai,
+        "wall_time_s": wall_time,
+        "measured_flops_per_s": measured,
+        "ideal_flops_per_s": ideal,
+        "efficiency_pct": pct,
+        "bound": bound,  # "memory" | "compute"
+        "over_unity": over,
+        "kernels": [{"name": name, "calls": t.calls, "flops": t.flops, "bytes": t.bytes}
+                    for name, t in sorted(ledger.breakdown().items())],
     }
-

@@ -117,14 +117,20 @@ def project(c, lower, upper, ledger: OpLedger | None = None) -> np.ndarray:
     return np.minimum(np.maximum(c, lower), upper)
 
 
-def projected_gradient(g, c, lower, upper, ledger: OpLedger | None = None) -> np.ndarray:
-    """Zero the gradient components that push outward at active bounds."""
+def active_set(g, c, lower, upper) -> np.ndarray:
+    """Mask of the variables at a bound whose gradient component pushes outward."""
+    return ((c <= lower) & (g > 0.0)) | ((c >= upper) & (g < 0.0))
+
+
+def projected_gradient(g, c, lower, upper, ledger: OpLedger | None = None,
+                       active=None) -> np.ndarray:
+    """Zero the gradient components that push outward at active bounds;
+    ``active`` is their :func:`active_set` when the caller has formed it."""
     if ledger is not None:
         ledger.count("proj_grad", len(g))
-    pg = np.array(g, dtype=np.float64)
-    pg[(c <= lower) & (g > 0.0)] = 0.0
-    pg[(c >= upper) & (g < 0.0)] = 0.0
-    return pg
+    if active is None:
+        active = active_set(g, c, lower, upper)
+    return np.where(active, 0.0, g)
 
 
 def _start_point(problem, x0, ledger):
@@ -156,10 +162,11 @@ def _trial_point(problem, c, alpha, d, g, ledger):
 
 
 def _gradients(problem, c, hc, ledger):
-    """Gradient, projected gradient and its norm at c, from H c (consumed)."""
+    """Gradient, active set, projected gradient and its norm at c, from H c (consumed)."""
     g = gradient(problem, c, ledger, hc)
-    pg = projected_gradient(g, c, problem.lower, problem.upper, ledger)
-    return g, pg, norm2(pg, ledger)
+    active = active_set(g, c, problem.lower, problem.upper)
+    pg = projected_gradient(g, c, problem.lower, problem.upper, ledger, active)
+    return g, active, pg, norm2(pg, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +223,7 @@ def solve_blmvm(
         return c, finish("converged", 0)
     hc = spmv(problem.hessian, c, ledger)
     fc = objective(problem, c, ledger, hc)
-    g, pg, pg_norm = _gradients(problem, c, hc, ledger)
+    g, _, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     pairs: list = []
     outer = 0
@@ -252,7 +259,7 @@ def solve_blmvm(
             status = "breakdown"
             break
 
-        g_new, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
+        g_new, _, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
         y = pg_new - pg
         sy = float(np.dot(step, y))
         _charge(ledger, problem.n, copy=1, axpy=1, dot=1)
@@ -297,7 +304,6 @@ def solve_tron(
         ledger = OpLedger()
     finish = start_report(ledger)
     h = problem.hessian
-    lo, hi = problem.lower, problem.upper
     n = problem.n
 
     c = _start_point(problem, x0, ledger)
@@ -305,7 +311,7 @@ def solve_tron(
         return c, finish("converged", 0)
     hc = spmv(h, c, ledger)
     fc = objective(problem, c, ledger, hc)
-    g, pg, pg_norm = _gradients(problem, c, hc, ledger)
+    g, active, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     delta = norm2(g, ledger)
     if delta == 0.0:
@@ -320,8 +326,7 @@ def solve_tron(
             break
         if outer >= max_outer:
             break
-        active = ((c <= lo) & (g > 0.0)) | ((c >= hi) & (g < 0.0))
-        free = np.flatnonzero(~active)
+        free = np.flatnonzero(~active)  # c and g, so their active set, change only on accept
         if free.size == 0:
             status = "breakdown"  # nonzero pg with no free variables
             break
@@ -359,7 +364,7 @@ def solve_tron(
             delta *= TRON_EXPAND
         if ratio > TRON_ACCEPT_RATIO:
             c, fc = c_trial, f_trial
-            g, pg, pg_norm = _gradients(problem, c, hc_trial, ledger)
+            g, active, pg, pg_norm = _gradients(problem, c, hc_trial, ledger)
             if monitor is not None:
                 monitor(outer + 1, fc, pg_norm)
         outer += 1

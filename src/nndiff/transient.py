@@ -55,8 +55,12 @@ class SolverSpec:
     bounded: bool
     precond: str | None  # the default preconditioner; None: the solver takes none
     reads_inner_rtol: bool
-    cap: int  # default iteration cap for n free dofs: max(cap, cap_per_dof * n)
+    cap: int  # see iteration_cap
     cap_per_dof: int = 0
+
+    def iteration_cap(self, n: int) -> int:
+        """The default iteration cap for n free dofs, whichever command runs the solver."""
+        return max(self.cap, self.cap_per_dof * n)
 
     def __call__(self, *args, **kwargs):
         return globals()[self.function](*args, **kwargs)
@@ -169,7 +173,7 @@ def _check_bounds(values, config: TransientConfig) -> None:
 def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     """One reduced-system solve; raises SolverFailure on non-convergence."""
     spec = SOLVERS[config.solver]
-    maxit = config.max_iter or max(spec.cap, spec.cap_per_dof * operator.n)
+    maxit = config.max_iter or spec.iteration_cap(operator.n)
     if not spec.bounded:
         x, report = spec(operator, rhs, precond=precond, rtol=config.rtol,
                          maxit=maxit, x0=warm, ledger=ledger)

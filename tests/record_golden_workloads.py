@@ -11,9 +11,10 @@ Each case is one workload of ``BENCHMARK.json`` at seed 0 (velocity
 * every per-kernel ledger tally (calls, FLOPs, bytes).
 
 The file hashes pin every printed digit of the fields, so they follow the
-BLAS/LAPACK build that numpy and scipy use: a different build may sum in
-another order, move the last bits and, through the iteration counts, the
-tallies.
+BLAS/LAPACK build that numpy and scipy use and its thread count: a
+different build, or more than one thread, may sum in another order, move
+the last bits and, through the iteration counts, the tallies.  The runs
+are recorded, and tested, with BLAS on one thread.
 
 Run from the repository root to rewrite the data file (only when a change
 of results is intended and explained):
@@ -27,11 +28,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import nndiff.cli
+# one BLAS thread, as in the benchmark and the tests (conftest.py), set
+# before numpy loads: the answers at n = 27 depend on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import nndiff.cli  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH = REPO / "bench"

@@ -224,14 +224,14 @@ def test_criterion_06_efficiency_formula():
     ledger.record("spmv", 1000, 8000)  # AI = 0.125
     wall = 2.5e-6
     rep = efficiency(ledger, wall, envelope)
-    assert rep.ai == 0.125
-    assert rep.ideal_rate == pytest.approx(0.70625e9, rel=1e-15)
-    assert rep.bound == "memory"
+    assert rep["ai"] == 0.125
+    assert rep["ideal_flops_per_s"] == pytest.approx(0.70625e9, rel=1e-15)
+    assert rep["bound"] == "memory"
     measured = 1000 / wall
-    assert rep.measured_rate == pytest.approx(measured, rel=1e-15)
-    assert rep.efficiency_pct == pytest.approx(100.0 * measured / 0.70625e9, rel=1e-15)
+    assert rep["measured_flops_per_s"] == pytest.approx(measured, rel=1e-15)
+    assert rep["efficiency_pct"] == pytest.approx(100.0 * measured / 0.70625e9, rel=1e-15)
     report_pass(6, f"ideal rate 0.70625 Gflops/s at AI 0.125; efficiency "
-                   f"{rep.efficiency_pct:.4f}% to machine precision")
+                   f"{rep['efficiency_pct']:.4f}% to machine precision")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,18 @@ class TestSolve:
                                for r in reports)
         assert flag == spec != default
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_rtol_flag_sets_the_tolerance(self, solver, hole_config, tmp_path):
+        """--rtol replaces [solver] rtol = 1e-6, looser or tighter."""
+        def outer(*flags):
+            path = tmp_path / "report.json"
+            argv = ["solve", "--config", str(hole_config), "--solver", solver,
+                    "--report", str(path), *flags]
+            assert main(argv) == 0
+            return json.loads(path.read_text())["outer_iterations"]
+
+        assert outer("--rtol", "1e-2") < outer() < outer("--rtol", "1e-10")
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--solver", "galerkin"],
         ["solve", "--solver", "tron"],
@@ -605,6 +617,17 @@ class TestCompare:
         flag, default = rows
         assert flag[3:5] != default[3:5]  # outer and inner iterations
 
+    def test_rtol_flag_sets_every_entry(self, hole_config, tmp_path):
+        rows = []
+        for tag, extra in (("flag", ["--rtol", "1e-2"]), ("default", [])):
+            path = tmp_path / f"{tag}.csv"
+            argv = ["compare", "--config", str(hole_config), "--report", str(path), *extra]
+            assert main(argv) == 0
+            rows.append(self.csv_rows(path))
+        flag, default = rows
+        for spec in nndiff.cli.DEFAULT_COMPARE_SOLVERS:
+            assert int(flag[spec][3]) < int(default[spec][3]), spec  # outer iterations
+
     def test_bare_string_solvers_is_one_entry(self, tmp_path, capsys):
         """``solvers = "tron"`` used to exit 1 with ``unknown solver 't'``."""
         rows = {}
@@ -675,6 +698,21 @@ class TestQp:
         q = rng.standard_normal(dim) * 2.0
         expected = brute_force_qp(QpProblem(h, q, lower=0.0, upper=1.0))
         assert np.max(np.abs(np.loadtxt(out) - expected)) < 1e-6
+
+    # qp capped tron at 200 and blmvm at 5,000 outer iterations, where solve and
+    # compare cap them at 500 and 20,000
+    @pytest.mark.parametrize("solver, cap", [("tron", 500), ("blmvm", 20000)])
+    def test_caps_as_solve_does(self, solver, cap, monkeypatch):
+        spec, seen = SOLVERS[solver], {}
+        solver_function = getattr(nndiff.transient, spec.function)
+
+        def spy(problem, **kwargs):
+            seen.update(kwargs)
+            return solver_function(problem, **kwargs)
+
+        monkeypatch.setattr(nndiff.transient, spec.function, spy)
+        assert main(["qp", "--random-dim", "6", "--solver", solver]) == 0
+        assert seen["max_outer"] == spec.iteration_cap(6) == cap
 
     def test_missing_inputs_exit_1(self):
         assert main(["qp"]) == 1
@@ -780,7 +818,9 @@ class TestUsageErrors:
         assert "nndiff" in capsys.readouterr().out
 
 
-class TestPerfReport:
+class TestPerfCommand:
+    """``nndiff perf-report`` on a solve's report.json and on a bare flops/bytes file."""
+
     def test_from_solve_report(self, hole_config, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert main(["solve", "--config", str(hole_config),

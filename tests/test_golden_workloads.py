@@ -2,9 +2,10 @@
 
 ``data/golden_workloads.json`` was recorded by ``record_golden_workloads.py``
 before the kernel costs moved into one table (``sparse.KERNEL_COSTS``) and
-blmvm's vector steps were written as plain numpy expressions.  Every VTK
-file, ``steps.csv``, the timing-free report and every per-kernel tally
-must reproduce exactly.
+blmvm's vector steps were written as plain numpy expressions; its two
+n = 27 cases were recorded again with BLAS on one thread, as the tests run
+(``conftest.py``).  Every VTK file, ``steps.csv``, the timing-free report
+and every per-kernel tally must reproduce exactly.
 """
 
 import json

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from nndiff.errors import PerfModelError
-from nndiff.perf import (
-    PerfEnvelope,
-    arithmetic_intensity,
-    efficiency,
-    report_as_dict,
-)
+from nndiff.perf import PerfEnvelope, arithmetic_intensity, efficiency
 from nndiff.sparse import CsrMatrix, OpLedger, axpy, dot, spmv
 
 
@@ -50,38 +45,38 @@ class TestEfficiency:
         led = OpLedger()
         led.record("spmv", 1000, 8000)  # AI = 0.125
         rep = efficiency(led, wall_time=1.0, envelope=self.ENVELOPE)
-        assert rep.bound == "memory"
-        assert rep.ideal_rate == pytest.approx(0.70625e9, rel=1e-15)
+        assert rep["bound"] == "memory"
+        assert rep["ideal_flops_per_s"] == pytest.approx(0.70625e9, rel=1e-15)
 
     def test_hundred_percent(self):
         led = OpLedger()
         led.record("spmv", 1000, 8000)
         ideal = 0.125 * 5.65e9
         rep = efficiency(led, wall_time=1000.0 / ideal, envelope=self.ENVELOPE)
-        assert rep.efficiency_pct == pytest.approx(100.0)
-        assert not rep.over_unity
+        assert rep["efficiency_pct"] == pytest.approx(100.0)
+        assert not rep["over_unity"]
 
     def test_compute_bound_branch(self):
         led = OpLedger()
         led.record("dense", 10**9, 10**7)  # AI = 100 -> bw bound 565e9 > tpp
         rep = efficiency(led, wall_time=1.0, envelope=self.ENVELOPE)
-        assert rep.bound == "compute"
-        assert rep.ideal_rate == 9.2e9
+        assert rep["bound"] == "compute"
+        assert rep["ideal_flops_per_s"] == 9.2e9
 
     def test_over_unity_flag(self):
         led = OpLedger()
         led.record("bulk", 10**9, 10**10)  # AI = 0.1, ideal 5.65e8
         rep = efficiency(led, wall_time=1.0, envelope=self.ENVELOPE)
-        assert rep.ideal_rate == pytest.approx(5.65e8)
-        assert rep.efficiency_pct == pytest.approx(100.0 * 1e9 / 5.65e8)
-        assert rep.efficiency_pct > 100.0
-        assert rep.over_unity
+        assert rep["ideal_flops_per_s"] == pytest.approx(5.65e8)
+        assert rep["efficiency_pct"] == pytest.approx(100.0 * 1e9 / 5.65e8)
+        assert rep["efficiency_pct"] > 100.0
+        assert rep["over_unity"]
 
     def test_monotone_in_wall_time(self):
         led = OpLedger()
         led.record("spmv", 1000, 8000)
         effs = [
-            efficiency(led, wall_time=t, envelope=self.ENVELOPE).efficiency_pct
+            efficiency(led, wall_time=t, envelope=self.ENVELOPE)["efficiency_pct"]
             for t in (1e-6, 1e-5, 1e-4)
         ]
         assert effs[0] > effs[1] > effs[2]
@@ -94,20 +89,20 @@ class TestEfficiency:
         dot(np.ones(3), np.ones(3), led)
         axpy(np.ones(4), 1.0, np.ones(4), led)
         rep = efficiency(led, 1.0, self.ENVELOPE)
-        assert sum(k["flops"] for k in rep.kernels) == rep.flops
-        assert sum(k["bytes"] for k in rep.kernels) == rep.bytes
+        assert sum(k["flops"] for k in rep["kernels"]) == rep["flops"]
+        assert sum(k["bytes"] for k in rep["kernels"]) == rep["bytes"]
 
     def test_json_round_trip(self):
         led = OpLedger()
         led.record("spmv", 1000, 8000)
         rep = efficiency(led, 0.5, self.ENVELOPE)
-        data = json.loads(json.dumps(report_as_dict(rep)))
+        data = json.loads(json.dumps(rep))
         for key in (
             "flops", "bytes", "ai", "wall_time_s", "measured_flops_per_s",
             "ideal_flops_per_s", "efficiency_pct", "bound", "kernels",
         ):
             assert key in data
-        assert data == report_as_dict(rep)
+        assert data == rep
 
     def test_bad_inputs(self):
         led = OpLedger()

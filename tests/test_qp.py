@@ -193,6 +193,24 @@ class TestBlmvm:
         c, rep = solve_blmvm(p, x0=np.zeros(3))
         assert rep.converged and rep.outer_iterations == 0
 
+    def test_non_descent_direction_falls_back_to_minus_pg(self):
+        """Rounding can make the two-loop direction point uphill; -pg replaces it,
+        and the solve still reaches the KKT point."""
+        p = random_box_qp(6, np.random.default_rng(7))
+        with mock.patch.object(qp, "_two_loop", lambda pg, pairs, ledger: pg.copy()):
+            c, rep = solve_blmvm(p)
+        assert rep.converged
+        assert np.max(np.abs(c - brute_force_qp(p))) < 1e-6
+
+    def test_no_acceptable_step_and_no_memory_is_breakdown(self, monkeypatch):
+        """With an Armijo constant of 1 no step on a strictly convex quadratic passes
+        the line search, and with no pairs to drop blmvm stops where it started."""
+        p = random_box_qp(6, np.random.default_rng(7))
+        monkeypatch.setattr(qp, "ARMIJO", 1.0)
+        c, rep = solve_blmvm(p, max_outer=50)
+        assert rep.status == "breakdown" and rep.outer_iterations == 0
+        assert np.array_equal(c, np.zeros(6))
+
 
 class TestTron:
     def test_unconstrained_matches_cg(self):
@@ -244,6 +262,46 @@ class TestTron:
         p = QpProblem(CsrMatrix.identity(2), np.zeros(2))
         with pytest.raises(ValueError):
             solve_tron(p, inner_rtol=2.0)
+
+    def test_gradient_in_null_space_is_inner_breakdown(self):
+        """The free block's CG meets p'Hp = 0 at its first step when -g lies in the
+        null space of a singular H."""
+        h = CsrMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
+        p = QpProblem(h, [-1.0, -1.0], lower=0.0, upper=10.0)
+        c, rep = solve_tron(p)
+        assert rep.status == "breakdown" and rep.outer_iterations == 0
+        assert np.array_equal(c, [0.0, 0.0])
+
+    def test_every_bound_active_short_of_the_target_is_breakdown(self):
+        """A negative atol sets a target no iterate meets; at the vertex where every
+        variable is pinned there is nothing to free, so tron stops there."""
+        p = QpProblem(CsrMatrix.identity(3), [-5.0, -5.0, 5.0], lower=0.0, upper=1.0)
+        c, rep = solve_tron(p, atol=-1.0)
+        assert rep.status == "breakdown"
+        assert np.array_equal(c, brute_force_qp(p))
+        assert kkt_check(p, c, 1e-12).ok
+
+    def test_uphill_projected_step_cuts_the_radius(self):
+        """Projecting the truncated-CG step onto the box can leave a predicted
+        reduction <= 0; tron shrinks the radius, tries again and converges."""
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((5, 5))
+        h = a.T @ a + 1e-2 * np.eye(5)
+        p = QpProblem(CsrMatrix.from_dense(h), rng.standard_normal(5) * 2.0,
+                      lower=0.0, upper=1.0)
+        predicted, trial_point = [], qp._trial_point
+
+        def spy(problem, c, alpha, d, g, ledger):
+            point = trial_point(problem, c, alpha, d, g, ledger)
+            s, gs = point[1], point[2]
+            predicted.append(-(gs + 0.5 * s @ h @ s))
+            return point
+
+        with mock.patch.object(qp, "_trial_point", spy):
+            c, rep = solve_tron(p, rtol=1e-10)
+        assert min(predicted) <= 0.0
+        assert rep.converged
+        assert np.max(np.abs(c - brute_force_qp(p))) < 1e-6
 
 
 class TestSolverProperties:
