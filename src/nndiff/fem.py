@@ -245,44 +245,47 @@ def _distinct_jacobians(vertices, cells):
 
     A running multiply-add over the 9 float64 bit patterns of a Jacobian
     gives one uint64 key per cell; cells with equal keys are grouped and
-    every group is then checked on the bits, column by column.  If two
-    different Jacobians share a key, every cell is its own group.
+    every group is then checked on the bits, column by column.  If no key
+    repeats, or two different Jacobians share a key, every cell is its own
+    shape, in cell order, and ``which`` is None.
     """
-    e = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+    e = vertices[cells[:, 1:]]
+    e -= vertices[cells[:, :1]]  # in place: the peak is one gathered copy
     bits = e.reshape(len(e), 9).view(np.uint64)
     key = np.zeros(len(e), dtype=np.uint64)
     for col, mult in zip(bits.T, _JACOBIAN_HASH):
         key += col * mult
     _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    rep = first[which]
-    if not all(np.array_equal(col[rep], col) for col in bits.T):
-        first = which = np.arange(len(e))
-    return e[first], which
+    if len(first) < len(e):
+        rep = first[which]
+        if all(np.array_equal(col[rep], col) for col in bits.T):
+            return e[first], which
+    return e, None
 
 
 def _tet_batch(vertices, cells):
-    """Jacobian determinants (m,) and P1 gradients (m, 4, 3) of the tets.
+    """Jacobian determinants (k,) and P1 gradients (k, 4, 3) of the k distinct
+    tet Jacobians, and ``which`` (m,), each cell's row of them, or None when
+    no Jacobian repeats (k = m, row c is cell c).
 
-    Both are computed once per distinct Jacobian and gathered to the cells.
     numpy's det and inv gufuncs factor each matrix on its own, so a
-    matrix's result depends only on its bits: the output is bit-identical
-    to calling LAPACK on every cell.  A generated tet mesh repeats a few
-    hundred cell shapes (162 Jacobians among 117,936 cells of the n = 27
-    cube with a hole).  Every determinant is checked before any inverse is
-    formed, so a degenerate cell is an :class:`AssemblyError` naming the
-    lowest-index cell of the smallest determinant.
+    matrix's result depends only on its bits: the cells' rows are
+    bit-identical to calling LAPACK on every cell.  A generated tet mesh
+    repeats a few hundred cell shapes (162 Jacobians among 117,936 cells of
+    the n = 27 cube with a hole).  Every determinant is checked before any
+    inverse is formed, so a degenerate cell is an :class:`AssemblyError`
+    naming the lowest-index cell of the smallest determinant.
     """
     shapes, which = _distinct_jacobians(vertices, cells)
-    det = np.linalg.det(shapes)[which]
+    det = np.linalg.det(shapes)
     if np.any(det <= 0.0):
-        raise AssemblyError(
-            f"non-positive Jacobian determinant in cell {int(np.argmin(det))}"
-        )
+        bad = int(np.argmin(det if which is None else det[which]))
+        raise AssemblyError(f"non-positive Jacobian determinant in cell {bad}")
     inv = np.linalg.inv(shapes)
     grads = np.empty((len(shapes), 4, 3))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return det, grads[which]
+    return det, grads, which
 
 
 def _hex_batch(vertices, cells):
@@ -294,34 +297,37 @@ def _hex_batch(vertices, cells):
         raise AssemblyError(f"non-positive Jacobian determinant in cell {bad}")
     jinv = np.linalg.inv(jac)
     b = np.einsum("qib,mqba->mqia", _HEX_DN, jinv)
-    return det, b
+    return det, b, None
 
 
 @dataclass(frozen=True)
 class CellGeometry:
     """Jacobian determinants, shape-function gradients and quadrature points
-    of every cell of one mesh.
+    of the cells of one mesh.
 
-    tet4: ``det`` (m,), ``grads`` (m, 4, 3); hex8: ``det`` (m, q),
-    ``grads`` (m, q, 8, 3); both: ``qpts`` (m, q, 3).  The quadrature
-    points are formed on first use, which only a function-valued tensor
-    or source makes, and kept.
-
-    tet4 ``det`` and ``grads`` are computed once per distinct Jacobian and
-    gathered to the cells, bit-identical to a per-cell LAPACK call (see
-    ``_tet_batch``).  hex8 stays per cell: its Jacobians at the quadrature
+    tet4: ``det`` (k,) and ``grads`` (k, 4, 3) once per distinct Jacobian,
+    and ``which`` (m,), each cell's row of them, or None when every cell is
+    its own shape (see ``_tet_batch``); hex8: ``det`` (m, q) and ``grads``
+    (m, q, 8, 3) per cell, and no ``which``: its Jacobians at the quadrature
     points depend on the absolute vertex coordinates, so few repeat (at
     n = 27, 105,975 of 157,248) and grouping them costs more than it saves.
+    Both: ``qpts`` (m, q, 3), formed on first use, which only a
+    function-valued tensor or source makes, and kept.
     """
 
     det: np.ndarray
     grads: np.ndarray
+    which: np.ndarray | None
     mesh: Mesh = field(repr=False)
 
     @cached_property
     def qpts(self) -> np.ndarray:
         shape = TET_QUAD_BARY if self.mesh.kind == TET4 else _HEX_N
         return np.einsum("qi,mia->mqa", shape, self.mesh.vertices[self.mesh.cells])
+
+    def per_cell(self, a: np.ndarray) -> np.ndarray:
+        """``a``, a row per distinct tet4 Jacobian, gathered to the cells (if any repeat)."""
+        return a if self.which is None else a[self.which]
 
 
 def cell_geometry(mesh: Mesh) -> CellGeometry:
@@ -332,7 +338,7 @@ def cell_geometry(mesh: Mesh) -> CellGeometry:
 def _cell_tensors(diffusivity, geometry: CellGeometry, n_cells):
     """Per-cell (m,3,3) or per-point (m,q,3,3) tensors, validated.
 
-    One tensor for the whole mesh is checked once and broadcast.
+    One tensor for the whole mesh is checked once and returned as (3, 3).
     """
     d = diffusivity.tensors
     if diffusivity.function is not None:
@@ -343,36 +349,40 @@ def _cell_tensors(diffusivity, geometry: CellGeometry, n_cells):
         d = d.reshape(qpts.shape[:2] + (3, 3))
     elif d.ndim == 2:
         _check_tensor_batch(d[None])
-        return np.broadcast_to(d, (n_cells, 3, 3))
+        return d
     elif len(d) != n_cells:
         raise ConfigError(f"{len(d)} cell tensors given for a mesh of {n_cells} cells")
     _check_tensor_batch(d)
     return d
 
 
-def _tet_stiffness(det, grads, d):
+def _tet_stiffness(det, grads, d, which=None):
     """(det/6) G D G^T per cell, symmetrized, bit for bit as
     ``np.einsum("m,mia,mab,mjb->mij")`` followed by ``0.5 * (k + k^T)``.
 
-    The einsum forms each term as ((w g_ia) d_ab) g_jb and adds the terms
-    to zero in (a, b) order.  The nine steps below do the same for all 16
-    entries (i, j) at once, on gradients laid out as contiguous rows
-    ``g[a, i]`` of one block of cells, so the accumulator and the term
-    (4, 4, block) stay in cache; each block is symmetrized before it is
-    stored.
+    ``d`` has one tensor per output row: per distinct Jacobian when the mesh
+    has one tensor, per cell otherwise.  Row c reads row ``which[c]`` of
+    ``det`` and ``grads`` (row c when ``which`` is None), gathered one block
+    at a time, so no per-cell gradient array is formed.  The einsum forms
+    each term as ((w g_ia) d_ab) g_jb and adds the terms to zero in (a, b)
+    order.  The nine steps below do the same for all 16 entries (i, j) at
+    once, on gradients laid out as contiguous rows ``g[a, i]`` of one block
+    of cells, so the accumulator and the term (4, 4, block) stay in cache;
+    each block is symmetrized before it is stored.
     """
     if d.ndim == 4:
         d = d.mean(axis=1)  # P1 gradients are cellwise constant
-    w = det / 6.0
-    ke = np.empty((len(det), 4, 4))
-    for start in range(0, len(det), _STIFFNESS_BLOCK):
+    ke = np.empty((len(d), 4, 4))
+    for start in range(0, len(d), _STIFFNESS_BLOCK):
         blk = slice(start, start + _STIFFNESS_BLOCK)
-        g = grads[blk].transpose(2, 1, 0).copy()  # (3, 4, block)
+        rows = blk if which is None else which[blk]
+        w = det[rows] / 6.0
+        g = grads[rows].transpose(2, 1, 0).copy()  # (3, 4, block)
         db = d[blk]
         acc = np.zeros((4, 4, g.shape[2]))
         term = np.empty_like(acc)
         for a in range(3):
-            wg = w[blk] * g[a]
+            wg = w * g[a]
             for b in range(3):
                 np.multiply((wg * db[:, a, b])[:, None, :], g[b][None, :, :], out=term)
                 acc += term
@@ -534,7 +544,7 @@ def assemble_load(
         n_points = len(TET_QUAD_BARY) if mesh.kind == TET4 else len(_HEX_N)
         fvals = np.full((m, n_points), _finite_constant(source, "source"))
     if mesh.kind == TET4:
-        fe = det[:, None] * _TET_W * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)
+        fe = geometry.per_cell(det * _TET_W)[:, None] * np.einsum("mq,qi->mi", fvals, TET_QUAD_BARY)
     else:
         fe = np.einsum("mq,qi->mi", det * fvals, _HEX_N)
     f = _scatter_vector(mesh.n_vertices, mesh.cells, fe)
@@ -566,8 +576,11 @@ def assemble(
         geometry = cell_geometry(mesh)
     det, grads = geometry.det, geometry.grads
     d = _cell_tensors(diffusivity, geometry, mesh.n_cells)
-    if mesh.kind == TET4:
-        ke = _tet_stiffness(det, grads, d)
+    if d.ndim == 2:  # one tensor: an element matrix depends only on its Jacobian
+        element = _tet_stiffness if mesh.kind == TET4 else _hex_stiffness
+        ke = geometry.per_cell(element(det, grads, np.broadcast_to(d, (len(det), 3, 3))))
+    elif mesh.kind == TET4:
+        ke = _tet_stiffness(det, grads, d, geometry.which)
     else:
         ke = _hex_stiffness(det, grads, d)
     stiffness = pattern.matrix(ke)
@@ -575,7 +588,7 @@ def assemble(
 
     def mass():
         if mesh.kind == TET4:
-            return pattern.matrix(det[:, None, None] * _TET_MASS_REF)
+            return pattern.matrix(geometry.per_cell(det[:, None, None] * _TET_MASS_REF))
         return pattern.matrix(np.einsum("mq,qi,qj->mij", det, _HEX_N, _HEX_N))
 
     load = assemble_load(mesh, source, bc, t, geometry)

@@ -60,7 +60,7 @@ TRON_ACCEPT_RATIO = 1e-4
 
 @dataclass
 class QpProblem:
-    """SPD quadratic form with componentwise bounds (+-inf allowed, NaN not)."""
+    """SPD quadratic form: a finite linear term, bounds per component (+-inf allowed, NaN not)."""
 
     hessian: CsrMatrix
     linear: np.ndarray
@@ -73,6 +73,8 @@ class QpProblem:
         self.linear = np.asarray(linear, dtype=np.float64)
         if self.linear.shape != (n,):
             raise DimensionError("linear term length must match the operator")
+        if not np.isfinite(self.linear).all():
+            raise DimensionError("the linear term is not finite")
         self.lower = self._bound(lower, n, -np.inf)
         self.upper = self._bound(upper, n, np.inf)
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():

@@ -752,6 +752,22 @@ class TestQp:
         assert out == ""
         assert err == f"error: {named}\n"
 
+    # a nan or inf in --q ran tron to 500 iterations and broke blmvm down, both exit 2
+    @pytest.mark.parametrize("solver", ["tron", "blmvm"])
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_linear_term_exit_1_before_the_solve(self, solver, entry, tmp_path,
+                                                            monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(nndiff.transient, SOLVERS[solver].function, solve)
+        write_matrix_market(CsrMatrix.identity(3), tmp_path / "h.mtx")
+        (tmp_path / "q.txt").write_text(f"1.0\n{entry}\n2.0\n")
+        code = main(["qp", "--matrix", str(tmp_path / "h.mtx"), "--q", str(tmp_path / "q.txt"),
+                     "--solver", solver])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: the linear term is not finite\n")
+
     # standard output recorded before --inner-rtol and --seed lost their defaults
     @pytest.mark.parametrize("argv, expected", [
         (["--random-dim", "10"], QP_STDOUT_DIM10),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import nndiff.fem
 from nndiff.errors import AssemblyError, ConfigError, SingularTensorError
 from nndiff.fem import (
     _STIFFNESS_BLOCK,
+    _TET_MASS_REF,
+    _cell_pattern,
     DiffusivityField,
     DispersionParams,
     apply_dirichlet,
@@ -221,7 +224,8 @@ class TestTetStiffnessOracle:
         flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
         x[flip] = x[flip][:, [0, 2, 1, 3]]  # positive volume
         assume(np.all(np.linalg.det(x[:, 1:] - x[:, :1]) > 0))
-        det, grads = _tet_batch(x.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))
+        det, grads, which = _tet_batch(x.reshape(-1, 3), np.arange(4 * m).reshape(m, 4))
+        assert which is None  # no two random cells share a Jacobian
         if tensors == "cell":
             d = _random_spd(rng, (m,))
         elif tensors == "point":
@@ -230,6 +234,9 @@ class TestTetStiffnessOracle:
             d = np.broadcast_to(_random_spd(rng, ()), (m, 3, 3))
         ke = _tet_stiffness(det, grads, d)
         assert ke.tobytes() == _tet_stiffness_reference(det, grads, d).tobytes()
+        which = rng.integers(0, m, m)  # cells that share shapes, read block by block
+        ke = _tet_stiffness(det, grads, d, which)
+        assert ke.tobytes() == _tet_stiffness_reference(det[which], grads[which], d).tobytes()
 
 
 _LAPACK_INV = np.linalg.inv  # unpatched, for the reference
@@ -257,9 +264,15 @@ def _assert_geometry_matches_per_cell(vertices, cells):
         with pytest.raises(AssemblyError, match=f"determinant in cell {bad}$"):
             _tet_batch(vertices, cells)
         return
-    got_det, got_grads = _tet_batch(vertices, cells)
-    assert got_det.tobytes() == det.tobytes()
-    assert got_grads.tobytes() == grads.tobytes()
+    got_det, got_grads, which = _tet_batch(vertices, cells)
+    assert len(got_det) == len(got_grads) <= len(cells)
+    if which is None:  # every cell is its own shape
+        assert len(got_det) == len(cells)
+        which = np.arange(len(cells))
+    else:
+        assert which.shape == (len(cells),) and len(got_det) < len(cells)
+    assert got_det[which].tobytes() == det.tobytes()
+    assert got_grads[which].tobytes() == grads.tobytes()
 
 
 def _lapack_inv_sizes(monkeypatch):
@@ -273,6 +286,24 @@ def _lapack_inv_sizes(monkeypatch):
 
     monkeypatch.setattr(nndiff.fem.np.linalg, "inv", counting_inv)
     return sizes
+
+
+def _repeated_shape_cells(seed, n_shapes, n_cells, copies):
+    """(vertices, cells): cells drawn from a few tets, each tet's vertices
+    stored ``copies`` times, so equal Jacobians arise from repeated and from
+    distinct vertex indices; most volumes are positive, some are inverted or
+    zero."""
+    rng = np.random.default_rng(seed)
+    shapes = rng.standard_normal((n_shapes, 4, 3)) * 10.0 ** rng.uniform(-2, 2, (n_shapes, 1, 1))
+    flip = np.linalg.det(shapes[:, 1:] - shapes[:, :1]) < 0
+    flip ^= rng.random(n_shapes) < 0.1  # mostly positive volumes, some inverted
+    shapes[flip] = shapes[flip][:, [0, 2, 1, 3]]
+    flat = rng.random(n_shapes) < 0.1
+    shapes[flat, 3] = shapes[flat, 0]
+    vertices = np.tile(shapes.reshape(-1, 3), (copies, 1))
+    which = rng.integers(0, n_shapes, n_cells)
+    copy = rng.integers(0, copies, n_cells)
+    return vertices, (4 * (copy * n_shapes + which))[:, None] + np.arange(4)
 
 
 def _jittered_hole_mesh(n, seed=0):
@@ -301,21 +332,8 @@ class TestTetGeometryOncePerShape:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60),
            st.integers(1, 3))
     def test_repeated_cells_bit_equal_or_same_error(self, seed, n_shapes, n_cells, copies):
-        """Cells drawn from a few tets, each tet's vertices stored ``copies``
-        times, so equal Jacobians arise from repeated and from distinct
-        vertex indices; a negative or zero volume must name the same cell."""
-        rng = np.random.default_rng(seed)
-        shapes = rng.standard_normal((n_shapes, 4, 3)) * 10.0 ** rng.uniform(-2, 2, (n_shapes, 1, 1))
-        flip = np.linalg.det(shapes[:, 1:] - shapes[:, :1]) < 0
-        flip ^= rng.random(n_shapes) < 0.1  # mostly positive volumes, some inverted
-        shapes[flip] = shapes[flip][:, [0, 2, 1, 3]]
-        flat = rng.random(n_shapes) < 0.1
-        shapes[flat, 3] = shapes[flat, 0]
-        vertices = np.tile(shapes.reshape(-1, 3), (copies, 1))
-        which = rng.integers(0, n_shapes, n_cells)
-        copy = rng.integers(0, copies, n_cells)
-        cells = (4 * (copy * n_shapes + which))[:, None] + np.arange(4)
-        _assert_geometry_matches_per_cell(vertices, cells)
+        """A negative or zero volume must name the same cell."""
+        _assert_geometry_matches_per_cell(*_repeated_shape_cells(seed, n_shapes, n_cells, copies))
 
     def test_hash_collision_treats_every_cell_as_distinct(self, monkeypatch):
         mesh = generate_cube_with_hole(9, "tet4")
@@ -360,18 +378,108 @@ class TestTetGeometryOncePerShape:
         sizes = _lapack_inv_sizes(monkeypatch)
         geometry = cell_geometry(mesh)
         assert mesh.n_cells == 117_936 and sizes == [162]
-        assert geometry.grads.shape == (117_936, 4, 3)
+        assert geometry.grads.shape == (162, 4, 3) and geometry.det.shape == (162,)
+        assert geometry.which.shape == (117_936,)
 
-    def test_peak_memory_at_most_twice_what_is_kept(self):
+    def test_peak_memory_at_most_twice_what_is_kept(self, monkeypatch):
+        """The traced peak of ``cell_geometry`` is twice what the geometry
+        keeps, plus the search for distinct Jacobians: every cell's Jacobian
+        (72 B) and five 8 B arrays for its hash key and their sort.  Once the
+        search returns, the peak stays within twice what is kept: no per-cell
+        determinant or gradient array is formed."""
         mesh = generate_cube_with_hole(18, "tet4")
+        group, search = nndiff.fem._distinct_jacobians, []
+
+        def grouped(vertices, cells):
+            out = group(vertices, cells)
+            search.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(nndiff.fem, "_distinct_jacobians", grouped)
         tracemalloc.start()
         try:
             geometry = cell_geometry(mesh)
-            peak = tracemalloc.get_traced_memory()[1]
+            after = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = geometry.det.nbytes + geometry.grads.nbytes
-        assert peak <= 2 * kept, (peak, kept)
+        kept = geometry.det.nbytes + geometry.grads.nbytes + geometry.which.nbytes
+        peak = max(search + [after])
+        assert peak <= 2 * kept + mesh.n_cells * (72 + 5 * 8), (peak, kept)
+        assert after <= 2 * kept, (after, kept)
+
+
+def _assembled(mesh, diffusivity, bc):
+    """Bytes of the stiffness, capacity and load of ``assemble``, or the
+    message of its ``AssemblyError``."""
+    try:
+        s = assemble(mesh, None, bc, diffusivity, source=lambda p, t: 1.0 + p[:, 0])
+    except AssemblyError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (s.stiffness.row_offsets, s.stiffness.col_indices,
+                                  s.stiffness.values, s.mass.values, s.load)]
+
+
+def _as_cell_tensors(tensor, n_cells):
+    """One tensor copied to every cell: ``assemble`` takes its per-cell path."""
+    return DiffusivityField.from_cell_tensors(np.broadcast_to(tensor, (n_cells, 3, 3)))
+
+
+class TestTetElementMatricesOncePerShape:
+    """A constant tensor's element stiffness and capacity are formed once per
+    distinct Jacobian and gathered to the cells; per-cell tensors read each
+    cell's shape block by block.  Both give the same bytes."""
+
+    TENSOR = dispersion_tensor(np.ones(3), DispersionParams(1.0, 0.001, 0.0))
+    BC = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+
+    @pytest.mark.parametrize("n, jittered", [(9, False), (18, False), (9, True)])
+    def test_constant_tensor_bit_equal_to_the_same_tensor_per_cell(self, n, jittered):
+        mesh = generate_cube_with_hole(n, "tet4")
+        if jittered:  # no Jacobian repeats
+            mesh = dataclasses.replace(mesh, vertices=_jittered_hole_mesh(n)[0])
+        shapes = len(cell_geometry(mesh).det)
+        assert shapes == mesh.n_cells if jittered else shapes < mesh.n_cells // 10
+        constant = _assembled(mesh, DiffusivityField.constant(self.TENSOR), self.BC)
+        assert constant == _assembled(mesh, _as_cell_tensors(self.TENSOR, mesh.n_cells), self.BC)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60),
+           st.integers(1, 3))
+    def test_repeated_shapes_bit_equal_or_same_error(self, seed, n_shapes, n_cells, copies):
+        """Repeated, inverted and flat shapes: the per-shape and per-cell paths
+        give the bytes of a per-cell LAPACK and einsum reference, or the same
+        named-cell error."""
+        vertices, cells = _repeated_shape_cells(seed, n_shapes, n_cells, copies)
+        mesh = Mesh(vertices, cells, "tet4", cells[:1, :3], [1])
+        bc = BoundarySpec(dirichlet={1: 0.0})
+        d = _random_spd(np.random.default_rng(seed), ())
+        d = 0.5 * (d + d.T)
+        constant = _assembled(mesh, DiffusivityField.constant(d), bc)
+        assert constant == _assembled(mesh, _as_cell_tensors(d, n_cells), bc)
+        det, grads, bad = _per_cell_tet_geometry(vertices, cells)
+        if bad is not None:
+            assert constant == f"non-positive Jacobian determinant in cell {bad}"
+            return
+        pattern = _cell_pattern(len(vertices), cells)
+        ke = _tet_stiffness_reference(det, grads, np.broadcast_to(d, (n_cells, 3, 3)))
+        assert constant[2] == pattern.matrix(ke).values.tobytes()
+        assert constant[3] == pattern.matrix(det[:, None, None] * _TET_MASS_REF).values.tobytes()
+
+    @pytest.mark.parametrize("per_cell, rows", [(False, [162]), (True, [117_936])])
+    def test_stiffness_kernel_rows_at_n27(self, monkeypatch, per_cell, rows):
+        mesh = generate_cube_with_hole(27, "tet4")
+        seen, kernel = [], nndiff.fem._tet_stiffness
+
+        def counting(det, grads, d, which=None):
+            seen.append(len(d))
+            return kernel(det, grads, d, which)
+
+        monkeypatch.setattr(nndiff.fem, "_tet_stiffness", counting)
+        field = (_as_cell_tensors(self.TENSOR, mesh.n_cells) if per_cell
+                 else DiffusivityField.constant(self.TENSOR))
+        assemble(mesh, None, self.BC, field)
+        assert seen == rows
 
 
 @pytest.fixture

@@ -345,8 +345,15 @@ class TestSolverProperties:
         assert not np.isfinite(cert.max_violation)
 
     def test_kkt_nan_gradient_at_a_pinned_variable_is_a_violation(self):
-        p = QpProblem(CsrMatrix.identity(2), [np.nan, -1.0], lower=[0.0, 0.0], upper=[0.0, 2.0])
+        p = QpProblem(CsrMatrix.identity(2), [0.0, -1.0], lower=[0.0, 0.0], upper=[0.0, 2.0])
+        p.linear[0] = np.nan  # past the constructor's check, as an overflow could leave it
         assert not kkt_check(p, np.array([0.0, 1.0]), 1e-8).ok
+
+    # a NaN linear term ran tron to its cap and broke blmvm down, a solver failure
+    @pytest.mark.parametrize("linear", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_linear_term_rejected(self, linear):
+        with pytest.raises(DimensionError, match="the linear term is not finite"):
+            QpProblem(CsrMatrix.identity(2), linear, lower=0.0, upper=1.0)
 
     @pytest.mark.parametrize("lower, upper", [(np.nan, 1.0), (0.0, np.nan),
                                               ([0.0, np.nan], 1.0)])
