@@ -6,7 +6,7 @@ bound-constrained quadratic program that enforces the discrete maximum
 principle, and models solver performance with a FLOP/byte roofline ledger.
 """
 
-from .diagnostics import DmpReport, dmp_check
+from .diagnostics import dmp_check
 from .fem import (
     AssembledSystem,
     DiffusivityField,
@@ -65,7 +65,6 @@ __all__ = [
     "CsrMatrix",
     "DiffusivityField",
     "DispersionParams",
-    "DmpReport",
     "Mesh",
     "OpLedger",
     "PerfEnvelope",

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ from .errors import (
     SolverBreakdownError,
     SolverFailure,
 )
-from .mesh import generate_box, generate_cube_with_hole
 from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import PerfEnvelope, arithmetic_intensity, efficiency
 from .qp import QpProblem, kkt_check
@@ -80,16 +81,13 @@ def _check_inner_rtol_flag(inner_rtol, names) -> None:
 
 def _summary(result, tcfg, envelope) -> dict:
     """report.json's payload for one run; compare's table and CSV read it too."""
-    dmp = dmp_check(result.final, tcfg.c_min, tcfg.c_max)
     summary = {
         "solver": tcfg.solver,
         "status": "converged",
         "steps": len(result.reports),
         "outer_iterations": sum(report.iterations for report in result.reports),
         "inner_iterations": sum(report.inner_iterations for report in result.reports),
-        "dmp": {"min": dmp.min_value, "max": dmp.max_value, "n_below": dmp.n_below,
-                "n_above": dmp.n_above, "n_total": dmp.n_total,
-                "percent_violated": dmp.percent_violated},
+        "dmp": dmp_check(result.final, tcfg.c_min, tcfg.c_max),
         "flops": result.ledger.flops,
         "bytes": result.ledger.bytes,
         "solver_wall_time_s": result.solver_wall_time,
@@ -228,16 +226,20 @@ def cmd_compare(args) -> int:
 # qp
 # ---------------------------------------------------------------------------
 
+def _load_vector(path, n: int, what: str) -> np.ndarray:
+    """The n values of a text file; any other count, none included, is a ConfigError."""
+    with warnings.catch_warnings(action="ignore", category=UserWarning):  # on an empty file
+        values = np.loadtxt(path, dtype=np.float64).reshape(-1)
+    if len(values) != n:
+        raise ConfigError(f"{what} has {len(values)} entries for n={n}")
+    return values
+
+
 def _load_bound(text, n):
-    if text is None:
-        return None
     try:
-        return float(text)
+        return None if text is None else float(text)
     except ValueError:
-        values = np.loadtxt(text, dtype=np.float64).reshape(-1)
-        if len(values) != n:
-            raise ConfigError(f"bound file has {len(values)} entries for n={n}")
-        return values
+        return _load_vector(text, n, "bound file")
 
 
 def cmd_qp(args) -> int:
@@ -258,9 +260,7 @@ def cmd_qp(args) -> int:
         if not args.matrix or not args.q:
             raise ConfigError("qp needs --matrix and --q (or --random-dim)")
         hessian = read_matrix_market(args.matrix)
-        q = np.loadtxt(args.q, dtype=np.float64).reshape(-1)
-        if len(q) != hessian.n:
-            raise ConfigError(f"q has {len(q)} entries for n={hessian.n}")
+        q = _load_vector(args.q, hessian.n, "q")
     problem = QpProblem(
         hessian, q,
         lower=_load_bound(args.lower, hessian.n),
@@ -295,10 +295,8 @@ def cmd_qp(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mesh_gen(args) -> int:
-    if args.generator == "box":
-        mesh = generate_box(args.nx, args.ny, args.nz, args.kind)
-    else:
-        mesh = generate_cube_with_hole(args.n, args.kind)
+    mesh = build_mesh({"generator": args.generator.replace("-", "_"), "kind": args.kind,
+                       "nx": args.nx, "ny": args.ny, "nz": args.nz, "n": args.n})
     out = Path(args.out)
     if out.suffix == ".msh":
         write_gmsh(mesh, out)
@@ -313,23 +311,29 @@ def cmd_mesh_gen(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    """A JSON number that float() takes: not a bool, nor an integer beyond float range."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def cmd_perf_report(args) -> int:
     with open(args.kernels) as fh:
         data = json.load(fh)
-    if "perf" in data:
-        data = data["perf"]
-    for key in ("flops", "bytes"):
-        if key not in data:
-            raise ConfigError(f"report file lacks {key!r}")
+    if isinstance(data, dict):
+        data = data.get("perf", data)
+    if not isinstance(data, dict):
+        raise ConfigError("report file holds no JSON object with flops and bytes")
+    for key in ("flops", "bytes") + (("wall_time_s",) if args.wall_time is None else ()):
+        if not _is_number(data.get(key)):
+            raise ConfigError(f"report file has no number {key!r}"
+                              + (" and no --wall-time was given" if key == "wall_time_s" else ""))
+    flops, nbytes = data["flops"], data["bytes"]
+    if not (0 <= flops < math.inf and 0 < nbytes < math.inf):
+        raise ConfigError("report file needs finite flops >= 0 and bytes > 0, "
+                          f"got {flops} and {nbytes}")
     ledger = OpLedger()
-    if data.get("kernels"):
-        for k in data["kernels"]:
-            ledger.record(k["name"], k["flops"], k["bytes"])
-    else:
-        ledger.record("total", data["flops"], data["bytes"])
-    wall = args.wall_time if args.wall_time else data.get("wall_time_s", 0.0)
-    if wall <= 0:
-        raise ConfigError("need --wall-time or a wall_time_s field")
+    ledger.record("total", flops, nbytes)  # nndiff writes its kernels' sums here
+    wall = data["wall_time_s"] if args.wall_time is None else args.wall_time
     rep = efficiency(ledger, wall, PerfEnvelope(tpp=args.tpp, streams_bw=args.bw))
     print(f"flops: {rep['flops']}  bytes: {rep['bytes']}  AI: {rep['ai']:.4f}")
     print(

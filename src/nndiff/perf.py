@@ -45,8 +45,8 @@ def arithmetic_intensity(ledger: OpLedger) -> float:
 
 def efficiency(ledger: OpLedger, wall_time: float, envelope: PerfEnvelope) -> dict:
     """The roofline report of one solve, as report.json's ``perf`` section holds it."""
-    if wall_time <= 0.0:
-        raise PerfModelError("wall time must be positive")
+    if not 0.0 < wall_time < math.inf:
+        raise PerfModelError(f"wall time must be positive and finite, got {wall_time}")
     ai = arithmetic_intensity(ledger)
     bw_bound = ai * envelope.streams_bw
     if bw_bound < envelope.tpp:
@@ -71,6 +71,5 @@ def efficiency(ledger: OpLedger, wall_time: float, envelope: PerfEnvelope) -> di
         "efficiency_pct": pct,
         "bound": bound,  # "memory" | "compute"
         "over_unity": over,
-        "kernels": [{"name": name, "calls": t.calls, "flops": t.flops, "bytes": t.bytes}
-                    for name, t in sorted(ledger.breakdown().items())],
+        "kernels": [{"name": name, **tally} for name, tally in sorted(ledger.breakdown().items())],
     }

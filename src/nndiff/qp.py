@@ -60,7 +60,7 @@ TRON_ACCEPT_RATIO = 1e-4
 
 @dataclass
 class QpProblem:
-    """SPD quadratic form: a finite linear term, bounds per component (+-inf allowed, NaN not)."""
+    """SPD quadratic form: a finite linear term; bounds not NaN, lower < inf, upper > -inf."""
 
     hessian: CsrMatrix
     linear: np.ndarray
@@ -79,6 +79,8 @@ class QpProblem:
         self.upper = self._bound(upper, n, np.inf)
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
             raise DimensionError("a bound is NaN")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise DimensionError("a lower bound is inf or an upper bound is -inf")
         if np.any(self.lower > self.upper):
             raise DimensionError("lower bound exceeds upper bound")
 
@@ -454,8 +456,8 @@ def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
     """First-order optimality: |g| small at interior points, signed at bounds.
 
     A variable pinned at lower == upper takes a multiplier of either sign,
-    so only its feasibility is checked.  A NaN in ``c`` or in the gradient
-    fails the check with a NaN ``max_violation``.
+    so only its feasibility is checked.  A NaN or infinite ``c``, or a NaN
+    in the gradient, fails the check with a NaN ``max_violation``.
     """
     g = problem.hessian.matvec_raw(c) + problem.linear
     lo, hi = problem.lower, problem.upper
@@ -470,11 +472,12 @@ def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
         viol = max(viol, float(np.maximum(-g[at_lower], 0.0).max()))
     if np.any(at_upper):
         viol = max(viol, float(np.maximum(g[at_upper], 0.0).max()))
-    feas = max(
-        float(np.maximum(lo - c, 0.0).max(initial=0.0)),
-        float(np.maximum(c - hi, 0.0).max(initial=0.0)),
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite c, which fails below
+        feas = max(
+            float(np.maximum(lo - c, 0.0).max(initial=0.0)),
+            float(np.maximum(c - hi, 0.0).max(initial=0.0)),
+        )
     viol = max(viol, feas)
-    if np.isnan(c).any() or np.isnan(g).any():  # max() above keeps 0.0 over a NaN
+    if not np.isfinite(c).all() or np.isnan(g).any():  # max() above keeps 0.0 over a NaN
         viol = np.nan
     return KktCertificate(viol <= tol_abs, viol, tol_abs)

@@ -68,13 +68,6 @@ KERNEL_COSTS = {
 # Operation ledger
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KernelTally:
-    calls: int = 0
-    flops: int = 0
-    bytes: int = 0
-
-
 class OpLedger:
     """Accumulates FLOP and modeled-byte counts, per kernel and in total.
 
@@ -85,7 +78,7 @@ class OpLedger:
     """
 
     def __init__(self):
-        self._tally: dict[str, KernelTally] = {}
+        self._tally: dict[str, dict] = {}
         self._counts: dict[tuple, int] = {}
 
     def count(self, kernel: str, n: int, nz: int = 0, calls: int = 1) -> None:
@@ -96,14 +89,12 @@ class OpLedger:
         self._add(kernel, 1, int(flops), int(nbytes))
 
     def _add(self, kernel, calls, flops, nbytes) -> None:
-        t = self._tally.get(kernel)
-        if t is None:
-            t = self._tally[kernel] = KernelTally()
-        t.calls += calls
-        t.flops += flops
-        t.bytes += nbytes
+        t = self._tally.setdefault(kernel, {"calls": 0, "flops": 0, "bytes": 0})
+        t["calls"] += calls
+        t["flops"] += flops
+        t["bytes"] += nbytes
 
-    def _folded(self) -> dict[str, KernelTally]:
+    def _folded(self) -> dict[str, dict]:
         for (kernel, n, nz), calls in self._counts.items():
             flops, nbytes = KERNEL_COSTS[kernel](n, nz)
             self._add(kernel, calls, calls * flops, calls * nbytes)
@@ -112,17 +103,15 @@ class OpLedger:
 
     @property
     def flops(self) -> int:
-        return sum(t.flops for t in self._folded().values())
+        return sum(t["flops"] for t in self._folded().values())
 
     @property
     def bytes(self) -> int:
-        return sum(t.bytes for t in self._folded().values())
+        return sum(t["bytes"] for t in self._folded().values())
 
-    def breakdown(self) -> dict[str, KernelTally]:
-        return {k: KernelTally(t.calls, t.flops, t.bytes) for k, t in self._folded().items()}
-
-    def totals(self) -> tuple[int, int]:
-        return self.flops, self.bytes
+    def breakdown(self) -> dict[str, dict]:
+        """Kernel name -> a copy of its ``{"calls", "flops", "bytes"}`` tally."""
+        return {k: dict(t) for k, t in self._folded().items()}
 
     def __repr__(self) -> str:
         return f"OpLedger(flops={self.flops}, bytes={self.bytes}, kernels={len(self._folded())})"
@@ -673,10 +662,10 @@ def start_report(ledger: OpLedger):
     """Begin a solve; the returned ``finish(status, iterations, **fields)``
     builds its :class:`SolveReport` with the work and time since now."""
     t_start = time.perf_counter()
-    f_start, b_start = ledger.totals()
+    f_start, b_start = ledger.flops, ledger.bytes
 
     def finish(status: str, iterations: int, **fields) -> SolveReport:
-        flops, nbytes = ledger.totals()
+        flops, nbytes = ledger.flops, ledger.bytes
         return SolveReport(
             status, iterations, flops=flops - f_start, bytes=nbytes - b_start,
             wall_time=time.perf_counter() - t_start, **fields,

@@ -290,6 +290,6 @@ def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) ->
         for k, (report, c) in enumerate(zip(result.reports, solved)):
             dmp = dmp_check(c, c_min, c_max)
             fh.write(
-                f"{k},{report.iterations},{dmp.min_value:.17g},{dmp.max_value:.17g},"
-                f"{dmp.n_violated},{report.flops},{report.bytes}\n"
+                f"{k},{report.iterations},{dmp['min']:.17g},{dmp['max']:.17g},"
+                f"{dmp['n_below'] + dmp['n_above']},{report.flops},{report.bytes}\n"
             )

@@ -109,7 +109,7 @@ def compute(case: str) -> dict:
         "assemble_load": sha256(system.load),
         "loads": [sha256(assemble_load(mesh, _source, bc, t)) for t in times],
         "kernels": {
-            k: [t.calls, t.flops, t.bytes] for k, t in result.ledger.breakdown().items()
+            k: [t["calls"], t["flops"], t["bytes"]] for k, t in result.ledger.breakdown().items()
         },
         "reports": [
             dict(status=r.status, iterations=r.iterations, residual_norm=r.residual_norm,

@@ -60,7 +60,7 @@ def compute(case: str) -> dict:
         "n": a.n,
         "nnz": a.nnz,
         "factor_values": sha256(ilu0_factor(a)[0]),
-        "ilu0_setup": [setup.calls, setup.flops, setup.bytes],
+        "ilu0_setup": [setup["calls"], setup["flops"], setup["bytes"]],
         "applies": [sha256(p.apply(r)) for r in apply_inputs(a.n)],
     }
 

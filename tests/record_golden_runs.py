@@ -54,7 +54,7 @@ def compute(case: str, mesh, bc, diffusivity) -> dict:
     final = np.ascontiguousarray(result.final, dtype="<f8")
     return {
         "kernels": {
-            k: [t.calls, t.flops, t.bytes]
+            k: [t["calls"], t["flops"], t["bytes"]]
             for k, t in sorted(result.ledger.breakdown().items())
         },
         "reports": [

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import nndiff.mesh_io
 import nndiff.transient
 from nndiff.cli import main
 from nndiff.errors import SolverFailure
-from nndiff.mesh import boundary_faces, generate_box
+from nndiff.mesh import boundary_faces, generate_box, generate_cube_with_hole
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
 from nndiff.qp import QpProblem, brute_force_qp
 from nndiff.sparse import CsrMatrix, write_matrix_market
@@ -127,6 +128,17 @@ class TestMeshGen:
                      "--kind", "hex8", "--out", str(out)])
         assert code == 0
         assert "DATASET UNSTRUCTURED_GRID" in out.read_text()
+
+    @pytest.mark.parametrize("argv, mesh", [
+        (["--generator", "box", "--nx", "3", "--ny", "1", "--nz", "2", "--kind", "hex8"],
+         lambda: generate_box(3, 1, 2, "hex8")),
+        (["--generator", "cube-with-hole", "--n", "9", "--nx", "5"],
+         lambda: generate_cube_with_hole(9, "tet4")),
+    ], ids=["box", "cube-with-hole"])
+    def test_writes_the_generators_mesh(self, argv, mesh, tmp_path):
+        assert main(["mesh-gen", *argv, "--out", str(tmp_path / "cli.msh")]) == 0
+        write_gmsh(mesh(), tmp_path / "direct.msh")
+        assert (tmp_path / "cli.msh").read_bytes() == (tmp_path / "direct.msh").read_bytes()
 
     def test_bad_extension(self, tmp_path):
         code = main(["mesh-gen", "--out", str(tmp_path / "m.stl")])
@@ -731,7 +743,9 @@ class TestQp:
         assert "--seed" in capsys.readouterr().err
 
     # --rtol 0, -1 and nan ran 200 outer iterations and exited 2, --lower nan ran to
-    # an all-NaN solution and exited 2, and --random-dim 0 read as no --random-dim
+    # an all-NaN solution and exited 2, --random-dim 0 read as no --random-dim, and
+    # --lower inf and --upper=-inf "converged" to an infinite solution with a KKT
+    # PASS at tol inf and exited 0, with tron and with blmvm
     @pytest.mark.parametrize("argv, named", [
         (["--rtol", "0"], "rtol must be positive and finite, got 0.0"),
         (["--rtol", "-1"], "rtol must be positive and finite, got -1.0"),
@@ -740,13 +754,17 @@ class TestQp:
         (["--upper", "nan"], "a bound is NaN"),
         (["--random-dim", "0"], "--random-dim must be at least 1, got 0"),
         (["--random-dim", "-2"], "--random-dim must be at least 1, got -2"),
+        (["--lower", "inf"], "a lower bound is inf or an upper bound is -inf"),
+        (["--upper=-inf"], "a lower bound is inf or an upper bound is -inf"),
+        (["--upper=-inf", "--solver", "blmvm"], "a lower bound is inf or an upper bound is -inf"),
     ])
     def test_input_solve_would_reject_exit_1_before_the_solve(self, argv, named, monkeypatch,
                                                               capsys):
         def solve(*args, **kwargs):
             raise AssertionError("solved before the input was checked")
 
-        monkeypatch.setattr(nndiff.transient, "solve_tron", solve)
+        for function in ("solve_tron", "solve_blmvm"):
+            monkeypatch.setattr(nndiff.transient, function, solve)
         assert main(["qp", "--random-dim", "3", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -767,6 +785,57 @@ class TestQp:
                      "--solver", solver])
         assert code == 1
         assert capsys.readouterr() == ("", "error: the linear term is not finite\n")
+
+    @pytest.mark.parametrize("solver", ["tron", "blmvm"])
+    def test_bound_files_match_brute_force(self, solver, tmp_path):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 4))
+        h = CsrMatrix.from_dense(a.T @ a + 4 * np.eye(4))
+        q = rng.standard_normal(4) * 2.0
+        lower, upper = [-0.3, 0.0, -1.0, 0.1], [0.2, 0.5, 0.0, 1.0]
+        write_matrix_market(h, tmp_path / "h.mtx")
+        for name, values in (("q", q), ("lower", lower), ("upper", upper)):
+            np.savetxt(tmp_path / f"{name}.txt", values, fmt="%.17g")
+        out = tmp_path / "c.txt"
+        assert main(["qp", "--matrix", str(tmp_path / "h.mtx"), "--q", str(tmp_path / "q.txt"),
+                     "--lower", str(tmp_path / "lower.txt"), "--upper", str(tmp_path / "upper.txt"),
+                     "--solver", solver, "--rtol", "1e-10", "--out", str(out)]) == 0
+        expected = brute_force_qp(QpProblem(h, q, lower=lower, upper=upper))
+        assert np.max(np.abs(np.loadtxt(out) - expected)) < 1e-7
+
+    # a -inf entry in an upper-bound file "converged" to a -inf component, certified
+    # with a KKT PASS at tol inf, and exited 0
+    @pytest.mark.parametrize("text, named", [
+        ("1.0\n-inf\n2.0\n", "a lower bound is inf or an upper bound is -inf"),
+        ("1.0\n2.0\n", "bound file has 2 entries for n=3"),
+    ], ids=["minus-inf-entry", "short"])
+    def test_bad_upper_bound_file_exit_1(self, text, named, tmp_path, capsys):
+        write_matrix_market(CsrMatrix.from_dense(2.0 * np.eye(3)), tmp_path / "h.mtx")
+        np.savetxt(tmp_path / "q.txt", [1.0, 2.0, 3.0])
+        (tmp_path / "upper.txt").write_text(text)
+        code = main(["qp", "--matrix", str(tmp_path / "h.mtx"), "--q", str(tmp_path / "q.txt"),
+                     "--upper", str(tmp_path / "upper.txt")])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {named}\n")
+
+    # an empty file printed numpy's two-line UserWarning before the error line
+    @pytest.mark.parametrize("argv, named", [
+        (["--q", "EMPTY"], "q has 0 entries for n=3"),
+        (["--q", "Q", "--lower", "EMPTY"], "bound file has 0 entries for n=3"),
+    ])
+    def test_vector_file_of_another_length_exit_1_without_a_warning(self, argv, named,
+                                                                   tmp_path, capsys):
+        write_matrix_market(CsrMatrix.identity(3), tmp_path / "h.mtx")
+        paths = {"EMPTY": tmp_path / "empty.txt", "Q": tmp_path / "q.txt"}
+        paths["EMPTY"].write_text("")
+        paths["Q"].write_text("1\n2\n3\n")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["qp", "--matrix", str(tmp_path / "h.mtx"),
+                         *(str(paths.get(arg, arg)) for arg in argv)])
+        assert code == 1
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr() == ("", f"error: {named}\n")
 
     # standard output recorded before --inner-rtol and --seed lost their defaults
     @pytest.mark.parametrize("argv, expected", [
@@ -834,6 +903,9 @@ class TestUsageErrors:
         assert "nndiff" in capsys.readouterr().out
 
 
+OK_REPORT = '{"flops": 100, "bytes": 800, "wall_time_s": 0.5}'
+
+
 class TestPerfCommand:
     """``nndiff perf-report`` on a solve's report.json and on a bare flops/bytes file."""
 
@@ -855,6 +927,162 @@ class TestPerfCommand:
                      "--tpp", "1e9", "--bw", "1e9"]) == 1
         assert main(["perf-report", "--kernels", str(path), "--wall-time", "0.5",
                      "--tpp", "1e9", "--bw", "1e9"]) == 0
+
+    # each of these printed an efficiency (nan%, 0.00%, a negative AI) and exited 0,
+    # raised a traceback, or, for --wall-time -1, asked for a wall time it was given
+    @pytest.mark.parametrize("report, flags, named", [
+        (OK_REPORT, ["--wall-time", "0"], "wall time must be positive and finite, got 0.0"),
+        (OK_REPORT, ["--wall-time", "nan"], "wall time must be positive and finite, got nan"),
+        (OK_REPORT, ["--wall-time", "inf"], "wall time must be positive and finite, got inf"),
+        (OK_REPORT, ["--wall-time", "-1"], "wall time must be positive and finite, got -1.0"),
+        ('{"flops": 100, "bytes": 800, "wall_time_s": NaN}', [],
+         "wall time must be positive and finite, got nan"),
+        ('{"flops": 100, "bytes": 800, "wall_time_s": Infinity}', [],
+         "wall time must be positive and finite, got inf"),
+        ('{"flops": -5, "bytes": 10, "wall_time_s": 0.5}', [],
+         "report file needs finite flops >= 0 and bytes > 0, got -5 and 10"),
+        ('{"flops": Infinity, "bytes": 10, "wall_time_s": 0.5}', [],
+         "report file needs finite flops >= 0 and bytes > 0, got inf and 10"),
+        ('{"flops": 100, "bytes": -8, "wall_time_s": 0.5}', [],
+         "report file needs finite flops >= 0 and bytes > 0, got 100 and -8"),
+        ('{"flops": 1' + "0" * 400 + ', "bytes": 10, "wall_time_s": 0.5}', [],
+         "report file has no number 'flops'"),
+        ('{"flops": true, "bytes": 800, "wall_time_s": 0.5}', [],
+         "report file has no number 'flops'"),
+        ('{"flops": 100, "bytes": "800", "wall_time_s": 0.5}', [],
+         "report file has no number 'bytes'"),
+        ('{"flops": 100, "bytes": 800, "wall_time_s": "0.5"}', [],
+         "report file has no number 'wall_time_s' and no --wall-time was given"),
+        ('{"perf": 3}', [], "report file holds no JSON object with flops and bytes"),
+        ("[100, 800]", [], "report file holds no JSON object with flops and bytes"),
+    ], ids=["wall-0", "wall-nan", "wall-inf", "wall-negative", "file-wall-nan", "file-wall-inf",
+            "flops-negative", "flops-inf", "bytes-negative", "flops-beyond-float", "flops-bool",
+            "bytes-string", "file-wall-string", "perf-not-object", "list"])
+    def test_bad_totals_or_wall_time_exit_1(self, report, flags, named, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(report)
+        code = main(["perf-report", "--kernels", str(path), "--tpp", "1e9", "--bw", "1e9",
+                     *flags])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {named}\n")
+
+    def test_prints_the_totals_not_a_kernel_sum(self, tmp_path, capsys):
+        # the totals were ignored whenever a kernels list was present
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"flops": 100, "bytes": 800, "wall_time_s": 0.5, "kernels": [
+            {"name": "dot", "calls": 1, "flops": 7, "bytes": 8}]}))
+        assert main(["perf-report", "--kernels", str(path), "--tpp", "1e9", "--bw", "1e9"]) == 0
+        assert capsys.readouterr().out == (
+            "flops: 100  bytes: 800  AI: 0.1250\n"
+            "measured 2.0000e+02 flops/s vs ideal 1.2500e+08 (memory-bound): 0.00%\n")
+
+
+# Runs each argv of sys.argv[1] (a JSON list) through nndiff.cli.main in this one
+# process and prints [exit code, stderr] per case; an exception that escapes main
+# stands in for the exit code.  Each case starts as a fresh process would: no
+# logging handler yet, and no warning shown yet.
+CONTRACT_SCRIPT = """
+import contextlib, io, json, logging, sys
+from nndiff.cli import main
+for argv in json.loads(sys.argv[1]):
+    logging.getLogger().handlers.clear()
+    for module in list(sys.modules.values()):
+        getattr(module, "__warningregistry__", {}).clear()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+class TestOneErrorLine:
+    """Every input error exits 1 with exactly one ``error:`` line on stderr.
+
+    In-process tests cannot check this for warnings: pytest records them, so a
+    warning never reaches a captured stderr.  These cases run in one
+    subprocess under Python's default warning filters, as a user runs nndiff.
+    """
+
+    def test_exit_1_cases_write_one_stderr_line(self, tmp_path):
+        write_matrix_market(CsrMatrix.from_dense(2.0 * np.eye(3)), tmp_path / "h.mtx")
+        (tmp_path / "q.txt").write_text("1\n2\n3\n")
+        (tmp_path / "empty.txt").write_text("")
+        reports = {"ok": OK_REPORT, "nan_wall": OK_REPORT.replace("0.5", "NaN"),
+                   "negative": '{"flops": -5, "bytes": 10, "wall_time_s": 0.5}',
+                   "inf_flops": '{"flops": Infinity, "bytes": 10, "wall_time_s": 0.5}',
+                   "perf_3": '{"perf": 3}', "no_bytes": OK_REPORT.replace("800", "0")}
+        for name, text in reports.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        configs = {
+            "hole": HOLE_CONFIG,
+            "float_n": HOLE_CONFIG.replace("n = 9", "n = 18.0"),
+            "bad_generator": HOLE_CONFIG.replace('"cube_with_hole"', '"sphere"'),
+            "bad_precond": HOLE_CONFIG.replace('"ilu0"', '"ssor"'),
+            "d_m_inf": HOLE_CONFIG.replace("d_m = 0.0", "d_m = inf"),
+            "c_min_above": HOLE_CONFIG.replace("c_min = 0.0", "c_min = 2.0"),
+            "c_min_inf": HOLE_CONFIG.replace("c_min = 0.0", "c_min = inf"),
+            "no_marker": HOLE_CONFIG.replace("2 = 1.0", "3 = 1.0"),
+            "tron_0": HOLE_CONFIG + '\n[compare]\nsolvers = ["galerkin", "tron:0"]\n',
+        }
+        for name, text in configs.items():
+            (tmp_path / f"{name}.toml").write_text(text)
+
+        def at(name):
+            return str(tmp_path / name)
+
+        qp = ["qp", "--matrix", at("h.mtx"), "--q", at("q.txt")]
+        perf = ["perf-report", "--tpp", "1e9", "--bw", "1e9", "--kernels"]
+        cases = [
+            # qp: a bound with no finite value on its side, and an empty vector file
+            [*qp, "--lower", "inf"],
+            [*qp, "--upper=-inf", "--solver", "blmvm"],
+            ["qp", "--matrix", at("h.mtx"), "--q", at("empty.txt")],
+            [*qp, "--lower", at("empty.txt")],
+            # perf-report: a wall time outside (0, inf), and totals that are not
+            # finite with bytes > 0 in a JSON object
+            [*perf, at("ok.json"), "--wall-time", "0"],
+            [*perf, at("ok.json"), "--wall-time", "nan"],
+            [*perf, at("ok.json"), "--wall-time", "-1"],
+            [*perf, at("nan_wall.json")],
+            [*perf, at("negative.json")],
+            [*perf, at("inf_flops.json")],
+            [*perf, at("perf_3.json")],
+            # README's list of input errors
+            ["solve", "--config", at("float_n.toml")],
+            ["solve", "--config", at("bad_generator.toml")],
+            ["solve", "--config", at("bad_precond.toml")],
+            ["solve", "--config", at("hole.toml"), "--bogus"],
+            ["solve"],
+            ["qp", "--rtol", "abc"],
+            ["solve", "--config", at("d_m_inf.toml")],
+            ["solve", "--config", at("c_min_above.toml")],
+            ["solve", "--config", at("c_min_inf.toml")],
+            ["solve", "--config", at("missing.toml")],
+            [*qp, "--lower", "1", "--upper", "0"],
+            [*qp, "--lower", "nan"],
+            [*qp, "--rtol", "0"],
+            ["qp", "--random-dim", "0"],
+            [*perf, at("ok.json"), "--tpp", "0"],
+            [*perf, at("ok.json"), "--tpp", "nan"],
+            [*perf, at("no_bytes.json")],
+            ["compare", "--config", at("no_marker.toml")],
+            ["compare", "--config", at("tron_0.toml")],
+            ["solve", "--config", at("hole.toml"), "--solver", "galerkin:1e-3"],
+        ]
+        src = str(Path(nndiff.cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in ("NND_LOG", "PYTHONWARNINGS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", CONTRACT_SCRIPT, json.dumps(cases)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        assert (done.returncode, len(results)) == (0, len(cases)), done.stderr
+        broken = [(argv, code, err) for argv, (code, err) in zip(cases, results)
+                  if code != 1 or not err.startswith("error: ") or err.count("\n") != 1
+                  or not err.endswith("\n")]
+        assert broken == []
 
 
 LAZY_MODULES = ("scipy.sparse.linalg", "scipy.io")

@@ -161,6 +161,14 @@ class TestElementMatrices:
         with pytest.raises(AssemblyError, match="cell 0"):
             one_cell(UNIT_TET[[0, 2, 1, 3]], "tet4")
 
+    def test_inverted_hex_names_its_cell(self):
+        mesh = generate_box(3, 1, 1, "hex8")
+        cells = mesh.cells.copy()
+        cells[1] = cells[1][[4, 5, 6, 7, 0, 1, 2, 3]]  # top face below: every det < 0
+        bad = dataclasses.replace(mesh, cells=cells)
+        with pytest.raises(AssemblyError, match="^non-positive Jacobian determinant in cell 1$"):
+            cell_geometry(bad)
+
     def test_mass_partition_of_unity(self):
         m_tet = one_cell(UNIT_TET, "tet4").mass.to_dense()
         assert abs(m_tet.sum() - 1.0 / 6.0) < 1e-14
@@ -702,6 +710,15 @@ class TestApplyDirichlet:
         bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})  # shared vertices conflict
         with pytest.raises(ConfigError, match="conflicting Dirichlet"):
             dirichlet_values(mesh, bc)
+
+    def test_vertex_of_two_markers_with_one_value_listed_once(self):
+        mesh = with_boundary_markers(generate_box(2, 2, 2, "hex8"),
+                                     lambda centroids: np.where(centroids[:, 0] < 0.5, 1, 2))
+        idx, vals = dirichlet_values(mesh, BoundarySpec(dirichlet={1: 0.5, 2: 0.5}))
+        # all 26 boundary vertices once each, the x = 0.5 ones shared by both markers
+        assert np.array_equal(idx, np.unique(mesh.boundary_facets))
+        assert len(idx) == 26
+        assert np.array_equal(vals, np.full(26, 0.5))
 
 
 class TestDiffusivityField:

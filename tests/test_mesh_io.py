@@ -177,6 +177,71 @@ $EndElements
             read_gmsh(path)
 
 
+def msh_with(old: str, new: str) -> str:
+    """SINGLE_TET_MSH with its one line ``old`` replaced by ``new`` lines."""
+    lines = SINGLE_TET_MSH.splitlines()
+    assert lines.count(old) == 1
+    i = lines.index(old)
+    return "\n".join(lines[:i] + new.split("\n") + lines[i + 1:]) + "\n"
+
+
+class TestReadGmshInputErrors:
+    """Each malformed input is a ParseError naming the message and its 1-based line."""
+
+    @pytest.mark.parametrize("old, new, message, line", [
+        ("$Nodes", "$Vertices", "expected $Nodes", 4),
+        ("$EndElements", "", "expected $EndElements", 18),  # blank to the end
+        ("2.2 0 8", "2.2 1 8", "binary MSH files are not supported", 2),
+        ("4", "four", "malformed node count", 5),
+        ("3 0 1 0", "3 0 1", "malformed node line '3 0 1'", 8),
+        ("3 0 1 0", "3 0 one 0", "malformed node line '3 0 one 0'", 8),
+        ("5", "five", "malformed element count", 12),
+        ("3 2 2 7 1 2 3 4", "3 2", "malformed element line '3 2'", 15),
+        ("3 2 2 7 1 2 3 4", "3 2 2 7 1 2 3 x", "malformed element line '3 2 2 7 1 2 3 x'", 15),
+        ("3 2 2 7 1 2 3 4", "3 2 2 7 1 2 3 9", "element references unknown node 9", 15),
+        ("5 4 2 0 1 1 2 3 4", "5 4 2 0 1 1 2 3", "tet4 element needs 4 nodes, got 3", 17),
+        ("3 2 2 7 1 2 3 4", "3 2 2 7 1 2 3 4 1", "boundary element node count mismatch", 15),
+    ], ids=["no-header", "no-footer", "binary", "node-count", "node-fields", "node-value",
+            "element-count", "element-fields", "element-value", "unknown-node", "volume-width",
+            "facet-nodes"])
+    def test_message_and_line(self, old, new, message, line, tmp_path):
+        path = tmp_path / "bad.msh"
+        path.write_text(msh_with(old, new))
+        with pytest.raises(ParseError) as err:
+            read_gmsh(path)
+        assert (str(err.value), err.value.line) == (f"{path}:{line}: {message}", line)
+
+    def test_no_volumetric_element_names_the_last_line(self, tmp_path):
+        path = tmp_path / "facets.msh"
+        path.write_text(msh_with("5 4 2 0 1 1 2 3 4", "5 15 2 0 1 1"))
+        with pytest.raises(ParseError) as err:
+            read_gmsh(path)
+        assert (str(err.value), err.value.line) == (f"{path}:18: no volumetric elements found", 18)
+
+    def test_facet_width_of_the_other_kind_has_no_line(self, tmp_path):
+        path = tmp_path / "quad.msh"
+        path.write_text(msh_with("1 2 2 7 1 1 3 2", "1 3 2 7 1 1 3 2 4"))
+        with pytest.raises(ParseError) as err:
+            read_gmsh(path)
+        assert (str(err.value), err.value.line) == (
+            f"{path}: boundary facet width 4 does not match tet4", 0)
+
+    def test_blank_lines_between_sections_and_point_elements_are_skipped(self, tmp_path):
+        path = tmp_path / "spaced.msh"
+        text = msh_with("4 2 2 7 1 1 4 3", "4 15 2 0 1 3")  # a point element for a facet
+        path.write_text(text.replace("$EndMeshFormat\n", "$EndMeshFormat\n\n")
+                            .replace("$EndNodes\n", "$EndNodes\n\n   \n"))
+        mesh = read_gmsh(path)
+        ref_path = tmp_path / "tet.msh"
+        ref_path.write_text(SINGLE_TET_MSH)
+        ref = read_gmsh(ref_path)
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.cells, ref.cells)
+        # the point element adds no facet: three of the four remain
+        assert np.array_equal(mesh.boundary_facets, ref.boundary_facets[:3])
+        assert np.array_equal(mesh.boundary_markers, [7, 7, 7])
+
+
 def reference_write_vtk(mesh, nodal_fields, path):
     """The line-by-line VTK writer that ``write_vtk`` must match byte for byte."""
     width = mesh.cells.shape[1]

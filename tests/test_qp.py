@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nndiff.qp as qp
-from nndiff.errors import DimensionError
+from nndiff.errors import DimensionError, SolverBreakdownError
 from nndiff.sparse import CsrMatrix, OpLedger, axpy, cg_solve, dot, norm2, scale, spmv, vec_copy
 from nndiff.qp import (
     QpProblem,
@@ -82,9 +82,9 @@ class TestObjectiveGradient:
         objective(p, np.ones(5), led)
         gradient(p, np.ones(5), led)
         bd = led.breakdown()
-        assert bd["spmv"].calls == 2
-        assert bd["dot"].calls == 2
-        assert bd["axpy"].calls == 1
+        assert bd["spmv"]["calls"] == 2
+        assert bd["dot"]["calls"] == 2
+        assert bd["axpy"]["calls"] == 1
 
 
 class TestProjection:
@@ -148,6 +148,16 @@ class TestBruteForce:
         p = QpProblem(CsrMatrix.identity(2), np.zeros(2), lower=0.0)
         with pytest.raises(ValueError, match="finite"):
             brute_force_qp(p)
+
+    def test_no_point_within_the_tolerance_is_an_error(self):
+        # every candidate's violation is >= 0, so a negative tolerance admits
+        # none; the error names the smallest violation seen, the true KKT point's
+        p = random_box_qp(3, np.random.default_rng(4))
+        assert kkt_check(p, brute_force_qp(p), 1e-9).ok
+        with pytest.raises(SolverBreakdownError,
+                           match=r"^no feasible KKT point found \(best violation 0\); "
+                                 "operator may not be positive definite$"):
+            brute_force_qp(p, feas_tol=-1.0)
 
 
 class TestBlmvm:
@@ -361,6 +371,35 @@ class TestSolverProperties:
         with pytest.raises(DimensionError, match="a bound is NaN"):
             QpProblem(CsrMatrix.identity(2), [0.0, 0.0], lower=lower, upper=upper)
 
+    # lower = inf or upper = -inf leaves no finite value on that side: tron and
+    # blmvm returned an all-inf or all--inf "solution" that kkt_check passed
+    @pytest.mark.parametrize("lower, upper", [(np.inf, None), ([0.0, np.inf], 1.0),
+                                              (None, -np.inf), (-1.0, [1.0, -np.inf])])
+    def test_bound_infinite_on_the_wrong_side_rejected(self, lower, upper):
+        with pytest.raises(DimensionError,
+                           match="^a lower bound is inf or an upper bound is -inf$"):
+            QpProblem(CsrMatrix.identity(2), [0.0, 0.0], lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("c", [[np.inf, 0.0], [0.0, -np.inf]])
+    def test_kkt_infinite_point_is_a_violation(self, c):
+        # with these infinite bounds an infinite c used to pass: inf - inf is NaN,
+        # and max() kept 0.0 over it
+        p = QpProblem(CsrMatrix.identity(2), [0.0, 0.0], upper=[np.inf, 1.0])
+        cert = kkt_check(p, np.array(c), 1e-8)
+        assert not cert.ok
+        assert np.isnan(cert.max_violation)
+
+    # a mesh whose every vertex is Dirichlet leaves a reduced problem of n = 0
+    @pytest.mark.parametrize("solver", [solve_blmvm, solve_tron])
+    def test_empty_problem_converges_with_no_kernel_work(self, solver):
+        ledger = OpLedger()
+        c, rep = solver(QpProblem(CsrMatrix.from_dense(np.zeros((0, 0))), []), ledger=ledger)
+        assert c.shape == (0,)
+        assert (rep.status, rep.iterations, rep.residual_norm, rep.objective) == (
+            "converged", 0, 0.0, 0.0)
+        # projecting the empty start point is the one kernel call charged
+        assert ledger.breakdown() == {"median": {"calls": 1, "flops": 0, "bytes": 0}}
+
     # the bounded solvers used to broadcast a one-entry x0 and converge, and to
     # raise numpy's ValueError for any other wrong length
     @pytest.mark.parametrize("solver", [solve_blmvm, solve_tron])
@@ -447,10 +486,6 @@ def trial_point_reference(problem, c, alpha, d, g, ledger):
     return c_new, s, dot(g, s, ledger), hc_new, objective(problem, c_new, ledger, hc_new)
 
 
-def tallies(ledger) -> dict:
-    return {k: (t.calls, t.flops, t.bytes) for k, t in ledger.breakdown().items()}
-
-
 class TestFusedSteps:
     """blmvm's numpy-expression steps give the bits and the ledger tallies of
     the instrumented kernel sequence they are specified in."""
@@ -464,7 +499,7 @@ class TestFusedSteps:
         pg = rng.standard_normal(n)
         fused, ref = OpLedger(), OpLedger()
         assert bits(qp._two_loop(pg, pairs, fused)) == bits(two_loop_reference(pg, pairs, ref))
-        assert tallies(fused) == tallies(ref)
+        assert fused.breakdown() == ref.breakdown()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(spd_box_qps(), st.sampled_from([1.0, 0.5, 2.0**-20]), st.integers(0, 2**32 - 1))
@@ -476,7 +511,7 @@ class TestFusedSteps:
         got = qp._trial_point(p, c, alpha, d, g, fused)
         want = trial_point_reference(p, c, alpha, d, g, ref)
         assert [bits(x) for x in got] == [bits(x) for x in want]
-        assert tallies(fused) == tallies(ref)
+        assert fused.breakdown() == ref.breakdown()
 
 
 class TestOneProductPerPoint:
@@ -491,7 +526,7 @@ class TestOneProductPerPoint:
             _, rep = solve_blmvm(p, ledger=ledger)
         # one objective at x0 plus one per trial point; a gradient at x0 and
         # at each accepted point
-        assert ledger.breakdown()["spmv"].calls == obj.call_count
+        assert ledger.breakdown()["spmv"]["calls"] == obj.call_count
         assert grad.call_count == rep.iterations + 1
 
     @settings(max_examples=150, derandomize=True, deadline=None)
