@@ -82,6 +82,7 @@ def read_gmsh(path) -> Mesh:
     kind = None
     cells: list[list[int]] = []
     facets: list[list[int]] = []
+    facet_lines: list[int] = []
     markers: list[int] = []
     for _ in range(n_elems):
         parts = line("$Elements").split()
@@ -111,6 +112,7 @@ def read_gmsh(path) -> Mesh:
             if len(nodes) != _GMSH_FACET[etype]:
                 fail("boundary element node count mismatch", idx)
             facets.append(nodes)
+            facet_lines.append(idx)
             markers.append(tags[0] if tags else 0)
         elif etype == 15:
             pass  # point elements carry no mesh data
@@ -122,11 +124,9 @@ def read_gmsh(path) -> Mesh:
     if kind is None:
         raise ParseError("no volumetric elements found", str(path), len(lines))
     facet_width = 3 if kind == TET4 else 4
-    for f in facets:
+    for f, ln in zip(facets, facet_lines):
         if len(f) != facet_width:
-            raise ParseError(
-                f"boundary facet width {len(f)} does not match {kind}", str(path), 0
-            )
+            fail(f"boundary facet width {len(f)} does not match {kind}", ln)
     return Mesh(
         coords,
         np.asarray(cells, dtype=np.int64),

@@ -85,8 +85,8 @@ class OpLedger:
         key = (kernel, n, nz)
         self._counts[key] = self._counts.get(key, 0) + calls
 
-    def record(self, kernel: str, flops: int, nbytes: int) -> None:
-        self._add(kernel, 1, int(flops), int(nbytes))
+    def record(self, kernel: str, flops: float, nbytes: float) -> None:
+        self._add(kernel, 1, flops, nbytes)
 
     def _add(self, kernel, calls, flops, nbytes) -> None:
         t = self._tally.setdefault(kernel, {"calls": 0, "flops": 0, "bytes": 0})
@@ -780,20 +780,18 @@ def write_matrix_market(a: CsrMatrix, path) -> None:
 _BLANK = np.frombuffer(b" \t\r\n\v\f", dtype=np.uint8)
 
 
-def _first_wide_entry_line(raw: bytes, nnz: int) -> int:
-    """1-based number of the first entry line not holding exactly 3 tokens, else 0.
+def _entry_lines(raw: bytes, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based numbers and token counts of the entry lines of a file scipy has read.
 
-    For a file scipy has read: its entries are then its last ``nnz`` non-blank
-    lines, each with at least 3 tokens, and scipy ignores any further ones.
+    Such a file holds its entries on its last ``nnz`` non-blank lines, each
+    with at least 3 tokens; scipy ignores any further ones.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
     blank = np.isin(b, _BLANK)
     token_starts = np.flatnonzero(~blank & np.concatenate(([True], blank[:-1])))
     line_of_token = np.searchsorted(np.flatnonzero(b == ord("\n")), token_starts)
     lines, width = np.unique(line_of_token, return_counts=True)
-    lines, width = lines[len(lines) - nnz:], width[len(width) - nnz:]
-    wide = np.flatnonzero(width != 3)
-    return int(lines[wide[0]]) + 1 if len(wide) else 0
+    return lines[len(lines) - nnz:] + 1, width[len(width) - nnz:]
 
 
 def read_matrix_market(path) -> CsrMatrix:
@@ -816,7 +814,11 @@ def read_matrix_market(path) -> CsrMatrix:
         # scipy names the line, if at all, only in the message: "Line N: ..."
         at = re.match(r"Line (\d+): ", str(exc))
         raise ParseError(str(exc), str(path), int(at.group(1)) if at else 0) from None
-    line = _first_wide_entry_line(raw, nnz)
-    if line:
-        raise ParseError("entry must be 'i j value'", str(path), line)
+    # scipy returns the file's entries in file order, a symmetric file's
+    # mirrored ones after them
+    lines, width = _entry_lines(raw, nnz)
+    for bad, message in ((width != 3, "entry must be 'i j value'"),
+                         (~np.isfinite(coo.data[:nnz]), "entry value is not finite")):
+        if bad.any():
+            raise ParseError(message, str(path), int(lines[np.argmax(bad)]))
     return CsrMatrix.from_coo(nrows, coo.row, coo.col, coo.data)

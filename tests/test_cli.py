@@ -786,6 +786,23 @@ class TestQp:
         assert code == 1
         assert capsys.readouterr() == ("", "error: the linear term is not finite\n")
 
+    # a nan in the operator ran tron to 500 iterations and printed objective: nan, exit 2
+    @pytest.mark.parametrize("solver", ["tron", "blmvm"])
+    def test_non_finite_operator_entry_exit_1_before_the_solve(self, solver, tmp_path,
+                                                              monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(nndiff.transient, SOLVERS[solver].function, solve)
+        path = tmp_path / "h.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 3\n1 1 2\n2 2 nan\n3 3 2\n")
+        (tmp_path / "q.txt").write_text("1.0\n2.0\n3.0\n")
+        code = main(["qp", "--matrix", str(path), "--q", str(tmp_path / "q.txt"),
+                     "--solver", solver])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {path}:4: entry value is not finite\n")
+
     @pytest.mark.parametrize("solver", ["tron", "blmvm"])
     def test_bound_files_match_brute_force(self, solver, tmp_path):
         rng = np.random.default_rng(8)
@@ -975,6 +992,15 @@ class TestPerfCommand:
         assert capsys.readouterr().out == (
             "flops: 100  bytes: 800  AI: 0.1250\n"
             "measured 2.0000e+02 flops/s vs ideal 1.2500e+08 (memory-bound): 0.00%\n")
+
+    def test_fractional_totals_kept(self, tmp_path, capsys):
+        # the ledger truncated them: flops: 100 ... AI: 0.1250
+        path = tmp_path / "report.json"
+        path.write_text('{"flops": 100.5, "bytes": 800, "wall_time_s": 0.5}')
+        assert main(["perf-report", "--kernels", str(path), "--tpp", "1e9", "--bw", "1e9"]) == 0
+        assert capsys.readouterr().out == (
+            "flops: 100.5  bytes: 800  AI: 0.1256\n"
+            "measured 2.0100e+02 flops/s vs ideal 1.2562e+08 (memory-bound): 0.00%\n")
 
 
 # Runs each argv of sys.argv[1] (a JSON list) through nndiff.cli.main in this one

@@ -218,13 +218,21 @@ class TestReadGmshInputErrors:
             read_gmsh(path)
         assert (str(err.value), err.value.line) == (f"{path}:18: no volumetric elements found", 18)
 
-    def test_facet_width_of_the_other_kind_has_no_line(self, tmp_path):
+    # a quad facet before the tet, one after it, and the first of two
+    @pytest.mark.parametrize("text, line", [
+        (msh_with("1 2 2 7 1 1 3 2", "1 3 2 7 1 1 3 2 4"), 13),
+        (SINGLE_TET_MSH.replace("4 2 2 7 1 1 4 3\n5 4 2 0 1 1 2 3 4",
+                                "4 4 2 0 1 1 2 3 4\n5 3 2 7 1 1 3 2 4"), 17),
+        (SINGLE_TET_MSH.replace("2 2 2 7 1 1 2 4", "2 3 2 7 1 1 2 4 3")
+                       .replace("3 2 2 7 1 2 3 4", "3 3 2 7 1 2 3 4 1"), 14),
+    ], ids=["before", "after", "first-of-two"])
+    def test_facet_of_the_other_kind_names_its_line(self, text, line, tmp_path):
         path = tmp_path / "quad.msh"
-        path.write_text(msh_with("1 2 2 7 1 1 3 2", "1 3 2 7 1 1 3 2 4"))
+        path.write_text(text)
         with pytest.raises(ParseError) as err:
             read_gmsh(path)
         assert (str(err.value), err.value.line) == (
-            f"{path}: boundary facet width 4 does not match tet4", 0)
+            f"{path}:{line}: boundary facet width 4 does not match tet4", line)
 
     def test_blank_lines_between_sections_and_point_elements_are_skipped(self, tmp_path):
         path = tmp_path / "spaced.msh"

@@ -34,7 +34,7 @@ from nndiff.sparse import (
     vec_copy,
     write_matrix_market,
 )
-from record_golden_ilu0 import apply_inputs, reduced_matrix
+from golden import apply_inputs, reduced_matrix
 
 
 def random_spd(n, rng, shift=None):
@@ -949,6 +949,20 @@ class TestMatrixMarket:
         with pytest.raises(ParseError) as err:
             read_matrix_market(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    @pytest.mark.parametrize("body, line", [
+        ("2 2 2\n1 1 2\n2 2 nan\n", 4),
+        ("2 2 3\n2 1 1\n1 1 inf\n2 2 nan\n", 4),  # the first of two
+        ("% c\n\n2 2 2\n\n2 1 1\n\n2 2 -inf\n", 8),  # after blank lines
+    ])
+    def test_non_finite_entry_names_line(self, symmetry, body, line, tmp_path):
+        path = tmp_path / "nan.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n" + body)
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert (str(err.value), err.value.line) == (
+            f"{path}:{line}: entry value is not finite", line)
 
     def test_blank_lines_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "b.mtx"
