@@ -409,8 +409,8 @@ class AssembledSystem:
     """Global stiffness/capacity operators, load vector, Dirichlet table.
 
     The capacity (mass) matrix is built on first access from ``mass_fn``:
-    a steady solve never reads it, and a steady ``prepare`` sets ``mass_fn``
-    to None to drop the sorted pattern it holds.
+    a steady solve never reads it.  ``prepare`` keeps a built capacity and
+    sets ``mass_fn`` to None to drop the sorted pattern it holds.
     """
 
     stiffness: CsrMatrix
@@ -422,7 +422,7 @@ class AssembledSystem:
     @cached_property
     def mass(self) -> CsrMatrix:
         if self.mass_fn is None:
-            raise ValueError("this system's capacity was dropped: it was prepared steady")
+            raise ValueError("capacity pattern dropped: a prepared problem holds its mass")
         return self.mass_fn()
 
     @property
@@ -554,19 +554,18 @@ def assemble_load(
 
 def assemble(
     mesh: Mesh,
-    _unused,
+    geometry: CellGeometry | None,
     bc: BoundarySpec,
     diffusivity: DiffusivityField,
     source=None,
     t: float = 0.0,
-    geometry: CellGeometry | None = None,
 ) -> AssembledSystem:
     """Build the global stiffness, capacity, and load objects.
 
-    The second parameter is ignored; it keeps the positional signature
-    ``assemble(mesh, None, bc, diffusivity, source)`` that callers use.
-    ``geometry`` is as in :func:`assemble_load`.  Stiffness and capacity
-    share one sorted pattern; the capacity is built when first read.
+    ``geometry`` is as in :func:`assemble_load`; None computes it after the
+    pattern sort, and it lives on only in the capacity's ``mass_fn``.
+    Stiffness and capacity share one sorted pattern; the capacity is built
+    when first read.
     """
     _check_markers(mesh, bc)
     # the pattern is sorted first, and each temporary is dropped before the
@@ -602,13 +601,14 @@ def assemble(
 
 @dataclass
 class ReducedSystem:
-    """Free-dof operator and rhs after symmetric Dirichlet elimination."""
+    """Free-dof operator, rhs and Dirichlet lift after symmetric Dirichlet elimination."""
 
     matrix: CsrMatrix
     rhs: np.ndarray
     free: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
+    lift: np.ndarray
 
     def expand(self, x_reduced) -> np.ndarray:
         n = len(self.free) + len(self.dirichlet_idx)
@@ -629,12 +629,10 @@ def dirichlet_lift(matrix: CsrMatrix, free, idx, vals) -> np.ndarray:
     return matrix.matvec_raw(expand(matrix.n, free, 0.0, idx, vals))[free]
 
 
-def reduce_rhs(matrix: CsrMatrix, rhs, free, idx, vals) -> np.ndarray:
-    """rhs restricted to free dofs with the Dirichlet coupling moved over."""
-    return rhs[free] - dirichlet_lift(matrix, free, idx, vals)
-
-
-def apply_dirichlet(system: AssembledSystem) -> ReducedSystem:
+def apply_dirichlet(system: AssembledSystem, operator: CsrMatrix | None = None) -> ReducedSystem:
+    """Eliminate ``system``'s Dirichlet dofs from ``operator`` (default: the
+    stiffness K; a backward-Euler level passes M/dt + K) and its load."""
+    operator = system.stiffness if operator is None else operator
     free, idx, vals = system.free, system.dirichlet_idx, system.dirichlet_values
-    rhs = reduce_rhs(system.stiffness, system.load, free, idx, vals)
-    return ReducedSystem(system.stiffness.submatrix(free), rhs, free, idx, vals)
+    lift = dirichlet_lift(operator, free, idx, vals)
+    return ReducedSystem(operator.submatrix(free), system.load[free] - lift, free, idx, vals, lift)

@@ -317,9 +317,7 @@ def solve_tron(
     fc = objective(problem, c, ledger, hc)
     g, active, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
-    delta = norm2(g, ledger)
-    if delta == 0.0:
-        delta = 1.0
+    delta = norm2(g, ledger)  # g = 0 gives pg_norm = 0 <= tol: it converges before reading delta
     outer = 0
     inner_total = 0
     status = "max-iter"

@@ -7,18 +7,18 @@ warm-started from the previous level (the minimizer is unique, so the
 warm start changes work, not the answer).  ``dt = None`` is the steady
 problem: one solve of K c = f, through the same solvers.
 
-:func:`prepare` assembles and reduces one problem: a fixed time step keeps
-the operator constant, and the cell geometry is computed once for every
-level's load.  When the source and every boundary value are constants, no
-level's data depends on time, and every level reuses the load, the
+:func:`prepare` assembles one problem and reduces its operator, K or
+M/dt + K, in one Dirichlet elimination; a steady problem is one level
+without history.  When the source and every boundary value are constants,
+no level's data depends on time, and every level reuses the load, the
 Dirichlet table and the Dirichlet lift that :func:`prepare` computed once;
 a level then costs M c_n / dt + f, one subtraction and its solve.  A
-callable source or boundary value is evaluated at each level's time
-instead.  :func:`solve` runs one solver configuration on it and
-builds its own preconditioner and ledger, so several solvers can share one
-prepared problem; :func:`run` is one prepare followed by one solve.  The
-result keeps every level's field; output is written from it after the run,
-so a failed run writes none.
+callable source or boundary value is evaluated at each level's time, on a
+cell geometry computed once.  :func:`solve` runs one solver configuration
+on it and builds its own preconditioner and ledger, so several solvers can
+share one prepared problem; :func:`run` is one prepare followed by one
+solve.  The result keeps every level's field; output is written from it
+after the run, so a failed run writes none.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .fem import (
     AssembledSystem,
     CellGeometry,
     DiffusivityField,
+    ReducedSystem,
     apply_dirichlet,
     assemble,
     assemble_load,
@@ -150,12 +151,11 @@ def build_transient_operator(stiffness: CsrMatrix, mass: CsrMatrix, dt: float) -
     return add_scaled(1.0 / dt, mass, 1.0, stiffness)
 
 
-def build_transient_rhs(f_next, mass: CsrMatrix, c_n, dt: float,
-                        ledger: OpLedger | None = None) -> np.ndarray:
+def build_transient_rhs(f_next, mass: CsrMatrix, c_n, dt: float) -> np.ndarray:
     """f_next + M c_n / dt (the previous level enters through M)."""
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    out = spmv(mass, c_n, ledger)
+    out = spmv(mass, c_n)
     out /= dt
     out += f_next
     return out
@@ -196,50 +196,53 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
 @dataclass
 class PreparedProblem:
     """One assembled and reduced problem; solves only read it.  ``dt`` is None
-    when steady.  ``operator`` is the free-dof block of K (steady, with its
-    ``rhs``) or of ``full_operator`` = M/dt + K (transient, with ``geometry``
-    for the loads of later levels).  ``lift`` is the free-dof Dirichlet lift
-    of ``full_operator`` when no level's data depends on time, else None."""
+    when steady.  ``operator`` is K (steady) or M/dt + K (transient, with the
+    capacity ``mass``), and ``reduced`` its Dirichlet elimination.
+    ``geometry`` is kept for the loads of later levels when a transient
+    level's data depends on time, else None."""
 
     mesh: Mesh
     bc: BoundarySpec
     source: object
     dt: float | None
     system: AssembledSystem
+    mass: CsrMatrix | None
     operator: CsrMatrix
-    rhs: np.ndarray | None = None
-    geometry: CellGeometry | None = None
-    full_operator: CsrMatrix | None = None
-    lift: np.ndarray | None = None
+    reduced: ReducedSystem
+    geometry: CellGeometry | None
 
-    def level_data(self, t: float):
-        """(load, Dirichlet indices, Dirichlet values, lift) of the level at time ``t``:
-        the ones assembled at t = 0 when no data depends on time."""
-        if self.lift is not None:
-            s = self.system
-            return s.load, s.dirichlet_idx, s.dirichlet_values, self.lift
-        load = assemble_load(self.mesh, self.source, self.bc, t, self.geometry)
-        idx, vals = dirichlet_values(self.mesh, self.bc, t)
-        return load, idx, vals, dirichlet_lift(self.full_operator, self.system.free, idx, vals)
+    def level_rhs(self, step: int, c_prev: np.ndarray):
+        """(reduced rhs, Dirichlet indices, Dirichlet values) of level ``step``
+        after the field ``c_prev``: f + M c_prev / dt at t = step dt, with the
+        data assembled at t = 0 when none depends on time; steady, the
+        reduced rhs of f."""
+        r = self.reduced
+        if self.dt is None:
+            return r.rhs, r.dirichlet_idx, r.dirichlet_values
+        load, idx, vals, lift = self.system.load, r.dirichlet_idx, r.dirichlet_values, r.lift
+        if self.geometry is not None:
+            t = step * self.dt
+            load = assemble_load(self.mesh, self.source, self.bc, t, self.geometry)
+            idx, vals = dirichlet_values(self.mesh, self.bc, t)
+            lift = dirichlet_lift(self.operator, r.free, idx, vals)
+        return build_transient_rhs(load, self.mass, c_prev, self.dt)[r.free] - lift, idx, vals
 
 
 def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
             dt: float | None = None) -> PreparedProblem:
     """Assemble and reduce once; steady when ``dt`` is None.  ``source`` is a
     constant or ``fn(points, t)``."""
-    if dt is None:  # the capacity is never read: its pattern goes with mass_fn
-        system = assemble(mesh, None, bc, diffusivity, source)
-        reduced = apply_dirichlet(system)
-        system = replace(system, mass_fn=None)
-        return PreparedProblem(mesh, bc, source, None, system, reduced.matrix, reduced.rhs)
-    geometry = cell_geometry(mesh)  # every level's load reads it
-    system = assemble(mesh, None, bc, diffusivity, source, geometry=geometry)
-    full, free = build_transient_operator(system.stiffness, system.mass, dt), system.free
-    lift = None
-    if not any(map(callable, (source, *bc.dirichlet.values(), *bc.neumann.values()))):
-        lift = dirichlet_lift(full, free, system.dirichlet_idx, system.dirichlet_values)
-    return PreparedProblem(mesh, bc, source, float(dt), system, full.submatrix(free),
-                           geometry=geometry, full_operator=full, lift=lift)
+    varies = dt is not None and any(
+        map(callable, (source, *bc.dirichlet.values(), *bc.neumann.values())))
+    geometry = cell_geometry(mesh) if varies else None  # every level's load reads it
+    system = assemble(mesh, geometry, bc, diffusivity, source)
+    operator, mass = system.stiffness, None
+    if dt is not None:
+        dt, mass = float(dt), system.mass
+        operator = build_transient_operator(system.stiffness, mass, dt)
+    system = replace(system, mass_fn=None)  # the capacity pattern goes; a built M stays
+    return PreparedProblem(mesh, bc, source, dt, system, mass, operator,
+                           apply_dirichlet(system, operator), geometry)
 
 
 def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult:
@@ -248,26 +251,22 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     with the Dirichlet data inserted.  The result ledger covers solver work only (the
     preconditioner's setup too), not assembly or rhs construction.
     """
-    p, system, dt = prepared, prepared.system, config.dt
+    p, r, dt = prepared, prepared.reduced, config.dt
     if dt != p.dt:
         want, have = ("steady" if d is None else f"dt = {d:g}" for d in (dt, p.dt))
         raise ConfigError(f"the solve config is {want}, the prepared problem {have}")
-    n, free, operator = system.n, system.free, p.operator
-    idx, vals = system.dirichlet_idx, system.dirichlet_values
-    _check_bounds(vals, config)
-    c_full = expand(n, free, config.initial_value, idx, vals)
+    n, free, operator = p.system.n, r.free, r.matrix
+    _check_bounds(r.dirichlet_values, config)
+    c_full = expand(n, free, config.initial_value, r.dirichlet_idx, r.dirichlet_values)
     result = TransientResult(fields=[] if dt is None else [c_full])  # level 0 if transient
 
     precond = config.precond or SOLVERS[config.solver].precond
     if not SOLVERS[config.solver].bounded:  # a fixed operator: CG's is built once
         precond = make_preconditioner(operator, precond, result.ledger)
 
-    rhs = p.rhs  # the steady problem's; each transient level builds its own
     for step in [0] if dt is None else range(1, config.n_steps + 1):
-        if dt is not None:
-            load, idx, vals, lift = p.level_data(step * dt)
-            _check_bounds(vals, config)
-            rhs = build_transient_rhs(load, system.mass, c_full, dt)[free] - lift
+        rhs, idx, vals = p.level_rhs(step, c_full)
+        _check_bounds(vals, config)
         x, report = _solve_level(operator, rhs, config, c_full[free], precond, result.ledger, step)
         c_full = expand(n, free, x, idx, vals)
         result.fields.append(c_full)

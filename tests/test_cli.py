@@ -1042,6 +1042,10 @@ class TestOneErrorLine:
                    "perf_3": '{"perf": 3}', "no_bytes": OK_REPORT.replace("800", "0")}
         for name, text in reports.items():
             (tmp_path / f"{name}.json").write_text(text)
+        box = generate_box(1, 1, 1, "tet4")
+        write_gmsh(dataclasses.replace(box, cells=box.cells[:, [1, 0, 2, 3]]),
+                   tmp_path / "inverted.msh")
+        mesh_block = '[mesh]\ngenerator = "cube_with_hole"\nn = 9\nkind = "tet4"\n'
         configs = {
             "hole": HOLE_CONFIG,
             "float_n": HOLE_CONFIG.replace("n = 9", "n = 18.0"),
@@ -1052,6 +1056,15 @@ class TestOneErrorLine:
             "c_min_inf": HOLE_CONFIG.replace("c_min = 0.0", "c_min = inf"),
             "no_marker": HOLE_CONFIG.replace("2 = 1.0", "3 = 1.0"),
             "tron_0": HOLE_CONFIG + '\n[compare]\nsolvers = ["galerkin", "tron:0"]\n',
+            "mesh_5": "mesh = 5\n" + HOLE_CONFIG.replace(mesh_block, ""),
+            "no_generator": HOLE_CONFIG.replace('generator = "cube_with_hole"\nn = 9\n', ""),
+            "file_no_path": HOLE_CONFIG.replace('"cube_with_hole"', '"file"'),
+            "no_tensor": HOLE_CONFIG.replace('mode = "dispersion"', 'mode = "constant"'),
+            "velocity_2": HOLE_CONFIG.replace("[1.0, 1.0, 1.0]", "[1.0, 1.0]"),
+            "no_velocity": HOLE_CONFIG.replace("velocity = [1.0, 1.0, 1.0]\n", ""),
+            "no_bw": HOLE_CONFIG.replace("streams_bw = 5.65e9\n", ""),
+            "n_steps_0": HOLE_CONFIG + "\n[transient]\ndt = 0.1\nn_steps = 0\n",
+            "inverted": HOLE_CONFIG.replace(mesh_block, '[mesh]\npath = "inverted.msh"\n'),
         }
         for name, text in configs.items():
             (tmp_path / f"{name}.toml").write_text(text)
@@ -1098,6 +1111,19 @@ class TestOneErrorLine:
             ["compare", "--config", at("tron_0.toml")],
             ["solve", "--config", at("hole.toml"), "--solver", "galerkin:1e-3"],
         ]
+        # config -> the message its solve must print
+        messages = {
+            "mesh_5": "[mesh] must be a section, not a key",
+            "no_generator": "[mesh] needs a generator or a path",
+            "file_no_path": "[mesh] generator 'file' needs a path",
+            "no_tensor": "[physics] constant mode needs a tensor",
+            "velocity_2": "[physics] velocity must have 3 components",
+            "no_velocity": "[physics] dispersion mode needs velocity or velocity_file",
+            "no_bw": "[perf] missing 'streams_bw'",
+            "n_steps_0": "n_steps must be at least 1",
+            "inverted": "non-positive volume in cell 0",
+        }
+        cases += [["solve", "--config", at(f"{name}.toml")] for name in messages]
         src = str(Path(nndiff.cli.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k not in ("NND_LOG", "PYTHONWARNINGS")}
         env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -1109,6 +1135,8 @@ class TestOneErrorLine:
                   if code != 1 or not err.startswith("error: ") or err.count("\n") != 1
                   or not err.endswith("\n")]
         assert broken == []
+        printed = [err for _, err in results[-len(messages):]]
+        assert printed == [f"error: {message}\n" for message in messages.values()]
 
 
 LAZY_MODULES = ("scipy.sparse.linalg", "scipy.io")

@@ -21,6 +21,7 @@ from nndiff.fem import (
     dirichlet_values,
     dispersion_tensor,
     neumann_load,
+    scalar_field,
     _tet_batch,
     _tet_stiffness,
 )
@@ -86,6 +87,15 @@ class TestDispersionTensor:
             dispersion_tensor([0, 0, 0], DispersionParams(1.0, 0.0, 0.0))
         with pytest.raises(SingularTensorError):
             dispersion_tensor([1, 0, 0], DispersionParams(1.0, 0.0, 0.0))
+
+    # the cell-wise path: one still cell with d_m = 0, one moving cell with alpha_t = d_m = 0
+    @pytest.mark.parametrize("velocities, params, message", [
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], DispersionParams(1.0, 0.1, 0.0), "zero velocity"),
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], DispersionParams(1.0, 0.0, 0.0), "singular for"),
+    ], ids=["still", "moving"])
+    def test_singular_cell_velocities(self, velocities, params, message):
+        with pytest.raises(SingularTensorError, match=message):
+            DiffusivityField.dispersion(params, np.array(velocities))
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
@@ -744,6 +754,26 @@ class TestDiffusivityField:
     def test_cell_tensors_shape_checked(self):
         with pytest.raises(ConfigError, match=r"\(n_cells, 3, 3\), got \(6, 3\)"):
             DiffusivityField.from_cell_tensors(np.ones((6, 3)))
+
+    def test_constant_tensor_shape_checked(self):
+        with pytest.raises(ConfigError, match=r"constant tensor must be 3x3, got \(2, 2\)"):
+            DiffusivityField.constant(np.eye(2))
+
+    def test_rejects_non_finite_cell_tensor(self):
+        mesh = generate_box(1, 1, 1, "tet4")
+        tensors = np.tile(np.eye(3), (mesh.n_cells, 1, 1))
+        tensors[3, 1, 1] = np.inf
+        with pytest.raises(AssemblyError, match="non-finite entry"):
+            assemble(mesh, None, BoundarySpec(dirichlet={1: 0.0}),
+                     DiffusivityField.from_cell_tensors(tensors))
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "flux must be a number, not 'abc'"),
+        (lambda p, t: np.ones((len(p), 2)), r"flux returned shape \(4, 2\) for 4 points"),
+    ], ids=["non-number", "wrong-shape"])
+    def test_scalar_field_rejects_a_bad_value(self, value, message):
+        with pytest.raises(ConfigError, match=message):
+            scalar_field(value, "flux")(np.zeros((4, 3)), 0.0)
 
     def test_holds_tensors_or_a_function(self):
         with pytest.raises(ConfigError, match="either tensors or a function"):

@@ -5,8 +5,8 @@ change no output.
 from run to run, so each stage's peak is a deterministic number.  A stage
 is one call at n = 27 (117,936 tets): mesh generation, a steady
 ``prepare``, ``Ilu0Preconditioner`` of its operator, one ``write_vtk`` and
-a transient ``prepare`` (dt = 0.02), which also keeps the cell geometry
-that every level's load reads.
+a transient ``prepare`` (dt = 0.02), which keeps the built capacity but,
+with this constant data, neither its pattern nor the cell geometry.
 
 Each stage must stay within its budget, and within the bar
 ``peak - start <= 2 * kept + block``: ``kept`` is the live traced data
@@ -70,13 +70,13 @@ def stages(tmp_path_factory):
         diffusivity = DiffusivityField.dispersion(DispersionParams(1.0, 0.001, 0.0), np.ones(3))
         problem, prepare_peak, prepare_kept = _traced(
             lambda: prepare(mesh, bc, diffusivity, 0.0))
-        _, ilu0_peak, ilu0_kept = _traced(lambda: Ilu0Preconditioner(problem.operator))
+        _, ilu0_peak, ilu0_kept = _traced(lambda: Ilu0Preconditioner(problem.reduced.matrix))
         field = np.linspace(0.0, 1.0, mesh.n_vertices)
         _, vtk_peak, vtk_kept = _traced(lambda: write_vtk(mesh, {"c": field}, path))
         del problem, _
         transient, transient_peak, transient_kept = _traced(
             lambda: prepare(mesh, bc, diffusivity, 0.0, dt=0.02))
-        assert transient.geometry is not None
+        assert transient.geometry is None
     finally:
         tracemalloc.stop()
     faces, face_width = mesh.n_cells * len(TET_FACES), len(TET_FACES[0])
@@ -108,10 +108,10 @@ def test_steady_prepare_keeps_no_capacity_pattern():
     bc = BoundarySpec(dirichlet={1: 0.0})
     steady = prepare(mesh, bc, DiffusivityField.constant(np.eye(3)), 1.0)
     assert steady.system.mass_fn is None
-    with pytest.raises(ValueError, match="steady"):
+    with pytest.raises(ValueError, match="pattern dropped"):
         steady.system.mass
     transient = prepare(mesh, bc, DiffusivityField.constant(np.eye(3)), 1.0, dt=0.1)
-    assert transient.system.mass.nnz == transient.system.stiffness.nnz
+    assert transient.mass.nnz == transient.system.stiffness.nnz
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_ilu0_factor_of_a_galerkin_operator(monkeypatch):
                                                   np.ones(3)), 0.0)
 
     def factor():
-        val, flops = ilu0_factor(problem.operator)
+        val, flops = ilu0_factor(problem.reduced.matrix)
         return _bytes(val), flops
 
     one, blocked = _per_block_size(monkeypatch, factor)

@@ -220,6 +220,23 @@ class TestMeshTypes:
         with pytest.raises(MeshError, match="facet 4 "):
             bad.validate()
 
+    @pytest.mark.parametrize("part, message", [
+        ("cells", "cell vertex index out of range"),
+        ("facets", "boundary facet vertex index out of range"),
+        ("markers", "facet/marker count mismatch"),
+    ], ids=["cells", "facets", "markers"])
+    def test_validate_rejects_bad_indices_and_counts(self, part, message):
+        m = generate_box(1, 1, 1, "tet4")
+        cells, facets, markers = m.cells.copy(), m.boundary_facets.copy(), m.boundary_markers
+        if part == "cells":
+            cells[2, 1] = m.n_vertices
+        elif part == "facets":
+            facets[0, 0] = -1
+        else:
+            markers = markers[1:]
+        with pytest.raises(MeshError, match=message):
+            Mesh(m.vertices, cells, m.kind, facets, markers).validate()
+
     def test_validate_rejects_facets_of_the_wrong_width(self):
         m = generate_box(1, 1, 1, "hex8")
         bad = Mesh(m.vertices, m.cells, m.kind, m.boundary_facets[:, :3],

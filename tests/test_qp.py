@@ -371,6 +371,15 @@ class TestSolverProperties:
         with pytest.raises(DimensionError, match="a bound is NaN"):
             QpProblem(CsrMatrix.identity(2), [0.0, 0.0], lower=lower, upper=upper)
 
+    @pytest.mark.parametrize("linear, lower, upper, message", [
+        ([0.0, 0.0, 0.0], None, None, "linear term length"),
+        ([0.0, 0.0], [0.0, 0.0, 0.0], None, "bound length"),
+        ([0.0, 0.0], None, [1.0], "bound length"),
+    ], ids=["linear", "lower", "upper"])
+    def test_length_mismatch_rejected(self, linear, lower, upper, message):
+        with pytest.raises(DimensionError, match=message):
+            QpProblem(CsrMatrix.identity(2), linear, lower=lower, upper=upper)
+
     # lower = inf or upper = -inf leaves no finite value on that side: tron and
     # blmvm returned an all-inf or all--inf "solution" that kkt_check passed
     @pytest.mark.parametrize("lower, upper", [(np.inf, None), ([0.0, np.inf], 1.0),

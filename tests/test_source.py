@@ -16,6 +16,9 @@ SRC = REPO / "src" / "nndiff"
 # those modules keep importing them; SOLVERS calls the latter by name
 KEPT = {("qp.py", "aypx"), ("transient.py", "cg_solve"), ("transient.py", "solve_tron"),
         ("transient.py", "solve_blmvm")}
+# (file, owner, parameter) of the parameters an interface fixes but the body
+# need not read: a kernel cost is fn(n, nz), a scalar field fn(points, t)
+UNREAD_KEPT = {("sparse.py", "KERNEL_COSTS", "nz"), ("fem.py", "const_fn", "t")}
 # the only owners that may spell a solver name as a string constant
 SOLVER_TABLES = {("transient.py", "SOLVERS"), ("cli.py", "DEFAULT_COMPARE_SOLVERS")}
 # (file, owner, constant) of the solver names allowed outside those tables:
@@ -51,6 +54,52 @@ def test_finds_an_unused_import():
 def test_no_unused_import(path):
     unused = [name for name in unused_imports(path.read_text()) if (path.name, name) not in KEPT]
     assert unused == []
+
+
+def unread_parameters(source: str) -> list:
+    """(owner, parameter) of every parameter of a function or lambda that its
+    body, nested functions included, never reads, leaving out a method's
+    ``self`` or ``cls``, which Python binds.  A function owns its parameters;
+    a lambda's owner is the innermost enclosing function or class, or else
+    the name a module-level assignment binds."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not isinstance(node, ast.Lambda):
+                owner = node.name
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found.extend((owner, p.arg) for p in params
+                         if p.arg not in read and p.arg not in ("self", "cls"))
+        elif isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif owner is None and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            owner = getattr(target, "id", None)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_an_unread_parameter():
+    source = ("COSTS = {'a': lambda n, nz: n}\n"
+              "def f(x, _y, *args, z=1, **kw):\n    def g(w):\n        return x + z\n"
+              "    return g(kw)\nclass C:\n    def m(self, v):\n        return 0\n")
+    assert unread_parameters(source) == [
+        ("COSTS", "nz"), ("f", "_y"), ("f", "args"), ("g", "w"), ("m", "v")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    """A parameter that nothing reads is an option that silently does nothing."""
+    unread = [(owner, name) for owner, name in unread_parameters(path.read_text())
+              if (path.name, owner, name) not in UNREAD_KEPT]
+    assert unread == []
 
 
 def solver_name_constants(source: str, names) -> list:

@@ -217,6 +217,27 @@ class TestCsrMatrix:
         with pytest.raises(DimensionError):
             CsrMatrix(n, offsets, cols, vals)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: CsrMatrix.from_dense(np.ones((2, 3))), DimensionError, "must be square"),
+        (lambda: CsrMatrix.from_dense(np.ones(3)), DimensionError, "must be square"),
+        (lambda: CooPattern(3, [0, 1], [0]), DimensionError, "equal length"),
+        (lambda: CooPattern(3, [0, 1], [0, 1]).matrix([1.0]), DimensionError, "equal length"),
+        (lambda: add_scaled(1.0, CsrMatrix.identity(2), 1.0, CsrMatrix.identity(3)),
+         DimensionError, "mismatch in add_scaled"),
+        (lambda: JacobiPreconditioner(CsrMatrix.identity(3)).apply(np.ones(2)),
+         DimensionError, "length mismatch: 2 != 3"),
+        (lambda: Ilu0Preconditioner(CsrMatrix.identity(3)).apply(np.ones(4)),
+         DimensionError, "preconditioner dimension mismatch"),
+        (lambda: cg_solve(CsrMatrix.identity(3), np.ones(2)), DimensionError,
+         "cg_solve dimension mismatch"),
+        (lambda: make_preconditioner(CsrMatrix.identity(3), "ssor"), ValueError,
+         "unknown preconditioner 'ssor'"),
+    ], ids=["from-dense-rectangular", "from-dense-vector", "coo-lengths", "coo-values",
+            "add-scaled-orders", "jacobi-apply", "ilu0-apply", "cg-rhs", "unknown-precond"])
+    def test_shape_and_length_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_as_scipy_holds_the_very_arrays(self):
         pattern = CooPattern(3, [0, 1, 1, 2, 0], [0, 1, 2, 2, 0])
         a = pattern.matrix([1.0, 2.0, 3.0, 4.0, 5.0])

@@ -224,14 +224,13 @@ class TestRun:
         result = run(mesh, bc, d, 0.0, cfg)
 
         system = assemble(mesh, None, bc, d)
-        red = apply_dirichlet(system)
         from nndiff.transient import build_transient_operator, build_transient_rhs
-        from nndiff.fem import reduce_rhs
 
         ktilde = build_transient_operator(system.stiffness, system.mass, dt)
+        red = apply_dirichlet(system, ktilde)
         ftilde = build_transient_rhs(system.load, system.mass, result.fields[0], dt)
-        rhs = reduce_rhs(ktilde, ftilde, red.free, red.dirichlet_idx, red.dirichlet_values)
-        problem = QpProblem(ktilde.submatrix(red.free), -rhs, lower=0.0, upper=1.0)
+        rhs = ftilde[red.free] - red.lift
+        problem = QpProblem(red.matrix, -rhs, lower=0.0, upper=1.0)
         cold, rep = solve_tron(problem, rtol=rtol, x0=None)
         assert rep.converged
         warm_free = result.final[red.free]
@@ -385,7 +384,7 @@ class TestTimeIndependentLevels:
         for constant in (True, False):
             mesh, bc, d, source = self.hole_problem(constant)
             prepared = prepare(mesh, bc, d, source, cfg.dt)
-            assert (prepared.lift is not None) == constant
+            assert (prepared.geometry is None) == constant
             result = solve(prepared, cfg)
             csv = tmp_path / f"{constant}.csv"
             write_step_csv(result, csv, cfg.c_min, cfg.c_max)
