@@ -10,12 +10,14 @@ an exhaustive active-set oracle for small dimensions.  Feasibility is maintained
 componentwise clamping, so every iterate satisfies the bounds.
 
 All linear algebra is charged to the solve's own ledger at the costs of
-:mod:`nndiff.sparse`'s kernels.  The two-loop recursion, the trial point
-and the pair update are numpy expressions that charge, in bulk, the
+:mod:`nndiff.sparse`'s kernels.  The two-loop recursion, the projected
+step and the pair update are numpy expressions that charge, in bulk, the
 kernel calls they are specified in; the rest calls the kernels.  Every
 evaluated point pays for one H c: the solvers form the product once and
 pass it to both ``objective`` and ``gradient`` (TAO's
-objective-and-gradient evaluation).
+objective-and-gradient evaluation).  A blmvm trial point that fails the
+sign test g.s < 0 cannot pass the Armijo test, so it pays only for its
+projection and g.s.
 """
 
 from __future__ import annotations
@@ -152,17 +154,24 @@ def _charge(ledger, n, **calls):
             ledger.count(kernel, n, calls=k)
 
 
-def _trial_point(problem, c, alpha, d, g, ledger):
-    """c_new = P(c + alpha d) with s = c_new - c, g.s, H c_new and f(c_new).
+def _projected_step(problem, c, alpha, d, g, ledger):
+    """The trial point c_new = P(c + alpha d), its step s = c_new - c and g.s.
 
     Charged as copy + axpy, median, copy + axpy and dot.
     """
     c_new = project(c + alpha * d, problem.lower, problem.upper)
     s = c_new - c
     _charge(ledger, len(c), copy=2, axpy=2, median=1, dot=1)
-    hc_new = spmv(problem.hessian, c_new, ledger)
-    gs = float(np.dot(g, s))
-    return c_new, s, gs, hc_new, objective(problem, c_new, ledger, hc_new)
+    return c_new, s, float(np.dot(g, s))
+
+
+def _evaluate(problem, c, ledger):
+    """H c and f(c) from one spmv; H c is kept for the gradient at c (:func:`_gradients`).
+
+    Charged as spmv and two dots.
+    """
+    hc = spmv(problem.hessian, c, ledger)
+    return hc, objective(problem, c, ledger, hc)
 
 
 def _gradients(problem, c, hc, ledger):
@@ -225,8 +234,7 @@ def solve_blmvm(
     c = _start_point(problem, x0, ledger)
     if problem.n == 0:
         return c, finish("converged", 0)
-    hc = spmv(problem.hessian, c, ledger)
-    fc = objective(problem, c, ledger, hc)
+    hc, fc = _evaluate(problem, c, ledger)
     g, _, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     pairs: list = []
@@ -251,10 +259,14 @@ def solve_blmvm(
         # the eps-scaled allowance keeps rounding noise from failing the test
         noise = 4.0 * EPS * abs(fc)
         for _ in range(MAX_BACKTRACKS):
-            c_new, step, g_step, hc_new, f_new = _trial_point(problem, c, alpha, d, g, ledger)
-            if g_step < 0.0 and f_new <= fc + ARMIJO * g_step + noise:
-                accepted = True
-                break
+            c_new, step, g_step = _projected_step(problem, c, alpha, d, g, ledger)
+            # a step that is not downhill (or whose g.s is NaN) fails the
+            # Armijo test whatever f(c_new) is: form H c_new only past it
+            if g_step < 0.0:
+                hc_new, f_new = _evaluate(problem, c_new, ledger)
+                if f_new <= fc + ARMIJO * g_step + noise:
+                    accepted = True
+                    break
             alpha *= BACKTRACK
         if not accepted:
             if pairs:
@@ -313,8 +325,7 @@ def solve_tron(
     c = _start_point(problem, x0, ledger)
     if n == 0:
         return c, finish("converged", 0)
-    hc = spmv(h, c, ledger)
-    fc = objective(problem, c, ledger, hc)
+    hc, fc = _evaluate(problem, c, ledger)
     g, active, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     delta = norm2(g, ledger)  # g = 0 gives pg_norm = 0 <= tol: it converges before reading delta
@@ -346,7 +357,8 @@ def solve_tron(
 
         d = np.zeros(n)
         d[free] = d_f
-        c_trial, s, gs, hc_trial, f_trial = _trial_point(problem, c, 1.0, d, g, ledger)
+        c_trial, s, gs = _projected_step(problem, c, 1.0, d, g, ledger)
+        hc_trial, f_trial = _evaluate(problem, c_trial, ledger)
         hs = spmv(h, s, ledger)
         predicted = -(gs + 0.5 * dot(s, hs, ledger))
         actual = fc - f_trial

@@ -91,6 +91,15 @@ RUN_CASES = {
 }
 
 
+def run_case(case: str):
+    """``run_transient``'s result for one run case, on the problem :func:`compute_run` describes."""
+    mesh = generate_cube_with_hole(9, "tet4")
+    diffusivity = DiffusivityField.dispersion(DispersionParams(1.0, 0.001, 0.0), np.ones(3))
+    bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+    cfg = TransientConfig(rtol=1e-6, c_min=0.0, c_max=1.0, **RUN_CASES[case])
+    return run_transient(mesh, bc, diffusivity, 0.0, cfg)
+
+
 def compute_run(case: str) -> dict:
     """One solver run on the cube-with-hole n = 9 tet4 problem.
 
@@ -105,13 +114,11 @@ def compute_run(case: str) -> dict:
     reports were merged into one code path.  Its ``spmv`` tallies and the
     tron and blmvm report FLOPs and bytes were re-recorded when the QP
     solvers began to form H c once per evaluated point; nothing else in it
-    moved.
+    moved.  The blmvm cases' ``spmv`` and ``dot`` tallies and report FLOPs
+    and bytes were re-recorded when blmvm stopped forming H c and f at
+    trial points that fail the sign test g.s < 0; nothing else moved.
     """
-    mesh = generate_cube_with_hole(9, "tet4")
-    diffusivity = DiffusivityField.dispersion(DispersionParams(1.0, 0.001, 0.0), np.ones(3))
-    bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
-    cfg = TransientConfig(rtol=1e-6, c_min=0.0, c_max=1.0, **RUN_CASES[case])
-    result = run_transient(mesh, bc, diffusivity, 0.0, cfg)
+    result = run_case(case)
     final = np.ascontiguousarray(result.final, dtype="<f8")
     return {
         "kernels": _kernels(result.ledger),
@@ -444,7 +451,12 @@ def compute_workload(case: str) -> dict:
     The file was recorded before the kernel costs moved into one table
     (``sparse.KERNEL_COSTS``) and blmvm's vector steps were written as plain
     numpy expressions; its two n = 27 cases were recorded again with BLAS
-    on one thread, as the tests run (``conftest.py``).
+    on one thread, as the tests run (``conftest.py``).  The
+    ``transient-blmvm-n18`` case was re-recorded when blmvm stopped forming
+    H c and f at trial points that fail the sign test g.s < 0: its
+    ``spmv`` and ``dot`` tallies, report FLOPs, bytes, AI and the FLOP
+    rate bound that AI sets, and the ``steps.csv`` hash (through its flops
+    and bytes columns) moved.
     """
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))

@@ -1,4 +1,7 @@
+import contextlib
+import json
 import logging
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -6,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 import nndiff.qp as qp
+import nndiff.transient as transient
 from nndiff.errors import DimensionError, SolverBreakdownError
-from nndiff.sparse import CsrMatrix, OpLedger, axpy, cg_solve, dot, norm2, scale, spmv, vec_copy
+from nndiff.sparse import (CsrMatrix, OpLedger, axpy, cg_solve, dot, norm2, scale, spmv,
+                           start_report, vec_copy)
 from nndiff.qp import (
     QpProblem,
     brute_force_qp,
@@ -299,15 +305,15 @@ class TestTron:
         h = a.T @ a + 1e-2 * np.eye(5)
         p = QpProblem(CsrMatrix.from_dense(h), rng.standard_normal(5) * 2.0,
                       lower=0.0, upper=1.0)
-        predicted, trial_point = [], qp._trial_point
+        predicted, projected_step = [], qp._projected_step
 
         def spy(problem, c, alpha, d, g, ledger):
-            point = trial_point(problem, c, alpha, d, g, ledger)
+            point = projected_step(problem, c, alpha, d, g, ledger)
             s, gs = point[1], point[2]
             predicted.append(-(gs + 0.5 * s @ h @ s))
             return point
 
-        with mock.patch.object(qp, "_trial_point", spy):
+        with mock.patch.object(qp, "_projected_step", spy):
             c, rep = solve_tron(p, rtol=1e-10)
         assert min(predicted) <= 0.0
         assert rep.converged
@@ -484,15 +490,22 @@ def two_loop_reference(pg, pairs, ledger):
     return scale(d, -1.0, ledger)
 
 
-def trial_point_reference(problem, c, alpha, d, g, ledger):
-    """P(c + alpha d), s, g.s, H c_new and f(c_new), one instrumented kernel per step."""
+def projected_step_reference(problem, c, alpha, d, g, ledger):
+    """P(c + alpha d), s and g.s, one instrumented kernel per step."""
     c_new = vec_copy(c, ledger)
     axpy(c_new, alpha, d, ledger)
     c_new = project(c_new, problem.lower, problem.upper, ledger)
     s = vec_copy(c_new, ledger)
     axpy(s, -1.0, c, ledger)
+    return c_new, s, dot(g, s, ledger)
+
+
+def trial_point_reference(problem, c, alpha, d, g, ledger):
+    """The projected step, then H c_new and f(c_new): a trial point with its
+    product, one instrumented kernel per step."""
+    c_new, s, gs = projected_step_reference(problem, c, alpha, d, g, ledger)
     hc_new = spmv(problem.hessian, c_new, ledger)
-    return c_new, s, dot(g, s, ledger), hc_new, objective(problem, c_new, ledger, hc_new)
+    return c_new, s, gs, hc_new, objective(problem, c_new, ledger, hc_new)
 
 
 class TestFusedSteps:
@@ -517,7 +530,12 @@ class TestFusedSteps:
         c = project(rng.standard_normal(p.n), p.lower, p.upper)
         d, g = rng.standard_normal(p.n), rng.standard_normal(p.n)
         fused, ref = OpLedger(), OpLedger()
-        got = qp._trial_point(p, c, alpha, d, g, fused)
+        step = qp._projected_step(p, c, alpha, d, g, fused)
+        want = projected_step_reference(p, c, alpha, d, g, ref)
+        assert [bits(x) for x in step] == [bits(x) for x in want]
+        assert fused.breakdown() == ref.breakdown()
+        got = (*step, *qp._evaluate(p, step[0], fused))
+        ref = OpLedger()
         want = trial_point_reference(p, c, alpha, d, g, ref)
         assert [bits(x) for x in got] == [bits(x) for x in want]
         assert fused.breakdown() == ref.breakdown()
@@ -533,8 +551,8 @@ class TestOneProductPerPoint:
         with mock.patch.object(qp, "objective", wraps=qp.objective) as obj, \
                 mock.patch.object(qp, "gradient", wraps=qp.gradient) as grad:
             _, rep = solve_blmvm(p, ledger=ledger)
-        # one objective at x0 plus one per trial point; a gradient at x0 and
-        # at each accepted point
+        # one objective at x0 plus one per trial point whose g.s < 0; a
+        # gradient at x0 and at each accepted point
         assert ledger.breakdown()["spmv"]["calls"] == obj.call_count
         assert grad.call_count == rep.iterations + 1
 
@@ -560,3 +578,172 @@ class TestOneProductPerPoint:
             assert rep.converged, solver.__name__
             assert kkt_check(p, c, tol_abs * 10).ok, solver.__name__
             assert np.max(np.abs(c - c_bf)) < 1e-6, solver.__name__
+
+
+@dataclass
+class SearchLog:
+    """What a blmvm run's line searches did."""
+
+    path: list = field(default_factory=list)  # per direction: [pairs it used, trial points]
+    downhill: int = 0  # trial points with g.s < 0
+    cleared: int = 0  # line searches that ran out of backtracks and dropped the memory
+
+    @property
+    def skipped(self) -> int:
+        return sum(trials for _, trials in self.path) - self.downhill
+
+
+def blmvm_reference(problem, rtol=1e-6, max_outer=5000, x0=None, atol=0.0, ledger=None,
+                    monitor=None, log=None):
+    """solve_blmvm forming H c_new and f(c_new) at every trial point, as it did
+    before the sign-test gate, with one instrumented kernel per vector step;
+    ``log`` (a :class:`SearchLog`) records its line searches."""
+    ledger = OpLedger() if ledger is None else ledger
+    log = SearchLog() if log is None else log
+    finish = start_report(ledger)
+    c = qp._start_point(problem, x0, ledger)
+    hc = spmv(problem.hessian, c, ledger)
+    fc = objective(problem, c, ledger, hc)
+    g, _, pg, pg_norm = qp._gradients(problem, c, hc, ledger)
+    tol = rtol * pg_norm + atol + qp.ABS_FLOOR
+    pairs, outer, status = [], 0, "max-iter"
+    while True:
+        if pg_norm <= tol:
+            status = "converged"
+            break
+        if outer >= max_outer:
+            break
+        log.path.append([len(pairs), 0])
+        d = two_loop_reference(pg, pairs, ledger)
+        if dot(d, pg, ledger) >= 0.0:
+            pairs.clear()
+            d = scale(vec_copy(pg, ledger), -1.0, ledger)
+        alpha, accepted = 1.0, False
+        noise = 4.0 * qp.EPS * abs(fc)
+        for _ in range(qp.MAX_BACKTRACKS):
+            c_new, step, g_step, hc_new, f_new = trial_point_reference(
+                problem, c, alpha, d, g, ledger)
+            log.path[-1][1] += 1
+            log.downhill += g_step < 0.0
+            if g_step < 0.0 and f_new <= fc + qp.ARMIJO * g_step + noise:
+                accepted = True
+                break
+            alpha *= qp.BACKTRACK
+        if not accepted:
+            if pairs:
+                log.cleared += 1
+                pairs.clear()
+                continue
+            status = "breakdown"
+            break
+        g_new, _, pg_new, pg_norm = qp._gradients(problem, c_new, hc_new, ledger)
+        y = axpy(vec_copy(pg_new, ledger), -1.0, pg, ledger)
+        sy = dot(step, y, ledger)
+        if sy > 0.0:
+            pairs.append((step, y, 1.0 / sy))
+            if len(pairs) > qp.BLMVM_MEMORY:
+                pairs.pop(0)
+        c, g, pg, fc = c_new, g_new, pg_new, f_new
+        outer += 1
+        if monitor is not None:
+            monitor(outer, fc, pg_norm)
+    return c, finish(status, outer, residual_norm=pg_norm, objective=fc)
+
+
+@contextlib.contextmanager
+def logged_blmvm():
+    """While open, solve_blmvm records its line searches in the yielded log."""
+    log, two_loop, projected_step = SearchLog(), qp._two_loop, qp._projected_step
+
+    def direction(pg, pairs, ledger):
+        log.path.append([len(pairs), 0])
+        return two_loop(pg, pairs, ledger)
+
+    def trial(*args):
+        point = projected_step(*args)
+        log.path[-1][1] += 1
+        log.downhill += point[2] < 0.0
+        return point
+
+    with mock.patch.object(qp, "_two_loop", direction), \
+            mock.patch.object(qp, "_projected_step", trial):
+        yield log
+
+
+def assert_same_report(rep, rep_ref):
+    assert (rep.status, rep.iterations) == (rep_ref.status, rep_ref.iterations)
+    assert bits([rep.residual_norm, rep.objective]) == bits([rep_ref.residual_norm,
+                                                             rep_ref.objective])
+
+
+def assert_only_products_skipped(ledger, ref_ledger, skipped):
+    """The ledgers differ by one spmv and two dots per skipped trial point."""
+    got, want = ledger.breakdown(), ref_ledger.breakdown()
+    assert got.pop("spmv")["calls"] == want.pop("spmv")["calls"] - skipped
+    assert got.pop("dot")["calls"] == want.pop("dot")["calls"] - 2 * skipped
+    assert got == want
+
+
+class TestSignTestGate:
+    """blmvm forms H c_new and f(c_new) only at trial points with g.s < 0, the
+    first half of its Armijo test, and answers bit for bit as the reference
+    that forms them at every trial point; tron forms them at every one."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(spd_box_qps())
+    def test_bits_equal_the_every_point_reference(self, p):
+        ledger, ref_ledger, ref_log = OpLedger(), OpLedger(), SearchLog()
+        with logged_blmvm() as log:
+            c, rep = solve_blmvm(p, ledger=ledger)
+        c_ref, rep_ref = blmvm_reference(p, ledger=ref_ledger, log=ref_log)
+        assert bits(c) == bits(c_ref)
+        assert_same_report(rep, rep_ref)
+        assert log.path == ref_log.path and log.downhill == ref_log.downhill
+        assert ledger.breakdown()["spmv"]["calls"] == 1 + log.downhill
+        assert_only_products_skipped(ledger, ref_ledger, log.skipped)
+
+    @pytest.mark.parametrize("direction", [[-1.0, 1e-300], [np.nan, -1.0]],
+                             ids=["zero-step", "nan-step"])
+    def test_step_without_descent_is_rejected_without_a_product(self, direction):
+        """A direction that passes the descent test but whose projected step is
+        0 (g.s = 0) or NaN at every step length: no trial point forms H c_new,
+        and with no memory to drop blmvm stops at x0 with a breakdown."""
+        p = QpProblem(CsrMatrix.identity(2), [1.0, -1.0], lower=0.0, upper=1.0)
+        x0 = np.array([0.0, 0.5])  # the first variable is active, the second free
+        ledger = OpLedger()
+        with mock.patch.object(qp, "_two_loop", lambda pg, pairs, ledger: np.array(direction)):
+            c, rep = solve_blmvm(p, x0=x0, ledger=ledger)
+        assert (rep.status, rep.iterations) == ("breakdown", 0)
+        assert bits(c) == bits(x0)
+        assert ledger.breakdown()["spmv"]["calls"] == 1
+
+    def test_hole_transient_skips_products_and_clears_the_memory(self):
+        """The cube-with-hole n = 9 transient takes the skip branch and the
+        memory-clearing path, level by level as the reference does."""
+        case = "transient-blmvm-3"
+        ref_log = SearchLog()
+
+        def reference(*args, **kwargs):
+            return blmvm_reference(*args, log=ref_log, **kwargs)
+
+        with mock.patch.object(transient, "solve_blmvm", reference):
+            want = golden.run_case(case)
+        with logged_blmvm() as log:
+            got = golden.run_case(case)
+        assert ref_log.skipped > 0 and ref_log.cleared > 0
+        assert log.path == ref_log.path and log.downhill == ref_log.downhill
+        assert [bits(c) for c in got.fields] == [bits(c) for c in want.fields]
+        for rep, rep_ref in zip(got.reports, want.reports, strict=True):
+            assert_same_report(rep, rep_ref)
+        assert_only_products_skipped(got.ledger, want.ledger, log.skipped)
+
+    def test_tron_forms_the_product_at_every_trial_point(self):
+        """Steady tron on the cube-with-hole n = 9 evaluates x0 and every trial
+        point, and its tallies are the golden file's."""
+        with mock.patch.object(qp, "_projected_step", wraps=qp._projected_step) as step, \
+                mock.patch.object(qp, "_evaluate", wraps=qp._evaluate) as evaluate:
+            result = golden.run_case("steady-tron")
+        assert step.call_count > 0
+        assert evaluate.call_count == 1 + step.call_count
+        stored = json.loads((golden.DATA / "golden_cube_hole_n9.json").read_text())
+        assert golden._kernels(result.ledger) == stored["steady-tron"]["kernels"]
