@@ -81,6 +81,7 @@ def _check_inner_rtol_flag(inner_rtol, names) -> None:
 
 def _summary(result, tcfg, envelope) -> dict:
     """report.json's payload for one run; compare's table and CSV read it too."""
+    worst, tol = result.worst_certificate
     summary = {
         "solver": tcfg.solver,
         "status": "converged",
@@ -88,6 +89,11 @@ def _summary(result, tcfg, envelope) -> dict:
         "outer_iterations": sum(report.iterations for report in result.reports),
         "inner_iterations": sum(report.inner_iterations for report in result.reports),
         "dmp": dmp_check(result.final, tcfg.c_min, tcfg.c_max),
+        "certificate": {
+            "measure": "kkt_violation" if SOLVERS[tcfg.solver].bounded else "relative_residual",
+            "worst": worst,
+            "tol": tol,
+        },
         "flops": result.ledger.flops,
         "bytes": result.ledger.bytes,
         "solver_wall_time_s": result.solver_wall_time,

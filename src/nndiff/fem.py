@@ -409,20 +409,17 @@ class AssembledSystem:
     """Global stiffness/capacity operators, load vector, Dirichlet table.
 
     The capacity (mass) matrix is built on first access from ``mass_fn``:
-    a steady solve never reads it.  ``prepare`` keeps a built capacity and
-    sets ``mass_fn`` to None to drop the sorted pattern it holds.
+    a steady solve never reads it.
     """
 
     stiffness: CsrMatrix
-    mass_fn: Callable[[], CsrMatrix] | None = field(repr=False)
+    mass_fn: Callable[[], CsrMatrix] = field(repr=False)
     load: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
 
     @cached_property
     def mass(self) -> CsrMatrix:
-        if self.mass_fn is None:
-            raise ValueError("capacity pattern dropped: a prepared problem holds its mass")
         return self.mass_fn()
 
     @property

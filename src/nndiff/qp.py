@@ -3,11 +3,15 @@
 minimize  1/2 c'Hc + c'q   subject to  lower <= c <= upper
 
 Three routes: a projected limited-memory quasi-Newton solver (two-loop
-recursion on projected-gradient pairs with Armijo backtracking along the
+recursion on projected-gradient pairs, Armijo backtracking along the
 projected path), a trust-region active-set Newton solver (free-block
 system solved by preconditioned CG truncated at the trust radius), and
-an exhaustive active-set oracle for small dimensions.  Feasibility is maintained by exact
-componentwise clamping, so every iterate satisfies the bounds.
+an exhaustive active-set oracle for small dimensions.  Both iterative
+solvers step only on the free variables: tron solves on the free block,
+and blmvm zeroes its direction on the active set, as projected Newton
+methods do (Bertsekas, SIAM J. Control Optim. 1982).  Feasibility is
+maintained by exact componentwise clamping, so every iterate satisfies
+the bounds.
 
 All linear algebra is charged to the solve's own ledger at the costs of
 :mod:`nndiff.sparse`'s kernels.  The two-loop recursion, the projected
@@ -222,10 +226,15 @@ def solve_blmvm(
     """Quasi-Newton descent on the projected path.
 
     Curvature pairs are built from projected gradients; pairs with
-    s'y <= 0 are skipped.  Convergence: ||pg|| <= rtol * ||pg(x0)|| + atol;
-    the absolute term keeps warm starts from tightening the target toward
-    rounding noise.  ``monitor(outer, objective, pg_norm)`` is called
-    after every accepted step.
+    s'y <= 0 are skipped.  The two-loop direction is zeroed on the active
+    set (bound variables whose gradient points outward), so a step moves
+    only the free variables, as projected Newton methods do (Bertsekas,
+    SIAM J. Control Optim. 1982): the direction there can point uphill,
+    and the descent test d.pg < 0 cannot see it, pg being 0 on that set.
+    The zeroing is charged as a copy.  Convergence: ||pg|| <= rtol *
+    ||pg(x0)|| + atol; the absolute term keeps warm starts from tightening
+    the target toward rounding noise.  ``monitor(outer, objective,
+    pg_norm)`` is called after every accepted step.
     """
     if ledger is None:
         ledger = OpLedger()
@@ -235,7 +244,7 @@ def solve_blmvm(
     if problem.n == 0:
         return c, finish("converged", 0)
     hc, fc = _evaluate(problem, c, ledger)
-    g, _, pg, pg_norm = _gradients(problem, c, hc, ledger)
+    g, active, pg, pg_norm = _gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + ABS_FLOOR
     pairs: list = []
     outer = 0
@@ -247,7 +256,9 @@ def solve_blmvm(
             break
         if outer >= max_outer:
             break
-        d = _two_loop(pg, pairs, ledger)
+        # uphill on the active set goes unseen by d.pg, pg being 0 there
+        d = np.where(active, 0.0, _two_loop(pg, pairs, ledger))
+        _charge(ledger, problem.n, copy=1)
         if dot(d, pg, ledger) >= 0.0:
             # not a descent direction: drop the memory, fall back to -pg
             pairs.clear()
@@ -275,7 +286,7 @@ def solve_blmvm(
             status = "breakdown"
             break
 
-        g_new, _, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
+        g_new, active, pg_new, pg_norm = _gradients(problem, c_new, hc_new, ledger)
         y = pg_new - pg
         sy = float(np.dot(step, y))
         _charge(ledger, problem.n, copy=1, axpy=1, dot=1)

@@ -15,22 +15,23 @@ Dirichlet table and the Dirichlet lift that :func:`prepare` computed once;
 a level then costs M c_n / dt + f, one subtraction and its solve.  A
 callable source or boundary value is evaluated at each level's time, on a
 cell geometry computed once.  :func:`solve` runs one solver configuration
-on it and builds its own preconditioner and ledger, so several solvers can
-share one prepared problem; :func:`run` is one prepare followed by one
-solve.  The result keeps every level's field; output is written from it
-after the run, so a failed run writes none.
+on it, certifies each level's answer (``_solve_level``), and builds its
+own preconditioner and ledger, so several solvers can share one prepared
+problem; :func:`run` is one prepare followed by one solve.  The result
+keeps every level's field; output is written from it after the run, so a
+failed run writes none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import dmp_check
 from .errors import ConfigError, SolverFailure
 from .fem import (
-    AssembledSystem,
     CellGeometry,
     DiffusivityField,
     ReducedSystem,
@@ -43,9 +44,11 @@ from .fem import (
     expand,
 )
 from .mesh import BoundarySpec, Mesh
-from .qp import QpProblem, solve_blmvm, solve_tron
+from .qp import ABS_FLOOR, QpProblem, kkt_check, solve_blmvm, solve_tron
 from .sparse import (PRECONDITIONERS, CsrMatrix, OpLedger, add_scaled, cg_solve,
                      make_preconditioner, spmv)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,17 @@ class TransientResult:
     reports: list = field(default_factory=list)
     ledger: OpLedger = field(default_factory=OpLedger)
     solver_wall_time: float = 0.0
+    certificates: list = field(default_factory=list)  # per solved level: (value, tolerance)
 
     @property
     def final(self) -> np.ndarray:
         return self.fields[-1]
+
+    @property
+    def worst_certificate(self) -> tuple[float, float]:
+        """The (value, tolerance) of the level whose value is the largest
+        multiple of its tolerance (always > 0); a NaN value is the worst."""
+        return max(self.certificates, key=lambda vt: np.nan_to_num(vt[0] / vt[1], nan=np.inf))
 
 
 def build_transient_operator(stiffness: CsrMatrix, mass: CsrMatrix, dt: float) -> CsrMatrix:
@@ -171,9 +181,18 @@ def _check_bounds(values, config: TransientConfig) -> None:
 
 
 def _solve_level(operator, rhs, config, warm, precond, ledger, step):
-    """One reduced-system solve; raises SolverFailure on non-convergence."""
+    """One reduced-system solve and its certificate (value, tolerance); raises
+    SolverFailure on non-convergence.
+
+    The certificate checks the answer with one product outside the ledger:
+    Galerkin's ||rhs - A x|| / ||rhs|| against rtol (CG stops on a
+    recursively updated residual), a bounded solver's largest
+    :func:`~nndiff.qp.kkt_check` violation against the stopping test's
+    absolute terms, rtol ||rhs|| and the solver's floor.
+    """
     spec = SOLVERS[config.solver]
     maxit = config.max_iter or spec.iteration_cap(operator.n)
+    rhs_norm = float(np.linalg.norm(rhs))
     if not spec.bounded:
         x, report = spec(operator, rhs, precond=precond, rtol=config.rtol,
                          maxit=maxit, x0=warm, ledger=ledger)
@@ -181,7 +200,7 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
         problem = QpProblem(operator, -rhs, lower=config.c_min, upper=config.c_max)
         # warm starts shrink pg(x0); anchor the target to the cold-start gradient
         # so the stopping test matches the linear path's ||r|| <= rtol ||b||
-        atol = config.rtol * float(np.linalg.norm(rhs))
+        atol = config.rtol * rhs_norm
         settings = {"inner_rtol": config.inner_rtol} if spec.reads_inner_rtol else {}
         if spec.precond is not None:
             settings["precond"] = precond
@@ -190,24 +209,30 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     if not report.converged:
         raise SolverFailure(f"{config.solver} failed at step {step} (status {report.status}, "
                             f"{report.iterations} iterations)", step, report)
-    return x, report
+    if spec.bounded:
+        certificate = kkt_check(problem, x, atol).max_violation, atol + ABS_FLOOR
+    else:
+        residual = float(np.linalg.norm(rhs - operator.matvec_raw(x)))
+        certificate = residual / (rhs_norm or 1.0), config.rtol
+    return x, report, certificate
 
 
 @dataclass
 class PreparedProblem:
     """One assembled and reduced problem; solves only read it.  ``dt`` is None
-    when steady.  ``operator`` is K (steady) or M/dt + K (transient, with the
-    capacity ``mass``), and ``reduced`` its Dirichlet elimination.
-    ``geometry`` is kept for the loads of later levels when a transient
-    level's data depends on time, else None."""
+    when steady.  ``reduced`` is the Dirichlet elimination of K (steady) or
+    of M/dt + K (transient, which keeps the capacity ``mass`` and the
+    assembled ``load``).  When a transient level's data depends on time, the
+    loads of later levels read ``geometry`` and their Dirichlet lifts
+    ``operator`` (M/dt + K); otherwise both are None, as no level reads them."""
 
     mesh: Mesh
     bc: BoundarySpec
     source: object
     dt: float | None
-    system: AssembledSystem
+    load: np.ndarray
     mass: CsrMatrix | None
-    operator: CsrMatrix
+    operator: CsrMatrix | None
     reduced: ReducedSystem
     geometry: CellGeometry | None
 
@@ -219,7 +244,7 @@ class PreparedProblem:
         r = self.reduced
         if self.dt is None:
             return r.rhs, r.dirichlet_idx, r.dirichlet_values
-        load, idx, vals, lift = self.system.load, r.dirichlet_idx, r.dirichlet_values, r.lift
+        load, idx, vals, lift = self.load, r.dirichlet_idx, r.dirichlet_values, r.lift
         if self.geometry is not None:
             t = step * self.dt
             load = assemble_load(self.mesh, self.source, self.bc, t, self.geometry)
@@ -240,9 +265,11 @@ def prepare(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
     if dt is not None:
         dt, mass = float(dt), system.mass
         operator = build_transient_operator(system.stiffness, mass, dt)
-    system = replace(system, mass_fn=None)  # the capacity pattern goes; a built M stays
-    return PreparedProblem(mesh, bc, source, dt, system, mass, operator,
-                           apply_dirichlet(system, operator), geometry)
+    # K, the capacity pattern and, unless a later level's lift reads it, the
+    # operator go with the system; a built M stays
+    return PreparedProblem(mesh, bc, source, dt, system.load, mass,
+                           operator if varies else None, apply_dirichlet(system, operator),
+                           geometry)
 
 
 def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult:
@@ -255,7 +282,7 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     if dt != p.dt:
         want, have = ("steady" if d is None else f"dt = {d:g}" for d in (dt, p.dt))
         raise ConfigError(f"the solve config is {want}, the prepared problem {have}")
-    n, free, operator = p.system.n, r.free, r.matrix
+    n, free, operator = p.mesh.n_vertices, r.free, r.matrix
     _check_bounds(r.dirichlet_values, config)
     c_full = expand(n, free, config.initial_value, r.dirichlet_idx, r.dirichlet_values)
     result = TransientResult(fields=[] if dt is None else [c_full])  # level 0 if transient
@@ -267,10 +294,15 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     for step in [0] if dt is None else range(1, config.n_steps + 1):
         rhs, idx, vals = p.level_rhs(step, c_full)
         _check_bounds(vals, config)
-        x, report = _solve_level(operator, rhs, config, c_full[free], precond, result.ledger, step)
+        x, report, (value, tol) = _solve_level(operator, rhs, config, c_full[free], precond,
+                                               result.ledger, step)
+        if not value <= tol:
+            logger.warning("%s at step %d: certificate %.3e exceeds the tolerance %.3e",
+                           config.solver, step, value, tol)
         c_full = expand(n, free, x, idx, vals)
         result.fields.append(c_full)
         result.reports.append(report)
+        result.certificates.append((value, tol))
         result.solver_wall_time += report.wall_time
     return result
 
@@ -282,13 +314,16 @@ def run(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
 
 
 def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) -> None:
-    """One row per solved level: iterations, extrema, violations, traffic."""
+    """One row per solved level: iterations, extrema, violations, traffic and
+    the level's certificate."""
     with open(path, "w") as fh:
-        fh.write("step,iterations,min_c,max_c,violations,flops,bytes\n")
+        fh.write("step,iterations,min_c,max_c,violations,flops,bytes,certificate\n")
         solved = result.fields[-len(result.reports):]
-        for k, (report, c) in enumerate(zip(result.reports, solved)):
+        rows = zip(result.reports, solved, result.certificates, strict=True)
+        for k, (report, c, (value, _)) in enumerate(rows):
             dmp = dmp_check(c, c_min, c_max)
             fh.write(
                 f"{k},{report.iterations},{dmp['min']:.17g},{dmp['max']:.17g},"
-                f"{dmp['n_below'] + dmp['n_above']},{report.flops},{report.bytes}\n"
+                f"{dmp['n_below'] + dmp['n_above']},{report.flops},{report.bytes},"
+                f"{value:.17g}\n"
             )

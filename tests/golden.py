@@ -116,7 +116,10 @@ def compute_run(case: str) -> dict:
     solvers began to form H c once per evaluated point; nothing else in it
     moved.  The blmvm cases' ``spmv`` and ``dot`` tallies and report FLOPs
     and bytes were re-recorded when blmvm stopped forming H c and f at
-    trial points that fail the sign test g.s < 0; nothing else moved.
+    trial points that fail the sign test g.s < 0; nothing else moved.  The
+    two blmvm cases were re-recorded in full when blmvm began to zero its
+    direction on the active set, a deliberate answer change within the
+    solver's tolerance; the galerkin and tron cases did not move.
     """
     result = run_case(case)
     final = np.ascontiguousarray(result.final, dtype="<f8")
@@ -456,7 +459,11 @@ def compute_workload(case: str) -> dict:
     H c and f at trial points that fail the sign test g.s < 0: its
     ``spmv`` and ``dot`` tallies, report FLOPs, bytes, AI and the FLOP
     rate bound that AI sets, and the ``steps.csv`` hash (through its flops
-    and bytes columns) moved.
+    and bytes columns) moved.  All three cases were re-recorded when
+    report.json gained the per-level ``certificate`` and ``steps.csv`` its
+    last column, which moved nothing else of the two n = 27 cases; with
+    them, ``transient-blmvm-n18`` was re-recorded in full when blmvm began
+    to zero its direction on the active set.
     """
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))

@@ -73,12 +73,12 @@ kkt certificate: PASS (violation 7.385e-07, tol 8.422e-06)
 solution[:8]: [0, 0.0151299, 0.0992882, 0, 0, 0, 0, 0.0116649, ...]
 """
 QP_STDOUT_DIM25_BLMVM = """\
-status: converged after 19 outer iterations
+status: converged after 14 outer iterations
 objective: -1.26130401068
-projected gradient norm: 1.701463e-06
-kkt certificate: PASS (violation 1.107e-06, tol 9.010e-06)
-solution[:8]: [-0.0174284, -0.0348297, -0.1, -0.0220508, -0.0340798, 0.00148055, \
--0.0764914, 0.0296081, ...]
+projected gradient norm: 7.974692e-06
+kkt certificate: PASS (violation 2.946e-06, tol 9.010e-06)
+solution[:8]: [-0.0174284, -0.0348297, -0.1, -0.0220508, -0.0340799, 0.00148056, \
+-0.0764913, 0.0296082, ...]
 """
 
 

@@ -60,16 +60,19 @@ class TestDmpCheck:
 class TestTables:
     def test_csv_layout(self, tmp_path):
         # the per-level violation table: the initial field is not a row,
-        # and each row counts the nodes outside [c_min, c_max]
+        # each row counts the nodes outside [c_min, c_max], and the level's
+        # certificate comes last (bench/checks.py reads violations by position)
         result = TransientResult(
             fields=[np.array([5.0, 5.0]), np.array([0.5]), np.array([-1.0, 2.0])],
             reports=[
                 SolveReport("converged", 3, flops=10, bytes=80),
                 SolveReport("converged", 4, flops=20, bytes=160),
             ],
+            certificates=[(2.5e-7, 1e-6), (0.1, 1e-6)],
         )
         path = tmp_path / "steps.csv"
         write_step_csv(result, path, 0.0, 1.0)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes"
-        assert lines[1:] == ["0,3,0.5,0.5,0,10,80", "1,4,-1,2,2,20,160"]
+        assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes,certificate"
+        assert lines[1:] == ["0,3,0.5,0.5,0,10,80,2.4999999999999999e-07",
+                             "1,4,-1,2,2,20,160,0.10000000000000001"]

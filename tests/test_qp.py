@@ -470,6 +470,28 @@ def spd_box_qps(draw):
     return QpProblem(CsrMatrix.from_dense(h), rng.standard_normal(n) * 2.0, lower, upper)
 
 
+@st.composite
+def active_box_qps(draw):
+    """An SPD box QP with n <= 8 built around its KKT point: (problem, x*, where).
+
+    ``where`` puts each variable of x* at its lower bound (0), its upper bound
+    (1) or strictly inside (2), at least one at a bound; q = lam - H x* with
+    multipliers lam >= 0.1 at lower bounds, <= -0.1 at upper ones and 0 inside.
+    """
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    h = a.T @ a + draw(st.sampled_from([0.01, 1.0, n])) * np.eye(n)
+    lower = -rng.random(n)
+    upper = lower + 0.1 + 2.0 * rng.random(n)
+    where = rng.integers(0, 3, n)
+    where[rng.integers(n)] = rng.integers(2)
+    inside = lower + (0.05 + 0.9 * rng.random(n)) * (upper - lower)
+    x = np.choose(where, [lower, upper, inside])
+    lam = np.choose(where, [0.1 + rng.random(n), -0.1 - rng.random(n), np.zeros(n)])
+    return QpProblem(CsrMatrix.from_dense(h), lam - h @ x, lower, upper), x, where
+
+
 def bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -580,6 +602,46 @@ class TestOneProductPerPoint:
             assert np.max(np.abs(c - c_bf)) < 1e-6, solver.__name__
 
 
+class TestActiveSetDirection:
+    """blmvm moves only the free variables: its direction is zeroed on the
+    active set, so the answer is the oracle's on QPs whose bounds are active."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(active_box_qps())
+    def test_answer_passes_kkt_and_matches_brute_force(self, case):
+        p, x_star, where = case
+        c, rep = solve_blmvm(p, rtol=1e-10)
+        assert rep.converged
+        g0 = p.hessian.matvec_raw(project(np.zeros(p.n), p.lower, p.upper)) + p.linear
+        assert kkt_check(p, c, 10 * (1e-10 * np.linalg.norm(g0) + 1e-12)).ok
+        c_bf = brute_force_qp(p)
+        assert np.max(np.abs(c_bf - x_star)) < 1e-9
+        assert np.max(np.abs(c - c_bf)) < 1e-6
+        # a bound with a nonzero multiplier holds exactly: projection clamps to it
+        assert bits(c[where == 0]) == bits(p.lower[where == 0])
+        assert bits(c[where == 1]) == bits(p.upper[where == 1])
+
+    @pytest.mark.parametrize("active_entry", [5.0, -5.0], ids=["inward", "outward"])
+    def test_active_variable_never_moves(self, active_entry):
+        """The first variable sits at its lower bound with g > 0 (active); a
+        direction with any entry there leaves it where it is.  Unzeroed, the
+        inward entry makes every g.s > 0 and the search breaks down."""
+        p = QpProblem(CsrMatrix.identity(2), [1.0, -1.0], lower=0.0, upper=1.0)
+        x0 = np.array([0.0, 0.5])
+        directions, projected_step = [], qp._projected_step
+
+        def spy(problem, c, alpha, d, g, ledger):
+            directions.append(d.copy())
+            return projected_step(problem, c, alpha, d, g, ledger)
+
+        with mock.patch.object(qp, "_two_loop", lambda pg, pairs, ledger: np.array(
+                [active_entry, 1.0])), mock.patch.object(qp, "_projected_step", spy):
+            c, rep = solve_blmvm(p, x0=x0)
+        assert rep.converged
+        assert directions and all(d[0] == 0.0 for d in directions)
+        assert bits(c) == bits([0.0, 1.0]) == bits(brute_force_qp(p))
+
+
 @dataclass
 class SearchLog:
     """What a blmvm run's line searches did."""
@@ -594,17 +656,18 @@ class SearchLog:
 
 
 def blmvm_reference(problem, rtol=1e-6, max_outer=5000, x0=None, atol=0.0, ledger=None,
-                    monitor=None, log=None):
+                    monitor=None, log=None, two_loop=two_loop_reference):
     """solve_blmvm forming H c_new and f(c_new) at every trial point, as it did
     before the sign-test gate, with one instrumented kernel per vector step;
-    ``log`` (a :class:`SearchLog`) records its line searches."""
+    ``log`` (a :class:`SearchLog`) records its line searches, and
+    ``two_loop`` gives the direction before it is zeroed on the active set."""
     ledger = OpLedger() if ledger is None else ledger
     log = SearchLog() if log is None else log
     finish = start_report(ledger)
     c = qp._start_point(problem, x0, ledger)
     hc = spmv(problem.hessian, c, ledger)
     fc = objective(problem, c, ledger, hc)
-    g, _, pg, pg_norm = qp._gradients(problem, c, hc, ledger)
+    g, active, pg, pg_norm = qp._gradients(problem, c, hc, ledger)
     tol = rtol * pg_norm + atol + qp.ABS_FLOOR
     pairs, outer, status = [], 0, "max-iter"
     while True:
@@ -614,7 +677,8 @@ def blmvm_reference(problem, rtol=1e-6, max_outer=5000, x0=None, atol=0.0, ledge
         if outer >= max_outer:
             break
         log.path.append([len(pairs), 0])
-        d = two_loop_reference(pg, pairs, ledger)
+        d = vec_copy(two_loop(pg, pairs, ledger), ledger)
+        d[active] = 0.0
         if dot(d, pg, ledger) >= 0.0:
             pairs.clear()
             d = scale(vec_copy(pg, ledger), -1.0, ledger)
@@ -636,7 +700,7 @@ def blmvm_reference(problem, rtol=1e-6, max_outer=5000, x0=None, atol=0.0, ledge
                 continue
             status = "breakdown"
             break
-        g_new, _, pg_new, pg_norm = qp._gradients(problem, c_new, hc_new, ledger)
+        g_new, active, pg_new, pg_norm = qp._gradients(problem, c_new, hc_new, ledger)
         y = axpy(vec_copy(pg_new, ledger), -1.0, pg, ledger)
         sy = dot(step, y, ledger)
         if sy > 0.0:
@@ -668,6 +732,22 @@ def logged_blmvm():
     with mock.patch.object(qp, "_two_loop", direction), \
             mock.patch.object(qp, "_projected_step", trial):
         yield log
+
+
+def nan_on_first_memory_direction(two_loop):
+    """``two_loop``, with a NaN put on a free variable (pg != 0) of the first
+    direction that it builds from stored pairs: that direction passes the
+    descent test (d.pg is NaN) and every trial point along it fails the sign test."""
+    done = []
+
+    def direction(pg, pairs, ledger):
+        d = two_loop(pg, pairs, ledger)
+        if pairs and not done:
+            d[np.flatnonzero(pg)[0]] = np.nan
+            done.append(True)
+        return d
+
+    return direction
 
 
 def assert_same_report(rep, rep_ref):
@@ -702,7 +782,9 @@ class TestSignTestGate:
         assert ledger.breakdown()["spmv"]["calls"] == 1 + log.downhill
         assert_only_products_skipped(ledger, ref_ledger, log.skipped)
 
-    @pytest.mark.parametrize("direction", [[-1.0, 1e-300], [np.nan, -1.0]],
+    # the first variable is active, so the direction's entry there is zeroed:
+    # the step's 1e-300 or NaN sits on the free one
+    @pytest.mark.parametrize("direction", [[-1.0, 1e-300], [-1.0, np.nan]],
                              ids=["zero-step", "nan-step"])
     def test_step_without_descent_is_rejected_without_a_product(self, direction):
         """A direction that passes the descent test but whose projected step is
@@ -718,19 +800,25 @@ class TestSignTestGate:
         assert ledger.breakdown()["spmv"]["calls"] == 1
 
     def test_hole_transient_skips_products_and_clears_the_memory(self):
-        """The cube-with-hole n = 9 transient takes the skip branch and the
-        memory-clearing path, level by level as the reference does."""
+        """The cube-with-hole n = 9 transient, whose first direction built from
+        memory gets a NaN on a free variable, takes the skip branch and the
+        memory-clearing path, level by level as the reference does.
+
+        Its own directions, zeroed on the active set, make no skipped trial
+        point and exhaust no line search, so the NaN stands in for a direction
+        that passes the descent test and then fails every sign test."""
         case = "transient-blmvm-3"
-        ref_log = SearchLog()
+        ref_log, ref_two_loop = SearchLog(), nan_on_first_memory_direction(two_loop_reference)
 
         def reference(*args, **kwargs):
-            return blmvm_reference(*args, log=ref_log, **kwargs)
+            return blmvm_reference(*args, log=ref_log, two_loop=ref_two_loop, **kwargs)
 
         with mock.patch.object(transient, "solve_blmvm", reference):
             want = golden.run_case(case)
-        with logged_blmvm() as log:
+        with mock.patch.object(qp, "_two_loop", nan_on_first_memory_direction(qp._two_loop)), \
+                logged_blmvm() as log:
             got = golden.run_case(case)
-        assert ref_log.skipped > 0 and ref_log.cleared > 0
+        assert ref_log.skipped > 0 and ref_log.cleared == 1
         assert log.path == ref_log.path and log.downhill == ref_log.downhill
         assert [bits(c) for c in got.fields] == [bits(c) for c in want.fields]
         for rep, rep_ref in zip(got.reports, want.reports, strict=True):

@@ -274,7 +274,7 @@ class TestRun:
         path = tmp_path / "steps.csv"
         write_step_csv(result, path, 0.0, 1.0)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes"
+        assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes,certificate"
         assert len(lines) == 4
 
 
@@ -408,3 +408,52 @@ class TestTimeIndependentLevels:
         prepared = prepare(mesh, bc, d, source, 0.5)  # t = 0 is finite
         with pytest.raises(ConfigError, match="not finite at t = 0.5"):
             solve(prepared, TransientConfig(dt=0.5, n_steps=2))
+
+
+class TestLevelCertificate:
+    """Each solved level is checked by one product outside the ledger: KKT
+    violation for the bounded solvers, relative residual for Galerkin."""
+
+    FUNCTIONS = {"galerkin": "cg_solve", "tron": "solve_tron", "blmvm": "solve_blmvm"}
+
+    @staticmethod
+    def run_hole(solver):
+        mesh = generate_cube_with_hole(9, "tet4")
+        d = DiffusivityField.dispersion(DispersionParams(1.0, 0.001, 0.0), np.ones(3))
+        bc = BoundarySpec(dirichlet={1: 0.0, 2: 1.0})
+        return run(mesh, bc, d, 0.0, TransientConfig(dt=0.5, n_steps=2, solver=solver))
+
+    @pytest.mark.parametrize("solver", sorted(FUNCTIONS))
+    def test_healthy_run_is_within_its_tolerance(self, solver, caplog):
+        result = self.run_hole(solver)
+        assert len(result.certificates) == 2
+        assert all(0.0 <= value <= tol for value, tol in result.certificates)
+        assert result.worst_certificate in result.certificates
+        assert "certificate" not in caplog.text
+
+    @pytest.mark.parametrize("solver", sorted(FUNCTIONS))
+    def test_one_corrupted_entry_fires(self, solver, monkeypatch, caplog):
+        """The second level's answer, one entry moved within the bounds, fails
+        its certificate and logs a warning; the first level's passes."""
+        raw, calls = getattr(transient, self.FUNCTIONS[solver]), []
+
+        def corrupted(*args, **kwargs):
+            x, report = raw(*args, **kwargs)
+            calls.append(True)
+            if len(calls) == 2:
+                j = int(np.argmax(np.minimum(x, 1.0 - x)))  # the entry farthest from a bound
+                x[j] = 1.0 if x[j] < 0.5 else 0.0
+            return x, report
+
+        monkeypatch.setattr(transient, self.FUNCTIONS[solver], corrupted)
+        result = self.run_hole(solver)
+        (ok, ok_tol), (bad, bad_tol) = result.certificates
+        assert ok <= ok_tol and bad > bad_tol
+        assert result.worst_certificate == (bad, bad_tol)
+        assert f"{solver} at step 2: certificate" in caplog.text
+
+    def test_worst_is_the_largest_multiple_of_its_tolerance_and_nan_above_all(self):
+        levels = [(2.0, 1.0), (3e-6, 1e-6), (1e-9, 1e-50), (0.5, 1.0)]
+        assert transient.TransientResult(certificates=levels).worst_certificate == (1e-9, 1e-50)
+        levels.insert(1, (np.nan, 1.0))
+        assert np.isnan(transient.TransientResult(certificates=levels).worst_certificate[0])
