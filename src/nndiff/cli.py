@@ -25,6 +25,7 @@ from .config import (
     build_envelope,
     build_mesh,
     build_transient_config,
+    solver_config,
 )
 from .diagnostics import dmp_check
 from .errors import (
@@ -38,7 +39,7 @@ from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import PerfEnvelope, arithmetic_intensity, efficiency
 from .qp import QpProblem, kkt_check
 from .sparse import CsrMatrix, OpLedger, read_matrix_market
-from .transient import SOLVERS, check_positive_finite, prepare, solve, write_step_csv
+from .transient import SOLVERS, prepare, solve, write_step_csv
 from .transient import run as run_transient
 
 logger = logging.getLogger("nndiff")
@@ -48,6 +49,7 @@ _SOLVER_ERRORS = (SolverFailure, SolverBreakdownError, FactorizationError)
 _INPUT_ERRORS = (NndiffError, OSError, ValueError)
 
 DEFAULT_COMPARE_SOLVERS = ["galerkin", "tron:1e-1", "tron:1e-2", "tron:1e-3", "blmvm"]
+_BOUNDED = tuple(name for name, spec in SOLVERS.items() if spec.bounded)  # what qp takes
 
 
 def _setup_logging() -> None:
@@ -72,11 +74,11 @@ def _build_problem(run_cfg, config_path):
     return mesh, diffusivity, bc, source
 
 
-def _check_inner_rtol_flag(inner_rtol, names) -> None:
-    """``--inner-rtol`` must reach a solver that reads it; ``names`` are the ones it reaches."""
-    if inner_rtol is not None and not any(SOLVERS[name].reads_inner_rtol for name in names):
-        raise ConfigError("--inner-rtol reaches no solver with an inner tolerance: "
-                          + (", ".join(names) or "no plain entry"))
+def _warn_ignored(run_cfg, section: str, keys, reason: str) -> None:
+    """One WARNING line for each of ``keys`` that ``[section]`` sets but the command ignores."""
+    for key in keys:
+        if key in getattr(run_cfg, section):
+            logger.warning("[%s] %s is ignored: %s", section, key, reason)
 
 
 def _summary(result, tcfg, envelope) -> dict:
@@ -107,20 +109,17 @@ def _summary(result, tcfg, envelope) -> dict:
 
 def cmd_solve(args) -> int:
     run_cfg = RunConfig.from_file(args.config)
-    spec = args.solver or run_cfg.solver.get("choice", "")
-    if args.inner_rtol is not None and ":" in spec:  # compare sets only its plain entries
-        raise ConfigError(f"--inner-rtol and solver spec {spec!r} both set inner_rtol")
-    tcfg = build_transient_config(run_cfg, args.solver, args.rtol, args.inner_rtol)
+    tcfg = build_transient_config(run_cfg, args.solver, args.rtol)
     envelope = build_envelope(run_cfg)
-    _check_inner_rtol_flag(args.inner_rtol, [tcfg.solver])
-    spec = SOLVERS[tcfg.solver]
-    for key, read in (("precond", spec.precond), ("inner_rtol", spec.reads_inner_rtol)):
-        if key in run_cfg.solver and not read:  # --solver may override another's config
-            logger.warning("[solver] %s is ignored: %s does not use it", key, tcfg.solver)
+    vtk_path = args.vtk or run_cfg.output.get("vtk")
+    if SOLVERS[tcfg.solver].precond is None:  # --solver may override another's config
+        _warn_ignored(run_cfg, "solver", ["precond"], f"{tcfg.solver} does not use it")
+    if tcfg.steady or not vtk_path:
+        _warn_ignored(run_cfg, "output", ["cadence"], "a steady solve writes no snapshots"
+                      if tcfg.steady else "no VTK output is set")
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
 
     result = run_transient(mesh, bc, diffusivity, source, tcfg)
-    vtk_path = args.vtk or run_cfg.output.get("vtk")
     if vtk_path:
         geometry = VtkGeometry(mesh)  # formatted at the first write, shared by all
         # fields[k] is level k; a steady result holds one field and no snapshot
@@ -184,10 +183,8 @@ def cmd_compare(args) -> int:
         solvers = [solvers]
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
-    tcfgs = [build_transient_config(run_cfg, s, args.rtol, args.inner_rtol) for s in solvers]
-    # an entry such as tron:1e-3 keeps its own inner tolerance
-    _check_inner_rtol_flag(args.inner_rtol,
-                           [t.solver for spec, t in zip(solvers, tcfgs) if ":" not in spec])
+    tcfgs = [build_transient_config(run_cfg, s, args.rtol) for s in solvers]
+    _warn_ignored(run_cfg, "output", ["vtk", "csv", "cadence"], "compare writes only its report")
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
     # the entries differ only in solver settings, so one prepared problem serves all
@@ -249,8 +246,10 @@ def _load_bound(text, n):
 
 
 def cmd_qp(args) -> int:
-    _check_inner_rtol_flag(args.inner_rtol, [args.solver])
-    check_positive_finite("rtol", args.rtol)
+    tcfg = solver_config(args.solver, dt=None, rtol=args.rtol)  # parsed as solve parses it
+    spec = SOLVERS[tcfg.solver]  # its iteration cap is the one solve and compare use
+    if not spec.bounded:
+        raise ConfigError(f"qp takes a bounded solver, not {tcfg.solver!r}; use {_BOUNDED}")
     if args.seed is not None and args.random_dim is None:
         raise ConfigError("--seed applies only to --random-dim instances")
     if args.random_dim is not None:
@@ -272,14 +271,13 @@ def cmd_qp(args) -> int:
         lower=_load_bound(args.lower, hessian.n),
         upper=_load_bound(args.upper, hessian.n),
     )
-    spec = SOLVERS[args.solver]  # its iteration cap is the one solve and compare use
-    settings = {} if args.inner_rtol is None else {"inner_rtol": args.inner_rtol}
-    c, report = spec(problem, rtol=args.rtol, max_outer=spec.iteration_cap(problem.n), **settings)
+    c, report = spec(problem, rtol=tcfg.rtol, max_outer=spec.iteration_cap(problem.n),
+                     **tcfg.bounded_settings())
 
     g0 = problem.hessian.matvec_raw(
         np.clip(np.zeros(problem.n), problem.lower, problem.upper)
     ) + problem.linear
-    tol_abs = args.rtol * float(np.linalg.norm(g0)) + 1e-12
+    tol_abs = tcfg.rtol * float(np.linalg.norm(g0)) + 1e-12
     cert = kkt_check(problem, c, tol_abs)
 
     print(f"status: {report.status} after {report.iterations} outer iterations")
@@ -382,11 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--rtol", type=float, help="override solver rtol")
-    common.add_argument("--inner-rtol", type=float, help="override [solver] inner_rtol")
     common.add_argument("--report", help="override report output path")
 
     p_solve = sub.add_parser("solve", parents=[common], help="run one configured solve")
-    p_solve.add_argument("--solver", help="override [solver] choice")
+    p_solve.add_argument("--solver", help="solver spec name[:inner_rtol], such as tron:1e-3; "
+                         "overrides [solver] choice")
     p_solve.add_argument("--vtk", help="override VTK output path")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -399,10 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qp.add_argument("--q", help="linear term, one value per line")
     p_qp.add_argument("--lower", help="scalar or file")
     p_qp.add_argument("--upper", help="scalar or file")
-    bounded = [name for name, spec in SOLVERS.items() if spec.bounded]
-    p_qp.add_argument("--solver", choices=bounded, default=bounded[0])
+    p_qp.add_argument("--solver", default=_BOUNDED[0], help="bounded solver spec "
+                      f"name[:inner_rtol] ({', '.join(_BOUNDED)}; default {_BOUNDED[0]})")
     p_qp.add_argument("--rtol", type=float, default=1e-6)
-    p_qp.add_argument("--inner-rtol", type=float, help="inner CG rtol (default 1e-2)")
     p_qp.add_argument("--random-dim", type=int, help="generate a seeded SPD instance")
     p_qp.add_argument("--seed", type=int, help="--random-dim seed (default 0)")
     p_qp.add_argument("--out", help="write the solution vector")

@@ -71,8 +71,7 @@ _SCHEMA = {
                 "velocity": NUMBERS, "velocity_file": STRING, "tensor": NUMBERS,
                 "source": NUMBER},
     "bc": {"dirichlet": MARKERS, "neumann": MARKERS},
-    "solver": {"choice": STRING, "rtol": NUMBER, "inner_rtol": NUMBER, "max_iter": INTEGER,
-               "precond": STRING},
+    "solver": {"choice": STRING, "rtol": NUMBER, "max_iter": INTEGER, "precond": STRING},
     "transient": {"dt": NUMBER, "n_steps": INTEGER, "initial_value": NUMBER},
     "bounds": {"c_min": NUMBER, "c_max": NUMBER},
     "perf": {"tpp": NUMBER, "streams_bw": NUMBER},
@@ -216,27 +215,29 @@ def build_bc(cfg: dict) -> BoundarySpec:
     })
 
 
-def build_transient_config(run: RunConfig, solver_override: str | None = None,
-                           rtol: float | None = None,
-                           inner_rtol: float | None = None) -> TransientConfig:
-    """:class:`TransientConfig` of the [solver], [transient] and [bounds] keys
-    present (its field names; ``choice`` is ``solver``) and the overrides.  A
-    solver spec ``name:inner_rtol`` such as ``tron:1e-3`` sets both."""
-    settings = {**run.solver, **(run.transient or {}), **run.bounds}
-    choice = settings.pop("choice", TransientConfig.solver)
-    settings["solver"], colon, tail = (solver_override or choice).partition(":")
-    if rtol is not None:
-        settings["rtol"] = rtol
-    if inner_rtol is not None:
-        settings["inner_rtol"] = inner_rtol
+def solver_config(spec: str, **settings) -> TransientConfig:
+    """:class:`TransientConfig` of a solver spec ``name[:inner_rtol]`` such as ``tron:1e-3``
+    and the other ``settings``; a tail on a solver that reads none is a ConfigError."""
+    settings["solver"], colon, tail = spec.partition(":")
     if colon:
         settings["inner_rtol"] = float(tail)
-    if run.transient is None:
-        settings["dt"] = None  # no [transient] section: one steady solve
     config = TransientConfig(**settings)
     if colon and not SOLVERS[config.solver].reads_inner_rtol:
         raise ConfigError(f"{config.solver} reads no inner_rtol, so ':{tail}' sets nothing")
     return config
+
+
+def build_transient_config(run: RunConfig, solver_override: str | None = None,
+                           rtol: float | None = None) -> TransientConfig:
+    """:class:`TransientConfig` of the [solver], [transient] and [bounds] keys present
+    (its field names; ``choice`` or ``solver_override`` is the spec) and ``rtol``."""
+    settings = {**run.solver, **(run.transient or {}), **run.bounds}
+    choice = settings.pop("choice", TransientConfig.solver)
+    if rtol is not None:
+        settings["rtol"] = rtol
+    if run.transient is None:
+        settings["dt"] = None  # no [transient] section: one steady solve
+    return solver_config(solver_override or choice, **settings)
 
 
 def build_envelope(run: RunConfig) -> PerfEnvelope | None:

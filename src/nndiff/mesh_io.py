@@ -14,10 +14,11 @@ import numpy as np
 from .errors import ParseError
 from .mesh import HEX8, TET4, Mesh
 
-_GMSH_VOLUME = {4: (TET4, 4), 5: (HEX8, 8)}
-_GMSH_FACET = {2: 3, 3: 4}
+# kind: (Gmsh cell type, nodes per cell, Gmsh facet type, nodes per facet)
+_GMSH_TYPES = {TET4: (4, 4, 2, 3), HEX8: (5, 8, 3, 4)}
+_GMSH_VOLUME = {cell: (kind, width) for kind, (cell, width, _, _) in _GMSH_TYPES.items()}
+_GMSH_FACET = {facet: width for _, _, facet, width in _GMSH_TYPES.values()}
 _VTK_CELL_TYPE = {TET4: 10, HEX8: 12}
-_GMSH_TYPE_OF_KIND = {TET4: 4, HEX8: 5}
 
 
 def read_gmsh(path) -> Mesh:
@@ -123,7 +124,7 @@ def read_gmsh(path) -> Mesh:
 
     if kind is None:
         raise ParseError("no volumetric elements found", str(path), len(lines))
-    facet_width = 3 if kind == TET4 else 4
+    facet_width = _GMSH_TYPES[kind][3]
     for f, ln in zip(facets, facet_lines):
         if len(f) != facet_width:
             fail(f"boundary facet width {len(f)} does not match {kind}", ln)
@@ -138,8 +139,7 @@ def read_gmsh(path) -> Mesh:
 
 def write_gmsh(mesh: Mesh, path) -> None:
     """Write a Mesh as ASCII MSH 2.2 (volume cells + marked facets)."""
-    facet_type, facet_width = (2, 3) if mesh.kind == TET4 else (3, 4)
-    cell_type = _GMSH_TYPE_OF_KIND[mesh.kind]
+    cell_type, _, facet_type, facet_width = _GMSH_TYPES[mesh.kind]
     n_facets = len(mesh.boundary_facets)
     n_elems = mesh.n_cells + n_facets
     markers = mesh.boundary_markers

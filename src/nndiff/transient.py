@@ -77,13 +77,6 @@ SOLVERS = {  # function, bounded, precond, reads_inner_rtol, cap, cap_per_dof
 }
 
 
-def check_positive_finite(name: str, value: float) -> None:
-    """The rule for ``dt`` and ``rtol``: a ConfigError unless 0 < value < inf.
-    NaN fails every comparison, so it is rejected too."""
-    if not 0.0 < value < np.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass
 class TransientConfig:
     """Time-stepping and solver parameters; ``dt = None`` is one steady solve.
@@ -112,9 +105,9 @@ class TransientConfig:
             raise ConfigError(f"unknown preconditioner {self.precond!r}; use {PRECONDITIONERS}")
         if self.steady and self.n_steps != 1:
             raise ConfigError(f"a steady solve (dt = None) takes one step, not {self.n_steps}")
-        if not self.steady:
-            check_positive_finite("dt", self.dt)
-        check_positive_finite("rtol", self.rtol)
+        for name in ("rtol",) if self.steady else ("dt", "rtol"):  # NaN fails too
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not np.isfinite(self.initial_value):
             raise ConfigError(f"initial_value must be finite, got {self.initial_value}")
         # NaN fails every comparison, so this rejects it too
@@ -133,6 +126,14 @@ class TransientConfig:
     @property
     def steady(self) -> bool:
         return self.dt is None
+
+    def bounded_settings(self) -> dict:
+        """A bounded solver's keywords beyond its tolerances: tron's inner rtol and precond."""
+        spec = SOLVERS[self.solver]
+        settings = {"inner_rtol": self.inner_rtol} if spec.reads_inner_rtol else {}
+        if spec.precond is not None:
+            settings["precond"] = self.precond or spec.precond
+        return settings
 
 
 @dataclass
@@ -201,11 +202,8 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
         # warm starts shrink pg(x0); anchor the target to the cold-start gradient
         # so the stopping test matches the linear path's ||r|| <= rtol ||b||
         atol = config.rtol * rhs_norm
-        settings = {"inner_rtol": config.inner_rtol} if spec.reads_inner_rtol else {}
-        if spec.precond is not None:
-            settings["precond"] = precond
         x, report = spec(problem, rtol=config.rtol, max_outer=maxit, x0=warm, atol=atol,
-                         ledger=ledger, **settings)
+                         ledger=ledger, **config.bounded_settings())
     if not report.converged:
         raise SolverFailure(f"{config.solver} failed at step {step} (status {report.status}, "
                             f"{report.iterations} iterations)", step, report)
@@ -287,9 +285,9 @@ def solve(prepared: PreparedProblem, config: TransientConfig) -> TransientResult
     c_full = expand(n, free, config.initial_value, r.dirichlet_idx, r.dirichlet_values)
     result = TransientResult(fields=[] if dt is None else [c_full])  # level 0 if transient
 
-    precond = config.precond or SOLVERS[config.solver].precond
-    if not SOLVERS[config.solver].bounded:  # a fixed operator: CG's is built once
-        precond = make_preconditioner(operator, precond, result.ledger)
+    spec, precond = SOLVERS[config.solver], None  # a bounded solver builds its own
+    if not spec.bounded:  # a fixed operator: CG's is built once
+        precond = make_preconditioner(operator, config.precond or spec.precond, result.ledger)
 
     for step in [0] if dt is None else range(1, config.n_steps + 1):
         rhs, idx, vals = p.level_rhs(step, c_full)
@@ -314,13 +312,15 @@ def run(mesh: Mesh, bc: BoundarySpec, diffusivity: DiffusivityField, source,
 
 
 def write_step_csv(result: TransientResult, path, c_min: float, c_max: float) -> None:
-    """One row per solved level: iterations, extrema, violations, traffic and
-    the level's certificate."""
+    """One row per solved level, numbered by level: iterations, extrema,
+    violations, traffic and the level's certificate."""
     with open(path, "w") as fh:
         fh.write("step,iterations,min_c,max_c,violations,flops,bytes,certificate\n")
         solved = result.fields[-len(result.reports):]
         rows = zip(result.reports, solved, result.certificates, strict=True)
-        for k, (report, c, (value, _)) in enumerate(rows):
+        # numbered by level: 1..n when transient (fields[0] is level 0), 0 when steady
+        first = len(result.fields) - len(result.reports)
+        for k, (report, c, (value, _)) in enumerate(rows, start=first):
             dmp = dmp_check(c, c_min, c_max)
             fh.write(
                 f"{k},{report.iterations},{dmp['min']:.17g},{dmp['max']:.17g},"

@@ -463,7 +463,9 @@ def compute_workload(case: str) -> dict:
     report.json gained the per-level ``certificate`` and ``steps.csv`` its
     last column, which moved nothing else of the two n = 27 cases; with
     them, ``transient-blmvm-n18`` was re-recorded in full when blmvm began
-    to zero its direction on the active set.
+    to zero its direction on the active set.  Its ``steps.csv`` hash alone
+    was re-recorded when the CSV's rows were numbered by level (1..n)
+    instead of from 0.
     """
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))

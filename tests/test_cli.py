@@ -56,6 +56,8 @@ streams_bw = 5.65e9
 """
 
 NO_INNER_RTOL = [name for name, spec in SOLVERS.items() if not spec.reads_inner_rtol]
+# the solver spec name[:inner_rtol] is the one spelling of tron's inner tolerance
+REMOVED_FLAG_LINE = "error: nndiff: unrecognized arguments: --inner-rtol 1e-3\n"
 
 QP_STDOUT_DIM10 = """\
 status: converged after 3 outer iterations
@@ -103,6 +105,14 @@ def box_with_interior_facet():
         boundary_facets=np.vstack([mesh.boundary_facets, interior]),
         boundary_markers=np.append(mesh.boundary_markers, 2),
     )
+
+
+def warnings_of(argv, caplog) -> list:
+    """The ``nndiff`` logger's WARNING lines while ``main(argv)`` runs and exits 0."""
+    with caplog.at_level(logging.WARNING, logger="nndiff"):
+        assert main(argv) == 0
+    return [r.getMessage() for r in caplog.records
+            if r.name == "nndiff" and r.levelno == logging.WARNING]
 
 
 @pytest.fixture
@@ -196,7 +206,7 @@ class TestSolve:
     def test_inner_rtol_without_tron_exit_1(self, hole_config, solver, capsys):
         argv = ["solve", "--config", str(hole_config), "--solver", solver, "--inner-rtol", "1e-3"]
         assert main(argv) == 1
-        assert "--inner-rtol" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", REMOVED_FLAG_LINE)
 
     @pytest.mark.parametrize("solver", NO_INNER_RTOL)
     def test_spec_inner_rtol_without_one_exit_1(self, hole_config, solver, capsys):
@@ -218,48 +228,58 @@ class TestSolve:
 
         monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
         assert main(["solve", "--config", str(cfg), *solver, "--inner-rtol", "1e-3"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: --inner-rtol and solver spec 'tron:1e-1' both set inner_rtol\n"
+        assert capsys.readouterr() == ("", REMOVED_FLAG_LINE)
 
     @pytest.mark.parametrize("solver", SOLVERS)
-    def test_ignored_solver_keys_warn_and_run(self, solver, tmp_path, caplog):
-        cfg = tmp_path / "keys.toml"
-        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu0"\ninner_rtol = 1e-3'))
-        with caplog.at_level(logging.WARNING, logger="nndiff"):
-            assert main(["solve", "--config", str(cfg), "--solver", solver]) == 0
-        warned = [r.getMessage() for r in caplog.records
-                  if r.name == "nndiff" and r.levelno == logging.WARNING]
-        spec = SOLVERS[solver]
-        ignored = [key for key, read in (("precond", spec.precond is not None),
-                                         ("inner_rtol", spec.reads_inner_rtol)) if not read]
-        assert warned == [f"[solver] {key} is ignored: {solver} does not use it"
-                          for key in ignored]
+    def test_ignored_solver_keys_warn_and_run(self, solver, hole_config, caplog):
+        assert warnings_of(["solve", "--config", str(hole_config), "--solver", solver],
+                           caplog) == (
+            [] if SOLVERS[solver].precond else [f"[solver] precond is ignored: {solver} "
+                                                "does not use it"])
+
+    # the first three used to write nothing, log nothing and exit 0
+    @pytest.mark.parametrize("transient, vtk, reason, written", [
+        (False, True, "a steady solve writes no snapshots", ["t.vtk"]),
+        (False, False, "a steady solve writes no snapshots", []),
+        (True, False, "no VTK output is set", []),
+        (True, True, None, ["t.vtk", "t_0001.vtk", "t_0002.vtk"]),
+    ], ids=["steady", "steady-no-vtk", "no-vtk", "read"])
+    def test_ignored_cadence_warns_and_runs(self, transient, vtk, reason, written, tmp_path,
+                                            caplog):
+        cfg = tmp_path / "cadence.toml"
+        cfg.write_text(HOLE_CONFIG + ("\n[transient]\ndt = 0.5\nn_steps = 2\n" * transient)
+                       + "\n[output]\ncadence = 1\n")
+        argv = ["solve", "--config", str(cfg), *(["--vtk", str(tmp_path / "t.vtk")] * vtk)]
+        assert warnings_of(argv, caplog) == (
+            [f"[output] cadence is ignored: {reason}"] if reason else [])
+        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == written
 
     def test_inner_rtol_out_of_range_exit_1_before_the_mesh(self, tmp_path, monkeypatch, capsys):
-        """A tron config with ``inner_rtol = 5`` used to build the mesh first."""
+        """A tron config with an inner tolerance of 5 used to build the mesh first."""
         cfg = tmp_path / "bad.toml"
-        cfg.write_text(HOLE_CONFIG.replace('precond = "ilu0"', 'precond = "ilu0"\ninner_rtol = 5'))
+        cfg.write_text(HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "tron:5"'))
 
         def build_mesh(*args):
             raise AssertionError("mesh built before the config was checked")
 
         monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
-        assert main(["solve", "--config", str(cfg), "--solver", "tron"]) == 1
+        assert main(["solve", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: inner_rtol must lie in (0, 1), got 5.0\n"
 
     def test_inner_rtol_sets_tron_inner_tolerance(self, hole_config, tmp_path):
+        spec_config = tmp_path / "spec.toml"
+        spec_config.write_text(HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "tron:1e-3"'))
         reports = []
-        for tag, extra in (("flag", ["--solver", "tron", "--inner-rtol", "1e-3"]),
-                           ("spec", ["--solver", "tron:1e-3"]),
-                           ("default", ["--solver", "tron"])):
+        for tag, config, extra in (("config", spec_config, []),
+                                   ("flag", hole_config, ["--solver", "tron:1e-3"]),
+                                   ("default", hole_config, ["--solver", "tron"])):
             path = tmp_path / f"{tag}.json"
-            argv = ["solve", "--config", str(hole_config), "--report", str(path), *extra]
+            argv = ["solve", "--config", str(config), "--report", str(path), *extra]
             assert main(argv) == 0
             reports.append(json.loads(path.read_text()))
-        flag, spec, default = ((r["outer_iterations"], r["inner_iterations"], r["flops"])
-                               for r in reports)
-        assert flag == spec != default
+        config, flag, default = ((r["outer_iterations"], r["inner_iterations"], r["flops"])
+                                 for r in reports)
+        assert config == flag != default
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_rtol_flag_sets_the_tolerance(self, solver, hole_config, tmp_path):
@@ -327,7 +347,7 @@ class TestSolve:
         *(("mesh", key, value) for key in ("n", "nx", "ny", "nz") for value in ("[9]", "inf")),
         ("mesh", "n", "9.0"),
         *(("physics", key, "[1.0]") for key in ("alpha_l", "alpha_t", "d_m")),
-        *(("solver", key, "[0.1]") for key in ("rtol", "inner_rtol")),
+        ("solver", "rtol", "[0.1]"),
         *(("transient", key, "[0.5]") for key in ("dt", "initial_value")),
         *(("bounds", key, "[0.0]") for key in ("c_min", "c_max")),
         *(("perf", key, "[1e9]") for key in ("tpp", "streams_bw")),
@@ -494,7 +514,8 @@ class TestSolve:
         assert (tmp_path / "t_0002.vtk").exists()
         assert not (tmp_path / "t_0001.vtk").exists()
         lines = (tmp_path / "steps.csv").read_text().splitlines()
-        assert len(lines) == 4
+        # one row per solved level, numbered as the snapshot t_0002.vtk is
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
 
     def test_snapshots_match_standalone_writer_geometry_formatted_once(
         self, tmp_path, monkeypatch
@@ -594,8 +615,7 @@ class TestCompare:
     def test_inner_rtol_without_plain_tron_exit_1(self, hole_config, capsys):
         argv = ["compare", "--config", str(hole_config), "--inner-rtol", "1e-3"]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --inner-rtol") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", REMOVED_FLAG_LINE)
 
     # "blmvm:1e-3" used to run and drop the 1e-3; "tron:0" to run the other
     # entries and exit 2 with a FAILED column
@@ -619,15 +639,26 @@ class TestCompare:
         assert out == "" and err == f"error: {message}\n"
 
     def test_inner_rtol_sets_plain_tron_entry(self, tmp_path):
+        """A plain ``tron`` entry runs at the default 1e-2; ``tron:1e-3`` at its own."""
+        cfg, path = tmp_path / "cmp.toml", tmp_path / "cmp.csv"
+        cfg.write_text(HOLE_CONFIG + '\n[compare]\nsolvers = ["tron", "tron:1e-2", "tron:1e-3"]\n')
+        assert main(["compare", "--config", str(cfg), "--report", str(path)]) == 0
+        rows = self.csv_rows(path)
+        # outer and inner iterations
+        assert rows["tron"][3:5] == rows["tron:1e-2"][3:5] != rows["tron:1e-3"][3:5]
+
+    @pytest.mark.parametrize("keys", [["vtk"], ["csv"], ["cadence"], ["vtk", "csv", "cadence"]],
+                             ids=["vtk", "csv", "cadence", "all"])
+    def test_ignored_output_keys_warn_and_run(self, keys, tmp_path, caplog):
+        """Each used to write nothing, log nothing and exit 0."""
+        values = {"vtk": f'"{tmp_path / "c.vtk"}"', "csv": f'"{tmp_path / "c.csv"}"',
+                  "cadence": "1"}
         cfg = tmp_path / "cmp.toml"
-        cfg.write_text(HOLE_CONFIG + '\n[compare]\nsolvers = ["tron"]\n')
-        rows = []
-        for tag, extra in (("flag", ["--inner-rtol", "1e-3"]), ("default", [])):
-            path = tmp_path / f"{tag}.csv"
-            assert main(["compare", "--config", str(cfg), "--report", str(path), *extra]) == 0
-            rows.append(self.csv_rows(path)["tron"])
-        flag, default = rows
-        assert flag[3:5] != default[3:5]  # outer and inner iterations
+        cfg.write_text(HOLE_CONFIG + '\n[compare]\nsolvers = ["galerkin"]\n\n[output]\n'
+                       + "".join(f"{key} = {values[key]}\n" for key in keys))
+        assert warnings_of(["compare", "--config", str(cfg)], caplog) == [
+            f"[output] {key} is ignored: compare writes only its report" for key in keys]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.toml"]
 
     def test_rtol_flag_sets_every_entry(self, hole_config, tmp_path):
         rows = []
@@ -730,9 +761,15 @@ class TestQp:
         assert main(["qp"]) == 1
 
     def test_inner_rtol_with_blmvm_exit_1(self, capsys):
-        argv = ["qp", "--random-dim", "10", "--solver", "blmvm", "--inner-rtol", "0.5"]
+        argv = ["qp", "--random-dim", "10", "--solver", "blmvm", "--inner-rtol", "1e-3"]
         assert main(argv) == 1
-        assert "--inner-rtol" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", REMOVED_FLAG_LINE)
+
+    def test_unbounded_solver_exit_1(self, capsys):
+        """``--solver galerkin`` is a usage error, as argparse's choices made it."""
+        assert main(["qp", "--random-dim", "3", "--solver", "galerkin"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: qp takes a bounded solver, not 'galerkin'; use ('tron', 'blmvm')\n")
 
     def test_seed_without_random_dim_exit_1(self, tmp_path, capsys):
         write_matrix_market(CsrMatrix.identity(3), tmp_path / "h.mtx")
@@ -854,11 +891,12 @@ class TestQp:
         assert [str(w.message) for w in seen] == []
         assert capsys.readouterr() == ("", f"error: {named}\n")
 
-    # standard output recorded before --inner-rtol and --seed lost their defaults
+    # standard output recorded before --inner-rtol and --seed lost their defaults;
+    # the third was recorded with --inner-rtol 0.1, the flag that --solver tron:0.1 replaced
     @pytest.mark.parametrize("argv, expected", [
         (["--random-dim", "10"], QP_STDOUT_DIM10),
         (["--random-dim", "10", "--seed", "0"], QP_STDOUT_DIM10),
-        (["--random-dim", "20", "--seed", "5", "--lower", "0", "--inner-rtol", "0.1"],
+        (["--random-dim", "20", "--seed", "5", "--lower", "0", "--solver", "tron:0.1"],
          QP_STDOUT_DIM20_INNER),
         (["--random-dim", "25", "--solver", "blmvm", "--seed", "7", "--lower", "-0.1"],
          QP_STDOUT_DIM25_BLMVM),
@@ -866,6 +904,63 @@ class TestQp:
     def test_valid_stdout_unchanged(self, argv, expected, capsys):
         assert main(["qp", *argv]) == 0
         assert capsys.readouterr().out == expected
+
+
+class TestSolverSpec:
+    """A solver spec ``name[:inner_rtol]`` is the one spelling of tron's inner
+    tolerance, read alike in ``[solver] choice``, ``solve --solver``,
+    ``[compare] solvers`` and ``qp --solver``."""
+
+    PLACES = ("choice", "solve", "compare", "qp")
+
+    @staticmethod
+    def run_in(place, spec, tmp_path, capsys):
+        """(exit code, stdout, stderr) of ``spec`` given in ``place``."""
+        cfg = tmp_path / f"{place}.toml"
+        cfg.write_text(HOLE_CONFIG.replace('choice = "galerkin"', f'choice = "{spec}"')
+                       if place == "choice" else
+                       HOLE_CONFIG + f'\n[compare]\nsolvers = ["{spec}"]\n')
+        argv = {"choice": ["solve", "--config", str(cfg)],
+                "solve": ["solve", "--config", str(cfg), "--solver", spec],
+                "compare": ["compare", "--config", str(cfg)],
+                "qp": ["qp", "--random-dim", "6", "--solver", spec]}[place]
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    # before the spec was the one spelling, galerkin:1e-3 ran and dropped its
+    # tail in --solver, and tron:0 ran compare's other entries and exited 2
+    @pytest.mark.parametrize("spec, code, err", [
+        ("tron:1e-3", 0, ""),
+        ("galerkin:1e-3", 1, "error: galerkin reads no inner_rtol, so ':1e-3' sets nothing\n"),
+        ("blmvm:1e-3", 1, "error: blmvm reads no inner_rtol, so ':1e-3' sets nothing\n"),
+        ("tron:0", 1, "error: inner_rtol must lie in (0, 1), got 0.0\n"),
+        ("tron:1.5", 1, "error: inner_rtol must lie in (0, 1), got 1.5\n"),
+    ])
+    def test_one_answer_in_every_place(self, spec, code, err, tmp_path, monkeypatch, capsys):
+        """The same exit code and stderr line everywhere; an error comes before
+        any mesh is built or any solver runs, and prints nothing else."""
+        if code:
+            def fail(*args, **kwargs):
+                raise AssertionError("built or solved before the spec was checked")
+
+            monkeypatch.setattr(nndiff.cli, "build_mesh", fail)
+            for solver in SOLVERS.values():
+                monkeypatch.setattr(nndiff.transient, solver.function, fail)
+        got = {place: self.run_in(place, spec, tmp_path, capsys) for place in self.PLACES}
+        assert {place: (c, e) for place, (c, _, e) in got.items()} == dict.fromkeys(
+            self.PLACES, (code, err))
+        if code:
+            assert [out for _, out, _ in got.values()] == [""] * len(self.PLACES)
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_inner_rtol_key_exit_1(self, command, tmp_path, monkeypatch, capsys):
+        """``[solver] inner_rtol`` is an unknown key, as in any old config that sets it."""
+        cfg = tmp_path / "old.toml"
+        cfg.write_text(HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "tron"\n'
+                                           "inner_rtol = 1e-3"))
+        monkeypatch.setattr(nndiff.cli, "build_mesh", lambda *args: pytest.fail("mesh built"))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: unknown key 'inner_rtol' in [solver]\n")
 
 
 class TestUsageErrors:

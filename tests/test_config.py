@@ -31,6 +31,7 @@ from nndiff.errors import ConfigError, ParseError
 from nndiff.fem import dispersion_tensor, DispersionParams
 from nndiff.mesh import generate_box
 from nndiff.mesh_io import write_gmsh
+from nndiff.transient import SOLVERS, TransientConfig
 
 
 class TestParser:
@@ -333,12 +334,6 @@ class TestBuilders:
         assert tcfg.solver == "tron"
         assert tcfg.inner_rtol == 1e-3
 
-    def test_inner_rtol_flag_for_a_plain_tron_spec(self):
-        run = RunConfig.from_raw(parse_config_text(MINIMAL))
-        assert build_transient_config(run, "tron", inner_rtol=1e-3).inner_rtol == 1e-3
-        # the spec's own tolerance wins, as in compare's "tron:1e-1" column
-        assert build_transient_config(run, "tron:1e-1", inner_rtol=1e-3).inner_rtol == 0.1
-
     def test_unknown_precond(self):
         run = RunConfig.from_raw(parse_config_text(MINIMAL + '\n[solver]\nprecond = "ilu9"\n'))
         with pytest.raises(ConfigError, match="unknown preconditioner 'ilu9'"):
@@ -374,6 +369,8 @@ class TestBundledConfigs:
             build_bc(run.bc)
             build_transient_config(run)
             assert build_envelope(run) is not None, name
+            # the benchmark's workloads match [solver] choice to a plain solver name
+            assert run.solver.get("choice", TransientConfig.solver) in SOLVERS, name
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -59,9 +59,10 @@ class TestDmpCheck:
 
 class TestTables:
     def test_csv_layout(self, tmp_path):
-        # the per-level violation table: the initial field is not a row,
-        # each row counts the nodes outside [c_min, c_max], and the level's
-        # certificate comes last (bench/checks.py reads violations by position)
+        # the per-level violation table: the initial field (level 0) is not a
+        # row, each row is numbered by its level and counts the nodes outside
+        # [c_min, c_max], and the level's certificate comes last
+        # (bench/checks.py reads violations by position)
         result = TransientResult(
             fields=[np.array([5.0, 5.0]), np.array([0.5]), np.array([-1.0, 2.0])],
             reports=[
@@ -74,5 +75,13 @@ class TestTables:
         write_step_csv(result, path, 0.0, 1.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes,certificate"
-        assert lines[1:] == ["0,3,0.5,0.5,0,10,80,2.4999999999999999e-07",
-                             "1,4,-1,2,2,20,160,0.10000000000000001"]
+        assert lines[1:] == ["1,3,0.5,0.5,0,10,80,2.4999999999999999e-07",
+                             "2,4,-1,2,2,20,160,0.10000000000000001"]
+
+    def test_csv_steady_row_is_level_0(self, tmp_path):
+        result = TransientResult(fields=[np.array([0.5])],
+                                 reports=[SolveReport("converged", 3, flops=10, bytes=80)],
+                                 certificates=[(0.0, 1e-6)])
+        path = tmp_path / "steps.csv"
+        write_step_csv(result, path, 0.0, 1.0)
+        assert path.read_text().splitlines()[1:] == ["0,3,0.5,0.5,0,10,80,0"]

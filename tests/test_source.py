@@ -155,7 +155,7 @@ def test_readme_solver_table_mirrors_solvers():
     for name, spec in SOLVERS.items():
         cap = f"max({spec.cap}, {spec.cap_per_dof} n)" if spec.cap_per_dof else str(spec.cap)
         keys = ["rtol", "max_iter"] + ["precond"] * (spec.precond is not None)
-        keys += ["inner_rtol"] * spec.reads_inner_rtol
+        keys += [f"`{name}:inner_rtol`"] * spec.reads_inner_rtol  # the solver spec's tail
         expected[name] = ["yes" if spec.bounded else "no",
                           f"`{spec.precond}`" if spec.precond else "none", cap, ", ".join(keys)]
     assert rows == expected

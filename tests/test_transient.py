@@ -275,7 +275,7 @@ class TestRun:
         write_step_csv(result, path, 0.0, 1.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,iterations,min_c,max_c,violations,flops,bytes,certificate"
-        assert len(lines) == 4
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]  # by level
 
 
 class TestPrepare:
@@ -432,9 +432,10 @@ class TestLevelCertificate:
         assert "certificate" not in caplog.text
 
     @pytest.mark.parametrize("solver", sorted(FUNCTIONS))
-    def test_one_corrupted_entry_fires(self, solver, monkeypatch, caplog):
+    def test_one_corrupted_entry_fires(self, solver, monkeypatch, caplog, tmp_path):
         """The second level's answer, one entry moved within the bounds, fails
-        its certificate and logs a warning; the first level's passes."""
+        its certificate and logs a warning; the first level's passes.  The
+        warning and the step CSV name the level alike."""
         raw, calls = getattr(transient, self.FUNCTIONS[solver]), []
 
         def corrupted(*args, **kwargs):
@@ -451,6 +452,9 @@ class TestLevelCertificate:
         assert ok <= ok_tol and bad > bad_tol
         assert result.worst_certificate == (bad, bad_tol)
         assert f"{solver} at step 2: certificate" in caplog.text
+        write_step_csv(result, tmp_path / "steps.csv", 0.0, 1.0)
+        rows = [line.split(",") for line in (tmp_path / "steps.csv").read_text().splitlines()]
+        assert [(row[0], float(row[-1])) for row in rows[1:]] == [("1", ok), ("2", bad)]
 
     def test_worst_is_the_largest_multiple_of_its_tolerance_and_nan_above_all(self):
         levels = [(2.0, 1.0), (3e-6, 1e-6), (1e-9, 1e-50), (0.5, 1.0)]
