@@ -29,7 +29,6 @@ from .mesh_io import read_gmsh, write_gmsh, write_vtk
 from .perf import PerfEnvelope, arithmetic_intensity, efficiency
 from .qp import (
     QpProblem,
-    brute_force_qp,
     gradient,
     kkt_check,
     objective,
@@ -76,7 +75,6 @@ __all__ = [
     "apply_dirichlet",
     "arithmetic_intensity",
     "assemble",
-    "brute_force_qp",
     "build_transient_operator",
     "build_transient_rhs",
     "cell_volumes",

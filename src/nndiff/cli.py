@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mesh_io import VtkGeometry, write_gmsh, write_vtk
 from .perf import PerfEnvelope, arithmetic_intensity, efficiency
-from .qp import QpProblem, kkt_check
+from .qp import QpProblem, gradient, kkt_check, project
 from .sparse import CsrMatrix, OpLedger, read_matrix_market
 from .transient import SOLVERS, prepare, solve, write_step_csv
 from .transient import run as run_transient
@@ -184,11 +184,13 @@ def cmd_compare(args) -> int:
     if not solvers:
         raise ConfigError("[compare] solver list is empty")
     tcfgs = [build_transient_config(run_cfg, s, args.rtol) for s in solvers]
-    _warn_ignored(run_cfg, "output", ["vtk", "csv", "cadence"], "compare writes only its report")
     mesh, diffusivity, bc, source = _build_problem(run_cfg, args.config)
     envelope = build_envelope(run_cfg)
     # the entries differ only in solver settings, so one prepared problem serves all
     prepared = prepare(mesh, bc, diffusivity, source, tcfgs[0].dt)
+    # warned only past every input check, so an input error stays one line on stderr
+    _warn_ignored(run_cfg, "solver", ["choice"], "compare runs [compare] solvers")
+    _warn_ignored(run_cfg, "output", ["vtk", "csv", "cadence"], "compare writes only its report")
 
     columns = []  # (spec, the summary with dmp and perf merged in, or None if it failed)
     for spec, tcfg in zip(solvers, tcfgs):
@@ -247,7 +249,7 @@ def _load_bound(text, n):
 
 def cmd_qp(args) -> int:
     tcfg = solver_config(args.solver, dt=None, rtol=args.rtol)  # parsed as solve parses it
-    spec = SOLVERS[tcfg.solver]  # its iteration cap is the one solve and compare use
+    spec = SOLVERS[tcfg.solver]
     if not spec.bounded:
         raise ConfigError(f"qp takes a bounded solver, not {tcfg.solver!r}; use {_BOUNDED}")
     if args.seed is not None and args.random_dim is None:
@@ -271,12 +273,9 @@ def cmd_qp(args) -> int:
         lower=_load_bound(args.lower, hessian.n),
         upper=_load_bound(args.upper, hessian.n),
     )
-    c, report = spec(problem, rtol=tcfg.rtol, max_outer=spec.iteration_cap(problem.n),
-                     **tcfg.bounded_settings())
+    c, report = spec(problem, rtol=tcfg.rtol, **tcfg.bounded_settings())
 
-    g0 = problem.hessian.matvec_raw(
-        np.clip(np.zeros(problem.n), problem.lower, problem.upper)
-    ) + problem.linear
+    g0 = gradient(problem, project(np.zeros(problem.n), problem.lower, problem.upper))
     tol_abs = tcfg.rtol * float(np.linalg.norm(g0)) + 1e-12
     cert = kkt_check(problem, c, tol_abs)
 

@@ -217,10 +217,15 @@ def build_bc(cfg: dict) -> BoundarySpec:
 
 def solver_config(spec: str, **settings) -> TransientConfig:
     """:class:`TransientConfig` of a solver spec ``name[:inner_rtol]`` such as ``tron:1e-3``
-    and the other ``settings``; a tail on a solver that reads none is a ConfigError."""
+    and the other ``settings``; a tail that is not a number, or on a solver that
+    reads none, is a ConfigError."""
     settings["solver"], colon, tail = spec.partition(":")
     if colon:
-        settings["inner_rtol"] = float(tail)
+        try:
+            settings["inner_rtol"] = float(tail)
+        except ValueError:
+            raise ConfigError(
+                f"solver spec {spec!r}: inner_rtol {tail!r} is not a number") from None
     config = TransientConfig(**settings)
     if colon and not SOLVERS[config.solver].reads_inner_rtol:
         raise ConfigError(f"{config.solver} reads no inner_rtol, so ':{tail}' sets nothing")

@@ -2,12 +2,11 @@
 
 minimize  1/2 c'Hc + c'q   subject to  lower <= c <= upper
 
-Three routes: a projected limited-memory quasi-Newton solver (two-loop
+Two solvers: a projected limited-memory quasi-Newton solver (two-loop
 recursion on projected-gradient pairs, Armijo backtracking along the
-projected path), a trust-region active-set Newton solver (free-block
-system solved by preconditioned CG truncated at the trust radius), and
-an exhaustive active-set oracle for small dimensions.  Both iterative
-solvers step only on the free variables: tron solves on the free block,
+projected path), and a trust-region active-set Newton solver (free-block
+system solved by preconditioned CG truncated at the trust radius).  Both
+step only on the free variables: tron solves on the free block,
 and blmvm zeroes its direction on the active set, as projected Newton
 methods do (Bertsekas, SIAM J. Control Optim. 1982).  Feasibility is
 maintained by exact componentwise clamping, so every iterate satisfies
@@ -217,7 +216,7 @@ def _two_loop(pg, pairs, ledger):
 def solve_blmvm(
     problem: QpProblem,
     rtol: float = 1e-6,
-    max_outer: int = 5000,
+    max_outer: int = 20000,
     x0=None,
     atol: float = 0.0,
     ledger: OpLedger | None = None,
@@ -310,7 +309,7 @@ def solve_tron(
     problem: QpProblem,
     rtol: float = 1e-6,
     inner_rtol: float = 1e-2,
-    max_outer: int = 200,
+    max_outer: int = 500,
     x0=None,
     precond: str = "jacobi",
     atol: float = 0.0,
@@ -400,71 +399,8 @@ def solve_tron(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle and KKT certificate
+# KKT certificate
 # ---------------------------------------------------------------------------
-
-def brute_force_qp(problem: QpProblem, feas_tol: float = 1e-9) -> np.ndarray:
-    """Enumerate every lower/upper/free assignment and return the KKT point.
-
-    Strict convexity makes the minimizer unique, so the first assignment
-    whose KKT residual is within ``feas_tol`` is the answer.  Dimensions
-    above 20 are refused (3^n assignments).
-    """
-    n = problem.n
-    if n > 20:
-        raise ValueError(f"brute force refused for dimension {n} > 20")
-    if not (np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper))):
-        raise ValueError("brute force requires finite bounds")
-    h = problem.hessian.to_dense()
-    q = problem.linear
-    lo, hi = problem.lower, problem.upper
-    idx = np.arange(n)
-    best = None
-    best_viol = np.inf
-
-    for mask in range(2**n):
-        free = idx[(mask >> idx) & 1 == 1]
-        act = idx[(mask >> idx) & 1 == 0]
-        a = len(act)
-        if a:
-            bits = (np.arange(2**a)[:, None] >> np.arange(a)) & 1
-            c_act = np.where(bits == 1, hi[act], lo[act])  # (combos, a)
-        else:
-            bits = np.zeros((1, 0), dtype=np.int64)
-            c_act = np.zeros((1, 0))
-        combos = len(c_act)
-        cand = np.empty((combos, n))
-        cand[:, act] = c_act
-        if len(free):
-            h_ff = h[np.ix_(free, free)]
-            rhs = -(q[free][:, None] + h[np.ix_(free, act)] @ c_act.T)
-            cand[:, free] = np.linalg.solve(h_ff, rhs).T
-        grad_all = cand @ h.T + q  # (combos, n)
-
-        viol = np.zeros(combos)
-        if len(free):
-            cf = cand[:, free]
-            viol = np.maximum(viol, np.max(lo[free] - cf, axis=1, initial=0.0))
-            viol = np.maximum(viol, np.max(cf - hi[free], axis=1, initial=0.0))
-        if a:
-            g_act = grad_all[:, act]
-            at_lower = bits == 0
-            # multiplier signs: g >= 0 at lower-active, g <= 0 at upper-active
-            viol = np.maximum(
-                viol, np.max(np.where(at_lower, -g_act, g_act), axis=1, initial=0.0)
-            )
-        hits = np.flatnonzero(viol <= feas_tol)
-        if hits.size:
-            return cand[hits[0]]
-        k = int(np.argmin(viol))
-        if viol[k] < best_viol:
-            best_viol = viol[k]
-            best = cand[k]
-    raise SolverBreakdownError(
-        f"no feasible KKT point found (best violation {best_viol:g}); "
-        "operator may not be positive definite"
-    )
-
 
 @dataclass
 class KktCertificate:
@@ -474,25 +410,17 @@ class KktCertificate:
 
 
 def kkt_check(problem: QpProblem, c, tol_abs: float) -> KktCertificate:
-    """First-order optimality: |g| small at interior points, signed at bounds.
+    """First-order optimality: the larger of the infeasibility and the max-norm
+    of :func:`projected_gradient`, the solvers' stopping rule.
 
-    A variable pinned at lower == upper takes a multiplier of either sign,
-    so only its feasibility is checked.  A NaN or infinite ``c``, or a NaN
-    in the gradient, fails the check with a NaN ``max_violation``.
+    That is |g| off the bounds, and at a bound unless g pushes outward there;
+    a variable pinned at lower == upper takes a multiplier of either sign, so
+    only its feasibility counts.  A NaN or infinite ``c``, or a NaN in the
+    gradient, fails the check with a NaN ``max_violation``.
     """
     g = problem.hessian.matvec_raw(c) + problem.linear
     lo, hi = problem.lower, problem.upper
-    viol = 0.0
-    at_lower = c <= lo
-    at_upper = c >= hi
-    interior = ~(at_lower | at_upper)
-    at_lower, at_upper = at_lower & ~at_upper, at_upper & ~at_lower
-    if np.any(interior):
-        viol = max(viol, float(np.abs(g[interior]).max()))
-    if np.any(at_lower):
-        viol = max(viol, float(np.maximum(-g[at_lower], 0.0).max()))
-    if np.any(at_upper):
-        viol = max(viol, float(np.maximum(g[at_upper], 0.0).max()))
+    viol = float(np.abs(projected_gradient(g, c, lo, hi)).max(initial=0.0))
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite c, which fails below
         feas = max(
             float(np.maximum(lo - c, 0.0).max(initial=0.0)),

@@ -687,8 +687,8 @@ def cg_solve(
     """Preconditioned CG on an SPD matrix.
 
     Terminates when ||b - A x||_2 <= rtol * ||b||_2 (true residual norm,
-    updated recursively).  Exceeding ``maxit`` returns status "max-iter";
-    an indefinite direction (p'Ap <= 0) raises
+    updated recursively).  Exceeding ``maxit`` (default max(1000, 10 n))
+    returns status "max-iter"; an indefinite direction (p'Ap <= 0) raises
     :class:`SolverBreakdownError`.  With a trust ``radius`` the iterate
     starts at 0 and, when a step would leave the ball ||x|| <= radius,
     stops on its boundary with status "boundary" (Steihaug truncation);
@@ -700,7 +700,7 @@ def cg_solve(
     if radius is not None and x0 is not None:
         raise ValueError("a trust radius needs the cold start x0=None")
     if maxit is None:
-        maxit = max(100, 10 * a.n)
+        maxit = max(1000, 10 * a.n)
     if ledger is None:
         ledger = OpLedger()
     if precond is None:

@@ -59,21 +59,15 @@ class SolverSpec:
     bounded: bool
     precond: str | None  # the default preconditioner; None: the solver takes none
     reads_inner_rtol: bool
-    cap: int  # see iteration_cap
-    cap_per_dof: int = 0
-
-    def iteration_cap(self, n: int) -> int:
-        """The default iteration cap for n free dofs, whichever command runs the solver."""
-        return max(self.cap, self.cap_per_dof * n)
 
     def __call__(self, *args, **kwargs):
         return globals()[self.function](*args, **kwargs)
 
 
-SOLVERS = {  # function, bounded, precond, reads_inner_rtol, cap, cap_per_dof
-    "galerkin": SolverSpec("cg_solve", False, "ilu0", False, 1000, 10),
-    "tron": SolverSpec("solve_tron", True, "jacobi", True, 500),
-    "blmvm": SolverSpec("solve_blmvm", True, None, False, 20000),
+SOLVERS = {  # function, bounded, precond, reads_inner_rtol; the function states its cap
+    "galerkin": SolverSpec("cg_solve", False, "ilu0", False),
+    "tron": SolverSpec("solve_tron", True, "jacobi", True),
+    "blmvm": SolverSpec("solve_blmvm", True, None, False),
 }
 
 
@@ -128,9 +122,12 @@ class TransientConfig:
         return self.dt is None
 
     def bounded_settings(self) -> dict:
-        """A bounded solver's keywords beyond its tolerances: tron's inner rtol and precond."""
+        """A bounded solver's keywords beyond its tolerances: tron's inner rtol and
+        precond, and the cap when ``max_iter`` is set (unset: the solver's default)."""
         spec = SOLVERS[self.solver]
         settings = {"inner_rtol": self.inner_rtol} if spec.reads_inner_rtol else {}
+        if self.max_iter is not None:
+            settings["max_outer"] = self.max_iter
         if spec.precond is not None:
             settings["precond"] = self.precond or spec.precond
         return settings
@@ -192,18 +189,18 @@ def _solve_level(operator, rhs, config, warm, precond, ledger, step):
     absolute terms, rtol ||rhs|| and the solver's floor.
     """
     spec = SOLVERS[config.solver]
-    maxit = config.max_iter or spec.iteration_cap(operator.n)
     rhs_norm = float(np.linalg.norm(rhs))
     if not spec.bounded:
-        x, report = spec(operator, rhs, precond=precond, rtol=config.rtol,
-                         maxit=maxit, x0=warm, ledger=ledger)
+        cap = {} if config.max_iter is None else {"maxit": config.max_iter}
+        x, report = spec(operator, rhs, precond=precond, rtol=config.rtol, x0=warm,
+                         ledger=ledger, **cap)
     else:
         problem = QpProblem(operator, -rhs, lower=config.c_min, upper=config.c_max)
         # warm starts shrink pg(x0); anchor the target to the cold-start gradient
         # so the stopping test matches the linear path's ||r|| <= rtol ||b||
         atol = config.rtol * rhs_norm
-        x, report = spec(problem, rtol=config.rtol, max_outer=maxit, x0=warm, atol=atol,
-                         ledger=ledger, **config.bounded_settings())
+        x, report = spec(problem, rtol=config.rtol, x0=warm, atol=atol, ledger=ledger,
+                         **config.bounded_settings())
     if not report.converged:
         raise SolverFailure(f"{config.solver} failed at step {step} (status {report.status}, "
                             f"{report.iterations} iterations)", step, report)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import logging
@@ -19,9 +20,10 @@ from nndiff.cli import main
 from nndiff.errors import SolverFailure
 from nndiff.mesh import boundary_faces, generate_box, generate_cube_with_hole
 from nndiff.mesh_io import read_gmsh, write_gmsh, write_vtk
-from nndiff.qp import QpProblem, brute_force_qp
+from nndiff.qp import QpProblem
 from nndiff.sparse import CsrMatrix, write_matrix_market
 from nndiff.transient import SOLVERS
+from oracles import brute_force_qp
 
 HOLE_CONFIG = """
 [mesh]
@@ -56,6 +58,7 @@ streams_bw = 5.65e9
 """
 
 NO_INNER_RTOL = [name for name, spec in SOLVERS.items() if not spec.reads_inner_rtol]
+CHOICE_IGNORED = "[solver] choice is ignored: compare runs [compare] solvers"
 # the solver spec name[:inner_rtol] is the one spelling of tron's inner tolerance
 REMOVED_FLAG_LINE = "error: nndiff: unrecognized arguments: --inner-rtol 1e-3\n"
 
@@ -105,6 +108,19 @@ def box_with_interior_facet():
         boundary_facets=np.vstack([mesh.boundary_facets, interior]),
         boundary_markers=np.append(mesh.boundary_markers, 2),
     )
+
+
+def spy_on_solver(monkeypatch, solver) -> dict:
+    """Route ``solver``'s calls through a spy; the returned dict gathers their keywords."""
+    name, seen = SOLVERS[solver].function, {}
+    function = getattr(nndiff.transient, name)
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(nndiff.transient, name, spy)
+    return seen
 
 
 def warnings_of(argv, caplog) -> list:
@@ -229,6 +245,19 @@ class TestSolve:
         monkeypatch.setattr(nndiff.cli, "build_mesh", build_mesh)
         assert main(["solve", "--config", str(cfg), *solver, "--inner-rtol", "1e-3"]) == 1
         assert capsys.readouterr() == ("", REMOVED_FLAG_LINE)
+
+    # each solver function states its default cap; a command passes one only for max_iter
+    @pytest.mark.parametrize("max_iter", [None, 7777])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_cap_passed_only_for_max_iter(self, solver, max_iter, tmp_path, monkeypatch):
+        cfg = tmp_path / "cap.toml"
+        cfg.write_text(HOLE_CONFIG.replace("rtol = 1e-6", f"rtol = 1e-6\nmax_iter = {max_iter}")
+                       if max_iter else HOLE_CONFIG)
+        seen = spy_on_solver(monkeypatch, solver)
+        assert main(["solve", "--config", str(cfg), "--solver", solver]) == 0
+        keyword = "max_outer" if SOLVERS[solver].bounded else "maxit"
+        assert {k: seen[k] for k in ("maxit", "max_outer") if k in seen} == (
+            {keyword: max_iter} if max_iter else {})
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_ignored_solver_keys_warn_and_run(self, solver, hole_config, caplog):
@@ -656,9 +685,17 @@ class TestCompare:
         cfg = tmp_path / "cmp.toml"
         cfg.write_text(HOLE_CONFIG + '\n[compare]\nsolvers = ["galerkin"]\n\n[output]\n'
                        + "".join(f"{key} = {values[key]}\n" for key in keys))
-        assert warnings_of(["compare", "--config", str(cfg)], caplog) == [
+        assert warnings_of(["compare", "--config", str(cfg)], caplog) == [CHOICE_IGNORED] + [
             f"[output] {key} is ignored: compare writes only its report" for key in keys]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.toml"]
+
+    @pytest.mark.parametrize("choice", [True, False], ids=["choice", "none"])
+    def test_ignored_solver_choice_warns_and_runs(self, choice, tmp_path, caplog):
+        """A ``[solver] choice`` used to be dropped without a word."""
+        cfg = tmp_path / "cmp.toml"
+        cfg.write_text(HOLE_CONFIG.replace('choice = "galerkin"', 'choice = "tron"' * choice)
+                       + '\n[compare]\nsolvers = ["galerkin"]\n')
+        assert warnings_of(["compare", "--config", str(cfg)], caplog) == [CHOICE_IGNORED] * choice
 
     def test_rtol_flag_sets_every_entry(self, hole_config, tmp_path):
         rows = []
@@ -742,20 +779,16 @@ class TestQp:
         expected = brute_force_qp(QpProblem(h, q, lower=0.0, upper=1.0))
         assert np.max(np.abs(np.loadtxt(out) - expected)) < 1e-6
 
-    # qp capped tron at 200 and blmvm at 5,000 outer iterations, where solve and
-    # compare cap them at 500 and 20,000
+    # qp once capped tron at 200 and blmvm at 5,000 outer iterations, where solve
+    # and compare capped them at 500 and 20,000; now no command passes a cap, and
+    # the solver's own default is the one cap
     @pytest.mark.parametrize("solver, cap", [("tron", 500), ("blmvm", 20000)])
     def test_caps_as_solve_does(self, solver, cap, monkeypatch):
-        spec, seen = SOLVERS[solver], {}
-        solver_function = getattr(nndiff.transient, spec.function)
-
-        def spy(problem, **kwargs):
-            seen.update(kwargs)
-            return solver_function(problem, **kwargs)
-
-        monkeypatch.setattr(nndiff.transient, spec.function, spy)
+        function = getattr(nndiff.transient, SOLVERS[solver].function)
+        seen = spy_on_solver(monkeypatch, solver)
         assert main(["qp", "--random-dim", "6", "--solver", solver]) == 0
-        assert seen["max_outer"] == spec.iteration_cap(6) == cap
+        assert "max_outer" not in seen
+        assert inspect.signature(function).parameters["max_outer"].default == cap
 
     def test_missing_inputs_exit_1(self):
         assert main(["qp"]) == 1
@@ -935,6 +968,9 @@ class TestSolverSpec:
         ("blmvm:1e-3", 1, "error: blmvm reads no inner_rtol, so ':1e-3' sets nothing\n"),
         ("tron:0", 1, "error: inner_rtol must lie in (0, 1), got 0.0\n"),
         ("tron:1.5", 1, "error: inner_rtol must lie in (0, 1), got 1.5\n"),
+        # these printed Python's float message, naming neither the spec nor its place
+        ("tron:x", 1, "error: solver spec 'tron:x': inner_rtol 'x' is not a number\n"),
+        ("tron:", 1, "error: solver spec 'tron:': inner_rtol '' is not a number\n"),
     ])
     def test_one_answer_in_every_place(self, spec, code, err, tmp_path, monkeypatch, capsys):
         """The same exit code and stderr line everywhere; an error comes before

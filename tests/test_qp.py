@@ -17,7 +17,6 @@ from nndiff.sparse import (CsrMatrix, OpLedger, axpy, cg_solve, dot, norm2, scal
                            start_report, vec_copy)
 from nndiff.qp import (
     QpProblem,
-    brute_force_qp,
     gradient,
     kkt_check,
     objective,
@@ -26,6 +25,7 @@ from nndiff.qp import (
     solve_blmvm,
     solve_tron,
 )
+from oracles import brute_force_qp
 
 log = logging.getLogger(__name__)
 
@@ -528,6 +528,101 @@ def trial_point_reference(problem, c, alpha, d, g, ledger):
     c_new, s, gs = projected_step_reference(problem, c, alpha, d, g, ledger)
     hc_new = spmv(problem.hessian, c_new, ledger)
     return c_new, s, gs, hc_new, objective(problem, c_new, ledger, hc_new)
+
+
+def kkt_check_reference(problem, c, tol_abs):
+    """``kkt_check`` as it stood before it read the projected gradient: the
+    interior, lower-only and upper-only sets worked out by hand."""
+    g = problem.hessian.matvec_raw(c) + problem.linear
+    lo, hi = problem.lower, problem.upper
+    viol = 0.0
+    at_lower = c <= lo
+    at_upper = c >= hi
+    interior = ~(at_lower | at_upper)
+    at_lower, at_upper = at_lower & ~at_upper, at_upper & ~at_lower
+    if np.any(interior):
+        viol = max(viol, float(np.abs(g[interior]).max()))
+    if np.any(at_lower):
+        viol = max(viol, float(np.maximum(-g[at_lower], 0.0).max()))
+    if np.any(at_upper):
+        viol = max(viol, float(np.maximum(g[at_upper], 0.0).max()))
+    with np.errstate(invalid="ignore"):
+        feas = max(
+            float(np.maximum(lo - c, 0.0).max(initial=0.0)),
+            float(np.maximum(c - hi, 0.0).max(initial=0.0)),
+        )
+    viol = max(viol, feas)
+    if not np.isfinite(c).all() or np.isnan(g).any():
+        viol = np.nan
+    return qp.KktCertificate(viol <= tol_abs, viol, tol_abs)
+
+
+# per variable: its box, and where the checked point puts it
+BOXES = ["finite", "pinned", "signed-zero", "no-lower", "no-upper", "free"]
+PLACES = ["lower", "upper", "inside", "below", "above", "zero-gradient", "nan", "inf", "-inf"]
+
+
+@st.composite
+def kkt_points(draw):
+    """(problem, c, boxes, places): an SPD box QP with n <= 8 and a point to check.
+
+    A box may pin its variable (lower == upper, also as -0.0 and 0.0) or lack a
+    side; the point may sit on a bound, inside, outside the box, where its
+    gradient is exactly 0, or be NaN or infinite.  The linear term is set past
+    the constructor's check, so a NaN or inf point's gradient reaches the check.
+    """
+    n = draw(st.integers(1, 8))
+    boxes = draw(st.lists(st.sampled_from(BOXES), min_size=n, max_size=n))
+    places = draw(st.lists(st.sampled_from(PLACES), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    h = CsrMatrix.from_dense(a.T @ a + draw(st.sampled_from([0.01, 1.0])) * np.eye(n))
+    lower = -rng.random(n)
+    upper = lower + 0.1 + rng.random(n)
+    for i, box in enumerate(boxes):
+        if box == "pinned":
+            upper[i] = lower[i]
+        elif box == "signed-zero":
+            lower[i], upper[i] = -0.0, 0.0
+        if box in ("no-lower", "free"):
+            lower[i] = -np.inf
+        if box in ("no-upper", "free"):
+            upper[i] = np.inf
+    gap = 0.5 * rng.random(n)
+    at = {"lower": lower, "upper": upper, "below": lower - gap, "above": upper + gap,
+          "inside": np.where(np.isfinite(lower), lower + gap, upper - gap),
+          "zero-gradient": np.where(np.isfinite(lower), lower, upper),
+          "nan": np.full(n, np.nan), "inf": np.full(n, np.inf), "-inf": np.full(n, -np.inf)}
+    c = np.array([at[place][i] for i, place in enumerate(places)])
+    problem = QpProblem(h, rng.standard_normal(n) * 2.0, lower, upper)
+    with np.errstate(invalid="ignore"):
+        hc = h.matvec_raw(c)
+    zero = np.array([place == "zero-gradient" for place in places])
+    problem.linear = np.where(zero, -hc, problem.linear)  # H c + q is exactly 0 there
+    return problem, c, boxes, places
+
+
+class TestKktCheck:
+    def test_matches_the_reference_bit_for_bit(self):
+        """``kkt_check`` reads the projected gradient and gives the reference's
+        certificate bit for bit, over at least 500 draws that reach every box
+        and every place: pinned, infeasible, NaN and infinite points among them."""
+        seen = []
+
+        @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+        @given(kkt_points(), st.sampled_from([0.0, 1e-8, 1.0, np.inf]))
+        def check(case, tol_abs):
+            problem, c, boxes, places = case
+            with np.errstate(invalid="ignore"):  # inf - inf in H c at an infinite point
+                got = kkt_check(problem, c, tol_abs)
+                want = kkt_check_reference(problem, c, tol_abs)
+            assert (got.ok, bits(got.max_violation), got.tol) == (
+                want.ok, bits(want.max_violation), want.tol)
+            seen.append({*boxes, *places})
+
+        check()
+        assert len(seen) >= 500
+        assert set().union(*seen) == {*BOXES, *PLACES}
 
 
 class TestFusedSteps:

@@ -1,11 +1,15 @@
 """Static checks on the package source, read with :mod:`ast`, and on the README."""
 
 import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import nndiff.transient as transient
 from nndiff.config import _SCHEMA
 from nndiff.sparse import KERNEL_COSTS
 from nndiff.transient import SOLVERS
@@ -145,7 +149,24 @@ def test_solver_names_only_in_the_tables():
     assert stray == NAMES_KEPT
 
 
+def default_cap(function, keyword: str):
+    """The cap ``function`` applies when no ``keyword`` is passed, as a function of n:
+    the keyword's default, or what the body assigns it under ``if keyword is None``,
+    with each parameter read as an operator of n rows."""
+    params = inspect.signature(function).parameters
+    default = params[keyword].default
+    if default is not None:
+        return lambda n: default
+    source = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    ((assign,),) = [node.body for node in ast.walk(source) if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == f"{keyword} is None"]
+    expr = compile(ast.Expression(assign.value), "<cap>", "eval")
+    return lambda n: eval(expr, {}, dict.fromkeys(params, SimpleNamespace(n=n)))
+
+
 def test_readme_solver_table_mirrors_solvers():
+    """The README's caps are the solver functions' own defaults, the one statement
+    of each; the other columns mirror SOLVERS."""
     rows = {}
     for line in (REPO / "README.md").read_text().splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
@@ -153,12 +174,18 @@ def test_readme_solver_table_mirrors_solvers():
             rows[cells[0]] = cells[1:]
     expected = {}
     for name, spec in SOLVERS.items():
-        cap = f"max({spec.cap}, {spec.cap_per_dof} n)" if spec.cap_per_dof else str(spec.cap)
         keys = ["rtol", "max_iter"] + ["precond"] * (spec.precond is not None)
         keys += [f"`{name}:inner_rtol`"] * spec.reads_inner_rtol  # the solver spec's tail
         expected[name] = ["yes" if spec.bounded else "no",
-                          f"`{spec.precond}`" if spec.precond else "none", cap, ", ".join(keys)]
+                          f"`{spec.precond}`" if spec.precond else "none", ", ".join(keys)]
+    caps = {name: rows[name].pop(2) for name in rows}
     assert rows == expected
+    for name, spec in SOLVERS.items():
+        cap = default_cap(getattr(transient, spec.function),
+                          "max_outer" if spec.bounded else "maxit")
+        readme = re.sub(r"(\d)\s+n\b", r"\1 * n", caps[name])
+        for n in (0, 1, 99, 100, 101, 5000):
+            assert eval(readme, {}, {"n": n}) == cap(n), (name, n)
 
 
 def test_readme_config_table_mirrors_schema():
